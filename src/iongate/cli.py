@@ -73,6 +73,11 @@ def _require_keys(section: dict, allowed: set[str], where: str) -> None:
         raise ConfigError(f"unknown {where} keys: {sorted(unknown)}")
 
 
+def _is_int(value) -> bool:
+    # JSON true/false arrive as bool, a subclass of int
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def load_run_config(path: str) -> RunConfig:
     """Parse and validate a sweep config file."""
     try:
@@ -102,17 +107,23 @@ def load_run_config(path: str) -> RunConfig:
         raise ConfigError("eta grid values must be > 0")
     if any(x < 0 for x in nbar_grid):
         raise ConfigError("nbar grid values must be >= 0")
+    for key in ("n_ions", "n_max", "n_pad"):
+        if key in model and not _is_int(model[key]):
+            raise ConfigError(f"model.{key} must be an integer, got {model[key]!r}")
+    seed = model.get("seed")
+    if seed is not None and not _is_int(seed):
+        raise ConfigError(f"model.seed must be an integer or null, got {seed!r}")
     hamiltonian = model.get("hamiltonian", "full")
     if hamiltonian not in ("full", "ld"):
         raise ConfigError(f"hamiltonian must be 'full' or 'ld', got {hamiltonian!r}")
     return RunConfig(
         eta_grid=eta_grid,
         nbar_grid=nbar_grid,
-        n_ions=int(model.get("n_ions", 2)),
-        n_max=int(model.get("n_max", 40)),
-        n_pad=int(model.get("n_pad", 10)),
+        n_ions=model.get("n_ions", 2),
+        n_max=model.get("n_max", 40),
+        n_pad=model.get("n_pad", 10),
         hamiltonian=hamiltonian,
-        seed=model.get("seed"),
+        seed=seed,
         csv_path=output.get("csv"),
         json_path=output.get("json"),
     )
@@ -359,8 +370,8 @@ def _sweep_json(result: SweepResult) -> dict:
 
 def cmd_sweep(args) -> int:
     config = load_run_config(args.config)
-    n_max = args.n_max if args.n_max_given else config.n_max
-    n_pad = args.n_pad if args.n_pad_given else config.n_pad
+    n_max = config.n_max if args.n_max is None else args.n_max
+    n_pad = config.n_pad if args.n_pad is None else args.n_pad
     seed = args.seed if args.seed is not None else config.seed
     result = lamb_dicke_error_sweep(
         config.eta_grid,
@@ -521,6 +532,8 @@ def make_parser() -> argparse.ArgumentParser:
     p_sweep = subs.add_parser("sweep", help="run a sweep from a JSON config")
     p_sweep.add_argument("--config", required=True)
     _add_common(p_sweep)
+    # None means "take the cutoffs from the config file"
+    p_sweep.set_defaults(n_max=None, n_pad=None)
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_conv = subs.add_parser("convergence", help="gate metrics vs Fock cutoff")
@@ -542,11 +555,6 @@ def make_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = make_parser()
     args = parser.parse_args(argv)
-    # remember whether cutoff flags were given explicitly so sweep configs
-    # are only overridden when the user asked for it
-    given = set(argv if argv is not None else sys.argv[1:])
-    args.n_max_given = "--n-max" in given
-    args.n_pad_given = "--n-pad" in given
     try:
         return args.func(args)
     except (ConfigError, ValueError) as exc:

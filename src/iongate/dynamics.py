@@ -17,6 +17,11 @@ At t = tau = 2 pi / omega_a the rotation and displacement factors collapse to
 the identity and the propagator becomes a purely internal unitary
 exp[i C J_x^2] exp[-i D J_x] tensored with the motional identity
 (`propagator_at_tau`).
+
+On resonance both Hamiltonians commute with J_x, so the propagator is
+block diagonal in its eigenbasis: `sector_propagators` exponentiates the N+1
+motional blocks, each of size n_max + 1, instead of one matrix of size
+2^N (n_max + 1).
 """
 
 from __future__ import annotations
@@ -50,14 +55,23 @@ class PropagatorFactors:
     t: float
 
 
-def hamiltonian_ld(params: ModelParams) -> OperatorMatrix:
-    """Lamb-Dicke Hamiltonian on the composite space.
+def _coupling(params: ModelParams, model: str) -> OperatorMatrix:
+    """The motional factor f of the drive Omega f J_x: eta (a + a+) cos(theta)
+    + sin(theta) for the Lamb-Dicke model ("ld"), the operator sine
+    sin(eta (a + a+) + theta) for the full model ("full")."""
+    if model == "ld":
+        a, ad = ladder_operators(params.n_max)
+        coupling = params.eta * (a.mat + ad.mat) * np.cos(params.theta) + np.sin(
+            params.theta
+        ) * np.eye(params.dim_motion)
+        return OperatorMatrix(coupling, "motion")
+    if model == "full":
+        return position_sine_operator(params)
+    raise ValueError(f"model must be 'ld' or 'full', got {model!r}")
 
-    H = omega_a a+a + (Delta/2) J_z + Omega [eta (a + a+) cos(theta)
-        + sin(theta)] J_x
 
-    with Delta = params.delta * omega_a.
-    """
+def _composite_hamiltonian(params: ModelParams, coupling: OperatorMatrix) -> OperatorMatrix:
+    # omega_a a+a + (Delta/2) J_z + Omega f J_x on the composite space
     a, ad = ladder_operators(params.n_max)
     eye_m = OperatorMatrix(np.eye(params.dim_motion, dtype=complex), "motion")
     eye_i = OperatorMatrix(
@@ -67,14 +81,22 @@ def hamiltonian_ld(params: ModelParams) -> OperatorMatrix:
     jx = collective_spin(params.n_ions, "x")
 
     h = params.omega_a * embed(eye_i, number).mat
-    coupling = params.eta * (a.mat + ad.mat) * np.cos(params.theta) + np.sin(
-        params.theta
-    ) * np.eye(params.dim_motion)
-    h = h + params.omega * embed(jx, OperatorMatrix(coupling, "motion")).mat
+    h = h + params.omega * embed(jx, coupling).mat
     if params.delta != 0.0:
         jz = collective_spin(params.n_ions, "z")
         h = h + (params.delta * params.omega_a / 2.0) * embed(jz, eye_m).mat
     return OperatorMatrix(h, "composite", dims=(params.dim_internal, params.dim_motion))
+
+
+def hamiltonian_ld(params: ModelParams) -> OperatorMatrix:
+    """Lamb-Dicke Hamiltonian on the composite space.
+
+    H = omega_a a+a + (Delta/2) J_z + Omega [eta (a + a+) cos(theta)
+        + sin(theta)] J_x
+
+    with Delta = params.delta * omega_a.
+    """
+    return _composite_hamiltonian(params, _coupling(params, "ld"))
 
 
 def hamiltonian_full(params: ModelParams) -> OperatorMatrix:
@@ -86,20 +108,7 @@ def hamiltonian_full(params: ModelParams) -> OperatorMatrix:
     `position_sine_operator`), so the Lamb-Dicke linearization is the only
     difference from `hamiltonian_ld`.
     """
-    a, ad = ladder_operators(params.n_max)
-    eye_m = OperatorMatrix(np.eye(params.dim_motion, dtype=complex), "motion")
-    eye_i = OperatorMatrix(
-        np.eye(params.dim_internal, dtype=complex), "internal"
-    )
-    number = OperatorMatrix(ad.mat @ a.mat, "motion")
-    jx = collective_spin(params.n_ions, "x")
-
-    h = params.omega_a * embed(eye_i, number).mat
-    h = h + params.omega * embed(jx, position_sine_operator(params)).mat
-    if params.delta != 0.0:
-        jz = collective_spin(params.n_ions, "z")
-        h = h + (params.delta * params.omega_a / 2.0) * embed(jz, eye_m).mat
-    return OperatorMatrix(h, "composite", dims=(params.dim_internal, params.dim_motion))
+    return _composite_hamiltonian(params, _coupling(params, "full"))
 
 
 def expm_propagator(h: OperatorMatrix, t: float) -> OperatorMatrix:
@@ -119,9 +128,10 @@ def closed_form_propagator(params: ModelParams, t: float) -> PropagatorFactors:
     """The factorized propagator at time t (resonant case only).
 
     f_twist and f_carrier are exponentiated in the J_x eigenbasis; f_disp is
-    assembled blockwise, one coherent displacement D(beta m) per J_x
-    eigenvalue m, each block via a dense matrix exponential of the
-    anti-Hermitian generator beta m a+ - (beta m)* a.
+    assembled as sum_m kron(P_m, D(beta m)) over the N+1 distinct J_x
+    eigenvalues m, with P_m the projector onto the eigenspace of m and each
+    D(beta m) a dense matrix exponential of the anti-Hermitian generator
+    beta m a+ - (beta m)* a.
     """
     if params.delta != 0.0:
         raise ValueError(
@@ -145,13 +155,14 @@ def closed_form_propagator(params: ModelParams, t: float) -> PropagatorFactors:
 
     a, ad = ladder_operators(params.n_max)
     beta = -(lam / omega) * (np.exp(1j * omega * t) - 1.0)
+    sectors = np.rint(jx_vals)
     f_disp = np.zeros((d_i * d_m, d_i * d_m), dtype=complex)
-    for k in range(d_i):
-        alpha = beta * jx_vals[k]
+    for m in np.unique(sectors):
+        alpha = beta * m
         gen = alpha * ad.mat - np.conj(alpha) * a.mat
         block = scipy.linalg.expm(gen)
-        projector = np.outer(jx_vecs[:, k], jx_vecs[:, k].conj())
-        f_disp += np.kron(projector, block)
+        vecs_m = jx_vecs[:, sectors == m]
+        f_disp += np.kron(vecs_m @ vecs_m.conj().T, block)
 
     carrier_phase = params.omega * np.sin(params.theta) * t
     carrier_internal = (jx_vecs * np.exp(-1j * carrier_phase * jx_vals)) @ jx_vecs.conj().T
@@ -166,6 +177,32 @@ def closed_form_propagator(params: ModelParams, t: float) -> PropagatorFactors:
         product=OperatorMatrix(product, "composite", dims),
         t=t,
     )
+
+
+def sector_propagators(params: ModelParams, t: float, model: str) -> np.ndarray:
+    """The motional propagators of the N+1 J_x sectors (resonant case only).
+
+    On resonance both Hamiltonians are sum_m P_m x H_m with
+    H_m = omega_a a+a + Omega m f, where P_m projects onto the J_x eigenspace
+    of m and f is the motional coupling of the model ("ld" or "full", as in
+    `hamiltonian_ld` and `hamiltonian_full`), so exp(-i H t) is
+    sum_m P_m x U_m with U_m = exp(-i H_m t). Each U_m comes from one
+    Hermitian eigendecomposition of size n_max + 1.
+
+    Returns an array of shape (N+1, n_max+1, n_max+1) whose entry k is U_m
+    for m = N - 2k, the sector of the |+/-> products with k minus signs.
+    """
+    if params.delta != 0.0:
+        raise ValueError(
+            "the J_x sectors decouple only on resonance; got delta="
+            f"{params.delta} (use expm_propagator for detuned evolution)"
+        )
+    coupling = _coupling(params, model).mat
+    a, ad = ladder_operators(params.n_max)
+    m = params.n_ions - 2 * np.arange(params.n_ions + 1)
+    h = params.omega_a * (ad.mat @ a.mat) + params.omega * m[:, None, None] * coupling
+    vals, vecs = np.linalg.eigh(h)
+    return (vecs * np.exp(-1j * vals * t)[:, None, :]) @ vecs.conj().transpose(0, 2, 1)
 
 
 def propagator_at_tau(

@@ -65,6 +65,10 @@ class ModelParams:
     n_pad: int = 10
 
     def __post_init__(self):
+        for name in ("eta", "omega_ratio", "theta", "omega_a", "delta"):
+            value = getattr(self, name)
+            if not np.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if not self.eta > 0:
             raise ValueError(f"eta must be > 0, got {self.eta}")
         if not self.omega_a > 0:

@@ -86,10 +86,11 @@ def solve_gate_params(eta: float, k1: int = 0, k2: int = 0) -> GateSolution:
     and verified by substituting into `propagator_at_tau` and checking the
     distance to the ideal gate operator.
 
-    Raises RuntimeError with the residuals if the solver does not converge.
+    Raises ValueError for an eta that is not finite and positive, and
+    RuntimeError with the residuals if the solver does not converge.
     """
-    if eta <= 0:
-        raise ValueError(f"eta must be > 0, got {eta}")
+    if not (np.isfinite(eta) and eta > 0):
+        raise ValueError(f"eta must be finite and > 0, got {eta}")
 
     def objective(x: np.ndarray) -> list[float]:
         theta, r = x
@@ -100,8 +101,9 @@ def solve_gate_params(eta: float, k1: int = 0, k2: int = 0) -> GateSolution:
     theta, r = sol.x
     res_c, res_d = _constraint_residuals(theta, r, eta, k1, k2)
     # judge convergence by the residuals, not the solver status: hybr can
-    # report xtol exhaustion after the residuals already hit machine zero
-    if max(abs(res_c), abs(res_d)) > 1e-12:
+    # report xtol exhaustion after the residuals already hit machine zero;
+    # written so that a NaN residual fails too
+    if not (abs(res_c) <= 1e-12 and abs(res_d) <= 1e-12):
         raise RuntimeError(
             f"gate parameter solve failed for eta={eta}: {sol.message}; "
             f"residuals ({res_c:.3e}, {res_d:.3e})"
@@ -121,7 +123,7 @@ def solve_gate_params(eta: float, k1: int = 0, k2: int = 0) -> GateSolution:
     u_tau, c, d = propagator_at_tau(params)
     ideal = ideal_gate_unitary(2)
     distance = np.abs(u_tau.mat - np.kron(ideal.mat, np.eye(params.dim_motion))).max()
-    if distance > 1e-10:
+    if not distance <= 1e-10:
         raise RuntimeError(
             f"solved parameters fail verification for eta={eta}: "
             f"gate distance {distance:.3e}"
@@ -149,8 +151,8 @@ def literal_params(eta: float) -> GateSolution:
     gives C = pi^2/8 and -D = pi^2/4 for every eta, a factor pi away from the
     gate target, and the residuals field carries that discrepancy.
     """
-    if eta <= 0:
-        raise ValueError(f"eta must be > 0, got {eta}")
+    if not (np.isfinite(eta) and eta > 0):
+        raise ValueError(f"eta must be finite and > 0, got {eta}")
     sin_theta = -np.sqrt(eta**2 * np.pi / (eta**2 * np.pi + 4.0))
     theta = float(np.arcsin(sin_theta))
     inverse_r = np.sqrt(64.0 * eta**2 / (eta**2 * np.pi**2 + 4.0 * np.pi))

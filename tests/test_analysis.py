@@ -7,7 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import gate_params, quiet_thermal, random_density, random_pure, solved
+from helpers import (
+    dense_ghz,
+    gate_params,
+    quiet_thermal,
+    random_density,
+    random_pure,
+    solved,
+)
 from iongate import (
     ModelParams,
     OperatorMatrix,
@@ -238,6 +245,32 @@ class TestGhzCheck:
     def test_thermal_input(self):
         report = ghz_check(2, 0.1, quiet_thermal(0.5, 30), n_max=30)
         assert report.fidelity > 1 - 1e-8
+
+    @pytest.mark.parametrize(
+        "n_ions, model, motion",
+        [
+            (2, "ld", quiet_thermal(0.5, 16)),
+            (3, "full", quiet_thermal(0.5, 16)),
+            (3, "ld", fock_state(2, 16)),
+            (4, "ld", quiet_thermal(2.0, 16)),
+            (5, "full", quiet_thermal(0.5, 16)),
+            (6, "full", quiet_thermal(0.5, 16)),
+        ],
+        ids=[
+            "2-ld-nbar0.5",
+            "3-full-nbar0.5",
+            "3-ld-fock2",
+            "4-ld-nbar2",
+            "5-full-nbar0.5",
+            "6-full-nbar0.5",
+        ],
+    )
+    def test_matches_dense_evolution(self, n_ions, model, motion):
+        report = ghz_check(n_ions, 0.1, motion, n_max=16, model=model)
+        fid, phase, leak = dense_ghz(n_ions, 0.1, motion, 16, model)
+        assert abs(report.fidelity - fid) < 1e-12
+        assert abs(np.angle(np.exp(1j * (report.rel_phase - phase)))) < 1e-12
+        assert abs(report.leakage - leak) < 1e-12
 
 
 class TestSweep:

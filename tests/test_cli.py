@@ -57,6 +57,11 @@ class TestSolveCommand:
         assert run_cli("solve", "--eta", "-1") == 2
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("eta", ["inf", "nan"])
+    def test_nonfinite_eta_exits_2(self, eta, capsys):
+        assert run_cli("solve", "--eta", eta) == 2
+        assert "finite" in capsys.readouterr().err
+
 
 class TestGateCheckCommand:
     def test_vacuum_run_schema_and_values(self, tmp_path):
@@ -146,6 +151,18 @@ class TestGhzCommand:
         )
         assert code == 0
 
+    def test_force_runs_large_n(self, tmp_path):
+        out = tmp_path / "ghz.json"
+        code = run_cli(
+            "ghz", "--n-ions", "12", "--force", "--n-max", "160", "--out", str(out)
+        )
+        assert code == 0
+        payload = json.loads(out.read_text())
+        assert np.isfinite(payload["fidelity"])
+        assert np.isfinite(payload["rel_phase"])
+        assert payload["fidelity"] > 1 - 1e-8
+        assert payload["phase_deviation"] < 1e-8
+
 
 class TestSweepCommand:
     def test_grid_rows_and_rerun_identical(self, tmp_path):
@@ -208,6 +225,42 @@ class TestSweepCommand:
         assert run_cli("sweep", "--config", str(cfg)) == 2
         cfg = write_config(tmp_path, grids={"eta": [0.1]})
         assert run_cli("sweep", "--config", str(cfg)) == 2
+
+    @pytest.mark.parametrize(
+        "flags, n_max, n_pad",
+        [
+            ([], 12, 10),
+            (["--n-max=30"], 30, 10),
+            (["--n-max", "30"], 30, 10),
+            (["--n-pad=4"], 12, 4),
+        ],
+    )
+    def test_cutoff_flags_override_config(self, tmp_path, flags, n_max, n_pad):
+        out = tmp_path / "sw.json"
+        cfg = write_config(tmp_path)
+        assert run_cli("sweep", "--config", str(cfg), "--out", str(out), *flags) == 0
+        payload = json.loads(out.read_text())
+        assert payload["model"]["n_max"] == n_max
+        assert payload["model"]["n_pad"] == n_pad
+        assert {rec["n_max"] for rec in payload["records"]} == {n_max}
+
+    @pytest.mark.parametrize(
+        "model",
+        [
+            {"n_ions": 3.5},
+            {"n_ions": True},
+            {"n_max": 12.0},
+            {"n_pad": "10"},
+            {"seed": "7"},
+            {"seed": 1.5},
+            {"seed": False},
+        ],
+    )
+    def test_noninteger_model_values_rejected(self, tmp_path, capsys, model):
+        base = {"n_ions": 2, "n_max": 12, "hamiltonian": "ld"}
+        cfg = write_config(tmp_path, model={**base, **model})
+        assert run_cli("sweep", "--config", str(cfg)) == 2
+        assert "integer" in capsys.readouterr().err
 
     def test_missing_config_file(self, tmp_path):
         assert run_cli("sweep", "--config", str(tmp_path / "nope.json")) == 2

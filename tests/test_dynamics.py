@@ -20,7 +20,9 @@ from iongate import (
     internal_product_state,
     ladder_operators,
     motional_independence_metric,
+    pm_product_states,
     propagator_at_tau,
+    sector_propagators,
 )
 
 
@@ -209,6 +211,51 @@ class TestOracleEquivalence:
         closed = closed_form_propagator(p, p.tau).product.mat
         oracle = expm_propagator(hamiltonian_ld(p), p.tau).mat
         assert _restricted_max_diff(closed, oracle, p, 30) < 1e-10
+
+
+class TestSectorPropagators:
+    @settings(max_examples=25, deadline=None)
+    @given(
+        st.floats(0.05, 0.3),
+        st.floats(0.1, 1.0),
+        st.floats(-np.pi / 2, np.pi / 2),
+        st.integers(1, 3),
+        st.floats(0.0, 2.0),
+        st.sampled_from(["ld", "full"]),
+    )
+    def test_property_dense_propagator_is_sector_sum(
+        self, eta, ratio, theta, n_ions, t_frac, model
+    ):
+        # lambda <= 0.3 and N <= 3 keep the conditional displacement below
+        # 1.8, contained at n_max = 24
+        p = ModelParams(eta=eta, omega_ratio=ratio, theta=theta, n_ions=n_ions, n_max=24)
+        t = t_frac * p.tau
+        h = hamiltonian_ld(p) if model == "ld" else hamiltonian_full(p)
+        dense = expm_propagator(h, t).mat
+        sectors = sector_propagators(p, t, model)
+        # rotate into the J_x eigenbasis of |+/-> products; the product with
+        # k minus signs lies in sector k
+        products = pm_product_states(n_ions)
+        labels = sorted(products)
+        basis = np.stack([products[label].data for label in labels], axis=1)
+        frame = np.kron(basis, np.eye(p.dim_motion))
+        rotated = (frame.conj().T @ dense @ frame).reshape(
+            p.dim_internal, p.dim_motion, p.dim_internal, p.dim_motion
+        )
+        expected = np.zeros_like(rotated)
+        for s, label in enumerate(labels):
+            expected[s, :, s, :] = sectors[label.count("-")]
+        assert np.abs(rotated - expected).max() < 1e-12
+
+    def test_rejects_detuning(self):
+        p = ModelParams(eta=0.1, omega_ratio=1.0, theta=0.0, delta=0.5, n_max=6)
+        with pytest.raises(ValueError):
+            sector_propagators(p, 1.0, "ld")
+
+    def test_rejects_unknown_model(self):
+        p = ModelParams(eta=0.1, omega_ratio=1.0, theta=0.0, n_max=6)
+        with pytest.raises(ValueError):
+            sector_propagators(p, 1.0, "quadratic")
 
 
 class TestPropagatorAtTau:

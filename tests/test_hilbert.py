@@ -44,6 +44,15 @@ class TestModelParams:
             dict(n_ions=0),
             dict(n_max=0),
             dict(n_pad=-1),
+            dict(eta=float("inf")),
+            dict(eta=float("nan")),
+            dict(omega_ratio=float("inf")),
+            dict(omega_ratio=float("nan")),
+            dict(theta=float("inf")),
+            dict(theta=float("nan")),
+            dict(omega_a=float("inf")),
+            dict(delta=float("nan")),
+            dict(delta=float("-inf")),
         ],
     )
     def test_rejects_invalid(self, kwargs):

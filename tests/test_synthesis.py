@@ -1,11 +1,15 @@
 """Gate parameter solving, the literal published formulas, GHZ recipes."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+import scipy.optimize
 
 from helpers import gate_params, quiet_thermal, solved
 from iongate import (
     ModelParams,
+    OperatorMatrix,
     collective_spin,
     evolve,
     expm_propagator,
@@ -19,6 +23,7 @@ from iongate import (
     partial_trace,
     propagator_at_tau,
     solve_gate_params,
+    synthesis,
 )
 
 
@@ -69,6 +74,31 @@ class TestSolveGateParams:
             solve_gate_params(0.0)
         with pytest.raises(ValueError):
             solve_gate_params(-0.3)
+
+    def test_rejects_nonfinite_eta(self):
+        for eta in (float("inf"), float("nan")):
+            with pytest.raises(ValueError):
+                solve_gate_params(eta)
+            with pytest.raises(ValueError):
+                literal_params(eta)
+
+    def test_nan_solver_output_fails_the_residual_check(self, monkeypatch):
+        monkeypatch.setattr(
+            scipy.optimize,
+            "root",
+            lambda *args, **kwargs: SimpleNamespace(x=np.array([np.nan, np.nan]), message="nan"),
+        )
+        with pytest.raises(RuntimeError, match="residuals"):
+            solve_gate_params(0.1)
+
+    def test_nan_gate_distance_fails_verification(self, monkeypatch):
+        def nan_propagator(params):
+            u, c, d = propagator_at_tau(params)
+            return OperatorMatrix(np.full_like(u.mat, np.nan), u.layout, u.dims), c, d
+
+        monkeypatch.setattr(synthesis, "propagator_at_tau", nan_propagator)
+        with pytest.raises(RuntimeError, match="verification"):
+            solve_gate_params(0.1)
 
     def test_solution_realizes_gate_on_composite_space(self):
         p = gate_params(0.1, 5)
