@@ -18,7 +18,6 @@ import sys
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .analysis import (
@@ -103,10 +102,11 @@ def load_run_config(path: str) -> RunConfig:
     nbar_grid = tuple(float(x) for x in grids["nbar"])
     if not eta_grid or not nbar_grid:
         raise ConfigError("grids must be nonempty")
-    if any(x <= 0 for x in eta_grid):
-        raise ConfigError("eta grid values must be > 0")
-    if any(x < 0 for x in nbar_grid):
-        raise ConfigError("nbar grid values must be >= 0")
+    # json.load accepts NaN and Infinity, so check finiteness explicitly
+    if not all(np.isfinite(x) and x > 0 for x in eta_grid):
+        raise ConfigError("eta grid values must be finite and > 0")
+    if not all(np.isfinite(x) and x >= 0 for x in nbar_grid):
+        raise ConfigError("nbar grid values must be finite and >= 0")
     for key in ("n_ions", "n_max", "n_pad"):
         if key in model and not _is_int(model[key]):
             raise ConfigError(f"model.{key} must be an integer, got {model[key]!r}")
@@ -332,6 +332,18 @@ def _sweep_csv(result: SweepResult) -> str:
     return buf.getvalue()
 
 
+def _scipy_version() -> str | None:
+    """The installed scipy version, read from its package metadata so that
+    scipy itself is never imported; None if it is not installed."""
+    # imported here: only the sweep JSON needs it, and it costs start-up time
+    from importlib import metadata
+
+    try:
+        return metadata.version("scipy")
+    except metadata.PackageNotFoundError:
+        return None
+
+
 def _sweep_json(result: SweepResult) -> dict:
     return {
         "command": "sweep",
@@ -350,7 +362,7 @@ def _sweep_json(result: SweepResult) -> dict:
         "versions": {
             "iongate": __version__,
             "numpy": np.__version__,
-            "scipy": scipy.__version__,
+            "scipy": _scipy_version(),
         },
         "records": [
             {

@@ -10,8 +10,12 @@ factorized propagator
 with lambda = eta Omega cos(theta), Phi(t) = lambda^2 t / omega_a
 - lambda^2 sin(omega_a t) / omega_a^2, and f_disp a coherent displacement of
 amplitude beta(t) m conditioned on the J_x eigenvalue m, where
-beta(t) = -(lambda / omega_a) (e^{i omega_a t} - 1). The two routes share no
-matrix-exponential code, so their agreement is a meaningful check of both.
+beta(t) = -(lambda / omega_a) (e^{i omega_a t} - 1). Both routes
+exponentiate by Hermitian eigendecomposition, but of different matrices: the
+oracle diagonalizes the composite Hamiltonian, the analytic route only the
+N+1 displacement generators of size n_max + 1 (the other factors are
+diagonal in the J_x eigenbasis or in the Fock basis). So their agreement is
+a meaningful check of both.
 
 At t = tau = 2 pi / omega_a the rotation and displacement factors collapse to
 the identity and the propagator becomes a purely internal unitary
@@ -29,7 +33,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .hilbert import (
     ModelParams,
@@ -130,8 +133,10 @@ def closed_form_propagator(params: ModelParams, t: float) -> PropagatorFactors:
     f_twist and f_carrier are exponentiated in the J_x eigenbasis; f_disp is
     assembled as sum_m kron(P_m, D(beta m)) over the N+1 distinct J_x
     eigenvalues m, with P_m the projector onto the eigenspace of m and each
-    D(beta m) a dense matrix exponential of the anti-Hermitian generator
-    beta m a+ - (beta m)* a.
+    D(alpha) = exp(alpha a+ - alpha* a), alpha = beta m, the exponential of
+    the truncated generator: V e^{-i lambda} V+ from the eigendecomposition
+    of the Hermitian H_g = i (alpha a+ - alpha* a) on the n_max + 1 Fock
+    states.
     """
     if params.delta != 0.0:
         raise ValueError(
@@ -159,8 +164,8 @@ def closed_form_propagator(params: ModelParams, t: float) -> PropagatorFactors:
     f_disp = np.zeros((d_i * d_m, d_i * d_m), dtype=complex)
     for m in np.unique(sectors):
         alpha = beta * m
-        gen = alpha * ad.mat - np.conj(alpha) * a.mat
-        block = scipy.linalg.expm(gen)
+        vals, vecs = np.linalg.eigh(1j * (alpha * ad.mat - np.conj(alpha) * a.mat))
+        block = (vecs * np.exp(-1j * vals)) @ vecs.conj().T
         vecs_m = jx_vecs[:, sectors == m]
         f_disp += np.kron(vecs_m @ vecs_m.conj().T, block)
 

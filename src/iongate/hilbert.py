@@ -202,8 +202,8 @@ class ThermalSpec:
     n_max: int
 
     def __post_init__(self):
-        if self.nbar < 0:
-            raise ValueError(f"nbar must be >= 0, got {self.nbar}")
+        if not (np.isfinite(self.nbar) and self.nbar >= 0):
+            raise ValueError(f"nbar must be finite and >= 0, got {self.nbar}")
         if self.n_max < 1:
             raise ValueError(f"n_max must be >= 1, got {self.n_max}")
 

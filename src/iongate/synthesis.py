@@ -7,10 +7,15 @@ at one trap period when the pulse-period coefficients satisfy C = pi/8 and
     2 pi eta^2 r^2 cos^2(theta) = pi/8 + 2 pi k1
     -2 pi r sin(theta)          = pi/4 + 2 pi k2
 
-for r = Omega/omega_a and integer winding branches (k1, k2). The principal
-branch has the closed-form solution r = sqrt(eta^2 + 4) / (8 eta),
-sin(theta) = -eta / sqrt(eta^2 + 4); the solver finds it numerically and the
-tests cross-check against the closed form.
+for r = Omega/omega_a and integer winding branches (k1, k2). Every branch
+with k1 >= 0 has the closed-form solution
+
+    r cos(theta) = sqrt((pi/8 + 2 pi k1) / (2 pi)) / eta
+    r sin(theta) = -(pi/4 + 2 pi k2) / (2 pi)
+
+with cos(theta) > 0 and r > 0; the principal branch is
+r = sqrt(eta^2 + 4) / (8 eta), sin(theta) = -eta / sqrt(eta^2 + 4).
+`solve_gate_params` evaluates it and verifies the result.
 
 `literal_params` evaluates, verbatim, an alternative published
 parameter-selection prescription for the same gate and reports the
@@ -23,7 +28,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.optimize
 
 from .dynamics import propagator_at_tau
 from .hilbert import ModelParams, OperatorMatrix, QuantumState, collective_spin
@@ -77,49 +81,45 @@ def _constraint_residuals(
     )
 
 
+def _branch_solution(eta: float, k1: int, k2: int) -> tuple[float, float]:
+    """(theta, r) of branch (k1, k2) in closed form: x = r cos(theta) from the
+    C constraint, y = r sin(theta) from the D constraint."""
+    x = np.sqrt((GATE_C + 2.0 * np.pi * k1) / (2.0 * np.pi)) / eta
+    y = -(GATE_MINUS_D + 2.0 * np.pi * k2) / (2.0 * np.pi)
+    return float(np.arctan2(y, x)), float(np.hypot(x, y))
+
+
 def solve_gate_params(eta: float, k1: int = 0, k2: int = 0) -> GateSolution:
-    """Solve the two gate constraints for (theta, Omega/omega_a).
+    """The gate parameters (theta, Omega/omega_a) of branch (k1, k2).
 
-    Two-dimensional root finding from the fixed initial guess
-    (theta0, r0) = (-0.1, 1/(4 eta)); the accepted solution is normalized to
-    the cos(theta) > 0, r > 0 branch (both signs produce the same propagator)
-    and verified by substituting into `propagator_at_tau` and checking the
-    distance to the ideal gate operator.
+    Evaluates the closed form of the module docstring, which lands on the
+    cos(theta) > 0, r > 0 solution (the sign-flipped pair produces the same
+    propagator), checks the constraint residuals, and verifies the result by
+    substituting it into `propagator_at_tau` and checking the distance to the
+    ideal gate operator.
 
-    Raises ValueError for an eta that is not finite and positive, and
-    RuntimeError with the residuals if the solver does not converge.
+    Raises ValueError for an eta that is not finite and positive or a branch
+    with k1 < 0 (C = pi/8 + 2 pi k1 must be positive), and RuntimeError if
+    the residual or verification check fails.
     """
     if not (np.isfinite(eta) and eta > 0):
         raise ValueError(f"eta must be finite and > 0, got {eta}")
-
-    def objective(x: np.ndarray) -> list[float]:
-        theta, r = x
-        return list(_constraint_residuals(theta, r, eta, k1, k2))
-
-    x0 = np.array([-0.1, 1.0 / (4.0 * eta)])
-    sol = scipy.optimize.root(objective, x0, method="hybr", tol=1e-14)
-    theta, r = sol.x
+    if k1 < 0:
+        raise ValueError(
+            f"branch (k1, k2) = ({k1}, {k2}) has no real solution: "
+            "C = pi/8 + 2 pi k1 must be positive, so k1 must be >= 0"
+        )
+    theta, r = _branch_solution(eta, k1, k2)
     res_c, res_d = _constraint_residuals(theta, r, eta, k1, k2)
-    # judge convergence by the residuals, not the solver status: hybr can
-    # report xtol exhaustion after the residuals already hit machine zero;
     # written so that a NaN residual fails too
     if not (abs(res_c) <= 1e-12 and abs(res_d) <= 1e-12):
         raise RuntimeError(
-            f"gate parameter solve failed for eta={eta}: {sol.message}; "
+            f"gate parameter solve failed for eta={eta}: "
             f"residuals ({res_c:.3e}, {res_d:.3e})"
         )
 
-    # normalize branch: wrap theta into (-pi, pi], then fold cos(theta) < 0
-    # onto the equivalent cos > 0 solution, and make r positive
-    if r < 0:
-        r = -r
-        theta = -theta
-    theta = float(np.angle(np.exp(1j * theta)))
-    if np.cos(theta) < 0:
-        theta = float(np.angle(np.exp(1j * (np.pi - theta))))
-
     # verification on a minimal two-ion space; the solved pair is N-independent
-    params = ModelParams(eta=eta, omega_ratio=float(r), theta=theta, n_ions=2, n_max=1)
+    params = ModelParams(eta=eta, omega_ratio=r, theta=theta, n_ions=2, n_max=1)
     u_tau, c, d = propagator_at_tau(params)
     ideal = ideal_gate_unitary(2)
     distance = np.abs(u_tau.mat - np.kron(ideal.mat, np.eye(params.dim_motion))).max()
@@ -131,7 +131,7 @@ def solve_gate_params(eta: float, k1: int = 0, k2: int = 0) -> GateSolution:
     return GateSolution(
         eta=eta,
         theta=theta,
-        omega_ratio=float(r),
+        omega_ratio=r,
         achieved_c=c,
         achieved_d=d,
         residual_c=abs(c - (GATE_C + 2.0 * np.pi * k1)),

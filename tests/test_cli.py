@@ -164,6 +164,38 @@ class TestGhzCommand:
         assert payload["phase_deviation"] < 1e-8
 
 
+class TestNonfiniteNbar:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("ghz", "--nbar", "nan"),
+            ("ghz", "--nbar", "inf"),
+            ("gate-check", "--nbar", "nan"),
+            ("convergence", "--nbar", "inf"),
+        ],
+    )
+    def test_exits_2_naming_nbar(self, argv, capsys):
+        assert run_cli(*argv, "--n-max", "8") == 2
+        assert "nbar must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "grids, key",
+        [
+            ({"eta": [0.1], "nbar": [0.0, float("nan")]}, "nbar"),
+            ({"eta": [0.1], "nbar": [float("inf")]}, "nbar"),
+            ({"eta": [float("nan")], "nbar": [0.0]}, "eta"),
+            ({"eta": [float("inf")], "nbar": [0.0]}, "eta"),
+        ],
+    )
+    def test_sweep_config_rejects_nonfinite_grid(self, tmp_path, capsys, grids, key):
+        # json.dumps writes, and json.load accepts, the NaN and Infinity
+        # tokens, so the loader itself must reject them
+        cfg = write_config(tmp_path, grids=grids)
+        assert "NaN" in cfg.read_text() or "Infinity" in cfg.read_text()
+        assert run_cli("sweep", "--config", str(cfg)) == 2
+        assert f"{key} grid values must be finite" in capsys.readouterr().err
+
+
 class TestSweepCommand:
     def test_grid_rows_and_rerun_identical(self, tmp_path):
         csv_a = tmp_path / "a.csv"
@@ -347,6 +379,32 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0
         assert "achieved C" in proc.stdout
+
+    def test_runs_without_importing_scipy(self, tmp_path):
+        # scipy is a test dependency only: neither the import nor any command
+        # may load it, and the sweep JSON reads its version from the metadata
+        out = tmp_path / "sweep.json"
+        cfg = write_config(tmp_path)
+        script = f"""
+import importlib.metadata, json, sys
+import iongate.cli
+assert "scipy" not in sys.modules, "import iongate.cli loaded scipy"
+for argv in (
+    ["solve", "--eta", "0.1", "--literal-params"],
+    ["gate-check", "--nbar", "0", "--n-max", "8"],
+    ["ghz", "--n-ions", "3", "--nbar", "0", "--n-max", "8"],
+    ["convergence", "--nbar", "0", "--n-max-list", "6,8"],
+    ["sweep", "--config", {str(cfg)!r}, "--out", {str(out)!r}],
+):
+    assert iongate.cli.main(argv) == 0, argv
+    assert "scipy" not in sys.modules, argv
+versions = json.load(open({str(out)!r}))["versions"]
+assert versions["scipy"] == importlib.metadata.version("scipy"), versions
+"""
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr
 
     def test_validation_exit_code_through_process(self):
         proc = subprocess.run(

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -181,6 +182,26 @@ class TestClosedForm:
         amp = np.vdot(vec, f.f_disp.mat @ vec)
         assert np.isclose(abs(amp), np.exp(-0.02), atol=1e-9)
         assert np.isclose(abs(amp), 0.98020, atol=1e-5)
+
+    def test_displacement_is_exponential_of_truncated_generator(self):
+        # |beta m| reaches 2.4 at n_max=16, so the top Fock rows differ from
+        # the exact D(beta m); every entry must still equal the exponential
+        # of the truncated generator, with scipy's expm as the reference
+        p = ModelParams(eta=0.2, omega_ratio=2.0, theta=0.1, n_ions=3, n_max=16)
+        t = 0.5 * p.tau
+        lam = p.eta * p.omega * np.cos(p.theta)
+        beta = -(lam / p.omega_a) * (np.exp(1j * p.omega_a * t) - 1.0)
+        a, ad = ladder_operators(p.n_max)
+        vals, vecs = np.linalg.eigh(collective_spin(p.n_ions, "x").mat)
+        sectors = np.rint(vals)
+        expected = np.zeros((p.dim, p.dim), dtype=complex)
+        for m in np.unique(sectors):
+            alpha = beta * m
+            block = scipy.linalg.expm(alpha * ad.mat - np.conj(alpha) * a.mat)
+            vecs_m = vecs[:, sectors == m]
+            expected += np.kron(vecs_m @ vecs_m.conj().T, block)
+        f_disp = closed_form_propagator(p, t).f_disp.mat
+        assert np.abs(f_disp - expected).max() < 1e-12
 
     def test_rejects_detuning(self):
         p = ModelParams(eta=0.1, omega_ratio=1.0, theta=0.0, delta=0.5, n_max=6)

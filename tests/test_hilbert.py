@@ -242,6 +242,11 @@ class TestThermal:
             warnings.simplefilter("error")
             thermal_state(ThermalSpec(nbar=2.0, n_max=60))
 
+    @pytest.mark.parametrize("nbar", [float("nan"), float("inf"), -1.0])
+    def test_rejects_invalid_nbar(self, nbar):
+        with pytest.raises(ValueError, match="nbar"):
+            ThermalSpec(nbar=nbar, n_max=10)
+
     @settings(max_examples=25, deadline=None)
     @given(nbar=st.floats(0.0, 8.0), n_max=st.integers(5, 40))
     def test_property_valid_distribution(self, nbar, n_max):

@@ -1,10 +1,7 @@
 """Gate parameter solving, the literal published formulas, GHZ recipes."""
 
-from types import SimpleNamespace
-
 import numpy as np
 import pytest
-import scipy.optimize
 
 from helpers import gate_params, quiet_thermal, solved
 from iongate import (
@@ -84,12 +81,27 @@ class TestSolveGateParams:
 
     def test_nan_solver_output_fails_the_residual_check(self, monkeypatch):
         monkeypatch.setattr(
-            scipy.optimize,
-            "root",
-            lambda *args, **kwargs: SimpleNamespace(x=np.array([np.nan, np.nan]), message="nan"),
+            synthesis, "_branch_solution", lambda eta, k1, k2: (np.nan, np.nan)
         )
         with pytest.raises(RuntimeError, match="residuals"):
             solve_gate_params(0.1)
+
+    @pytest.mark.parametrize("eta", [0.05, 0.1, 0.3])
+    @pytest.mark.parametrize("k1", [0, 1, 2])
+    @pytest.mark.parametrize("k2", [-1, 0, 1])
+    def test_every_branch_in_closed_form(self, eta, k1, k2):
+        s = solve_gate_params(eta, k1, k2)
+        assert s.branch == (k1, k2)
+        assert abs(s.achieved_c - (np.pi / 8 + 2 * np.pi * k1)) < 1e-12
+        assert abs(-s.achieved_d - (np.pi / 4 + 2 * np.pi * k2)) < 1e-12
+        assert np.cos(s.theta) > 0
+        assert s.omega_ratio > 0
+
+    @pytest.mark.parametrize("k1", [-1, -3])
+    def test_negative_k1_branch_rejected(self, k1):
+        # C = pi/8 + 2 pi k1 < 0 cannot equal 2 pi eta^2 r^2 cos^2(theta)
+        with pytest.raises(ValueError, match=rf"\({k1}, 0\)"):
+            solve_gate_params(0.1, k1, 0)
 
     def test_nan_gate_distance_fails_verification(self, monkeypatch):
         def nan_propagator(params):
