@@ -371,12 +371,14 @@ def lamb_dicke_error_sweep(
 ) -> SweepResult:
     """Gate and GHZ infidelity over an (eta, nbar) grid.
 
-    For each point the gate parameters are re-solved for that eta, every
-    |+/-> input is evolved with thermal(nbar) motion for one trap period
-    under the chosen Hamiltonian, and the composite gate infidelity is
-    recorded together with the GHZ infidelity of the matching recipe, the
-    leakage above n_max/2, and a truncation flag when the leakage exceeds
-    1e-6. Solver failures are recorded per point and the sweep continues.
+    For each eta the gate parameters are solved and the one-period
+    propagator under the chosen Hamiltonian is built once. At each (eta,
+    nbar) point every |+/-> input is evolved with thermal(nbar) motion, and
+    the composite gate infidelity is recorded together with the GHZ
+    infidelity of the matching recipe, the leakage above n_max/2, and a
+    truncation flag when the leakage exceeds 1e-6. Solver failures are
+    recorded per point, the same for every nbar of that eta, and the sweep
+    continues.
 
     The sweep is deterministic; the seed is recorded as provenance only.
     """
@@ -386,20 +388,27 @@ def lamb_dicke_error_sweep(
         raise ValueError("sweep grids must be nonempty")
     records = []
     for eta in eta_values:
+        # neither the solved gate nor its propagator depends on nbar, so both
+        # are built once per eta, at its first point; a failure leaves `gate`
+        # unset, so every point of that eta fails the same way
+        gate = None
         for nbar in nbar_values:
             t0 = time.perf_counter()
             try:
-                solution = solve_gate_params(eta)
-                params = ModelParams(
-                    eta=eta,
-                    omega_ratio=solution.omega_ratio,
-                    theta=solution.theta,
-                    n_ions=n_ions,
-                    n_max=n_max,
-                    n_pad=n_pad,
-                )
+                if gate is None:
+                    solution = solve_gate_params(eta)
+                    params = ModelParams(
+                        eta=eta,
+                        omega_ratio=solution.omega_ratio,
+                        theta=solution.theta,
+                        n_ions=n_ions,
+                        n_max=n_max,
+                        n_pad=n_pad,
+                    )
+                    gate = params, _propagator_for(params, model)
+                params, u = gate
                 motion = thermal_state(ThermalSpec(nbar=nbar, n_max=n_max))
-                table = truth_table_check(params, motion, model=model)
+                table = truth_table_check(params, motion, model=model, u=u)
                 ghz = ghz_check(
                     n_ions, eta, motion, n_max=n_max, n_pad=n_pad, model=model
                 )

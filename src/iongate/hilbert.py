@@ -144,7 +144,12 @@ class OperatorMatrix:
 
 @dataclass(frozen=True)
 class QuantumState:
-    """Pure state vector or density matrix with a layout tag."""
+    """Pure state vector or density matrix with a layout tag.
+
+    Every construction checks that the data are finite, that a vector has
+    unit norm, and that a matrix is Hermitian with unit trace and no
+    eigenvalue below -1e-12, each within 1e-12.
+    """
 
     kind: Literal["pure", "mixed"]
     data: np.ndarray
@@ -154,22 +159,34 @@ class QuantumState:
     def __post_init__(self):
         d = np.asarray(self.data, dtype=complex)
         object.__setattr__(self, "data", d)
+        # the comparisons below are written `not (x <= tol)` so that NaN fails
+        if not np.isfinite(d).all():
+            raise ValueError("state data must be finite")
         if self.kind == "pure":
             if d.ndim != 1:
                 raise ValueError("pure state data must be a vector")
             norm = np.linalg.norm(d)
-            if abs(norm - 1.0) > 1e-12:
+            if not abs(norm - 1.0) <= 1e-12:
                 raise ValueError(f"pure state norm {norm} deviates from 1")
         else:
             if d.ndim != 2 or d.shape[0] != d.shape[1]:
                 raise ValueError("mixed state data must be a square matrix")
-            if np.abs(d - d.conj().T).max() > 1e-12:
+            if not np.abs(d - d.conj().T).max() <= 1e-12:
                 raise ValueError("density matrix must be Hermitian")
             tr = np.trace(d).real
-            if abs(tr - 1.0) > 1e-12:
+            if not abs(tr - 1.0) <= 1e-12:
                 raise ValueError(f"density matrix trace {tr} deviates from 1")
-            if np.linalg.eigvalsh(d).min() < -1e-12:
-                raise ValueError("density matrix has a negative eigenvalue")
+            # no eigenvalue below -1e-12 iff d + 1e-12 I is positive definite,
+            # which a Cholesky factorisation decides without an eigensolve;
+            # it returns NaNs instead of failing on non-finite data, which
+            # the check above rules out. The shift goes in place onto one
+            # copy, so the caller's array is untouched.
+            shifted = d.copy()
+            shifted.flat[:: d.shape[0] + 1] += 1e-12
+            try:
+                np.linalg.cholesky(shifted)
+            except np.linalg.LinAlgError:
+                raise ValueError("density matrix has a negative eigenvalue") from None
         if self.layout == "composite":
             if self.dims is None:
                 raise ValueError("composite states must declare dims")

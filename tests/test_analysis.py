@@ -15,6 +15,7 @@ from helpers import (
     random_pure,
     solved,
 )
+from iongate import analysis
 from iongate import (
     ModelParams,
     OperatorMatrix,
@@ -300,6 +301,34 @@ class TestSweep:
         rb = dataclasses.replace(b.records[0], runtime_s=0.0, params=None)
         assert ra == rb
         assert a.seed == 123
+
+    def test_solver_failure_recorded_for_every_nbar(self):
+        # the closed form misses its 1e-12 residual at eta = 1e9
+        result = lamb_dicke_error_sweep((1e9, 0.1), (0.0, 0.5), n_max=12, model="ld")
+        failed, good = result.records[:2], result.records[2:]
+        assert failed[0].error and failed[0].error == failed[1].error
+        for rec in failed:
+            assert rec.params is None and rec.infidelity_gate is None
+        assert all(rec.error is None for rec in good)
+
+    def test_propagator_built_once_per_eta(self, monkeypatch):
+        calls = []
+        build = analysis._propagator_for
+
+        def counted(params, model):
+            calls.append(params.eta)
+            return build(params, model)
+
+        monkeypatch.setattr(analysis, "_propagator_for", counted)
+        result = lamb_dicke_error_sweep((0.1, 0.2), (0.0, 0.25, 0.5), n_max=12, model="ld")
+        assert calls == [0.1, 0.2]
+        singles = [
+            lamb_dicke_error_sweep((rec.eta,), (rec.nbar,), n_max=12, model="ld").records[0]
+            for rec in result.records
+        ]
+        for rec, single in zip(result.records, singles):
+            assert rec.infidelity_gate == single.infidelity_gate
+            assert rec.leakage == single.leakage
 
     def test_records_carry_provenance(self):
         result = lamb_dicke_error_sweep((0.1,), (0.0,), n_max=12, model="ld")

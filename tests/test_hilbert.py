@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import gate_params
 from iongate import (
     PAULI,
     ModelParams,
@@ -15,7 +16,10 @@ from iongate import (
     composite_mixed,
     composite_pure,
     embed,
+    evolve,
+    expm_propagator,
     fock_state,
+    hamiltonian_full,
     internal_product_state,
     ladder_operators,
     pm_product_states,
@@ -304,6 +308,62 @@ class TestStates:
             QuantumState(
                 "mixed", np.array([[1.5, 0.0], [0.0, -0.5]]), "internal"
             )
+
+    @pytest.mark.parametrize(
+        "kind, data",
+        [
+            ("pure", [np.nan, 0.0]),
+            ("pure", [1.0, np.inf]),
+            ("mixed", [[np.nan, 0.0], [0.0, 1.0]]),
+            ("mixed", [[0.5, complex(0.0, np.nan)], [complex(0.0, np.nan), 0.5]]),
+            ("mixed", [[np.inf, 0.0], [0.0, 1.0]]),
+        ],
+    )
+    def test_rejects_nonfinite_data(self, kind, data):
+        with pytest.raises(ValueError, match="finite"):
+            QuantumState(kind, np.array(data, dtype=complex), "internal")
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(2, 96),
+        st.sampled_from(
+            [(-1e-10, False), (-3e-12, False), (-5e-13, True), (-1e-14, True), (0.0, True)]
+        ),
+    )
+    def test_property_psd_verdict(self, seed, dim, case):
+        # a Hermitian trace-one matrix whose smallest eigenvalue is `lowest`:
+        # rejected exactly when that lies below -1e-12, outside rounding
+        lowest, accepted = case
+        rng = np.random.default_rng(seed)
+        z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        q, _ = np.linalg.qr(z)
+        rest = rng.uniform(0.1, 1.0, size=dim - 1)
+        vals = np.concatenate(([lowest], rest * (1.0 - lowest) / rest.sum()))
+        rho = (q * vals) @ q.conj().T
+        rho = (rho + rho.conj().T) / 2.0
+        assert (np.linalg.eigvalsh(rho).min() >= -1e-12) == accepted
+        if accepted:
+            state = QuantumState("mixed", rho.copy(), "motion")
+            assert np.array_equal(state.data, rho)
+        else:
+            with pytest.raises(ValueError, match="negative eigenvalue"):
+                QuantumState("mixed", rho, "motion")
+
+    def test_rank_deficient_composite_state_accepted(self):
+        # a truth-table output: a |+/-> input with thermal motion after one
+        # gate period, rank n_max + 1 in dimension 2^N (n_max + 1)
+        params = gate_params(0.1, 40, n_ions=3)
+        u = expm_propagator(hamiltonian_full(params), params.tau)
+        state_in = composite_mixed(
+            internal_product_state("+-+"),
+            thermal_state(ThermalSpec(nbar=2.0, n_max=40)),
+        )
+        out = evolve(state_in, u)
+        vals = np.linalg.eigvalsh(out.data)
+        assert out.dim == 8 * 41
+        assert np.count_nonzero(vals > 1e-12) == 41
+        assert vals.min() >= -1e-12
 
     @settings(max_examples=20, deadline=None)
     @given(st.integers(0, 2**32 - 1))
