@@ -77,6 +77,17 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _grid(grids: dict, key: str) -> tuple[float, ...]:
+    values = grids[key]
+    if not isinstance(values, list) or not all(
+        isinstance(x, (int, float)) and not isinstance(x, bool) for x in values
+    ):
+        raise ConfigError(
+            f"grids.{key} must be a JSON array of numbers, got {values!r}"
+        )
+    return tuple(float(x) for x in values)
+
+
 def load_run_config(path: str) -> RunConfig:
     """Parse and validate a sweep config file."""
     try:
@@ -98,8 +109,8 @@ def load_run_config(path: str) -> RunConfig:
     _require_keys(output, {"csv", "json"}, "output")
     if "eta" not in grids or "nbar" not in grids:
         raise ConfigError("grids must provide both 'eta' and 'nbar' lists")
-    eta_grid = tuple(float(x) for x in grids["eta"])
-    nbar_grid = tuple(float(x) for x in grids["nbar"])
+    eta_grid = _grid(grids, "eta")
+    nbar_grid = _grid(grids, "nbar")
     if not eta_grid or not nbar_grid:
         raise ConfigError("grids must be nonempty")
     # json.load accepts NaN and Infinity, so check finiteness explicitly
@@ -107,9 +118,13 @@ def load_run_config(path: str) -> RunConfig:
         raise ConfigError("eta grid values must be finite and > 0")
     if not all(np.isfinite(x) and x >= 0 for x in nbar_grid):
         raise ConfigError("nbar grid values must be finite and >= 0")
-    for key in ("n_ions", "n_max", "n_pad"):
-        if key in model and not _is_int(model[key]):
+    for key, low in (("n_ions", 1), ("n_max", 1), ("n_pad", 0)):
+        if key not in model:
+            continue
+        if not _is_int(model[key]):
             raise ConfigError(f"model.{key} must be an integer, got {model[key]!r}")
+        if model[key] < low:
+            raise ConfigError(f"model.{key} must be >= {low}, got {model[key]}")
     seed = model.get("seed")
     if seed is not None and not _is_int(seed):
         raise ConfigError(f"model.seed must be an integer or null, got {seed!r}")

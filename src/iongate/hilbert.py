@@ -302,17 +302,21 @@ def position_sine_operator(params: ModelParams) -> OperatorMatrix:
     the eigenvalues, and the result truncated back to n_max + 1 dimensions.
     Padding keeps the truncated block accurate; the n_pad-doubling check in
     the tests bounds the residual.
+
+    a, the position x and hence the sine are real symmetric in the Fock
+    basis, so everything is built in float64 and diagonalized by the real
+    solver; the result has an imaginary part of exactly zero.
     """
     dim_pad = params.n_max + params.n_pad + 1
-    a = np.zeros((dim_pad, dim_pad), dtype=complex)
+    a = np.zeros((dim_pad, dim_pad))
     ns = np.arange(1, dim_pad)
     a[ns - 1, ns] = np.sqrt(ns)
-    x = params.eta * (a + a.conj().T) + params.theta * np.eye(dim_pad)
+    x = params.eta * (a + a.T) + params.theta * np.eye(dim_pad)
     vals, vecs = np.linalg.eigh(x)
-    s = (vecs * np.sin(vals)) @ vecs.conj().T
+    s = (vecs * np.sin(vals)) @ vecs.T
     s = s[: params.n_max + 1, : params.n_max + 1]
     # symmetrize away the 1e-16 asymmetry left by the matrix products
-    s = (s + s.conj().T) / 2.0
+    s = (s + s.T) / 2.0
     return OperatorMatrix(s, "motion")
 
 

@@ -15,7 +15,7 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
-@pytest.mark.parametrize("workload", ["cli-short", "ghz-n5", "sweep-n3"])
+@pytest.mark.parametrize("workload", ["cli-short", "crosscheck", "ghz-n5", "sweep-n3"])
 def test_smoke_run_is_correct(workload):
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--smoke"],

@@ -259,6 +259,40 @@ class TestSweepCommand:
         assert run_cli("sweep", "--config", str(cfg)) == 2
 
     @pytest.mark.parametrize(
+        "grids, key",
+        [
+            ({"eta": 0.1, "nbar": [0.0]}, "eta"),
+            ({"eta": [True], "nbar": [0.0]}, "eta"),
+            ({"eta": ["0.1"], "nbar": [0.0]}, "eta"),
+            ({"eta": [0.1], "nbar": "2"}, "nbar"),
+        ],
+        ids=["scalar", "boolean", "string-element", "string"],
+    )
+    def test_grid_must_be_array_of_numbers(self, tmp_path, capsys, grids, key):
+        cfg = write_config(tmp_path, grids=grids)
+        assert run_cli("sweep", "--config", str(cfg)) == 2
+        captured = capsys.readouterr()
+        assert f"grids.{key} must be a JSON array of numbers" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "model, key",
+        [
+            ({"n_ions": 0}, "n_ions"),
+            ({"n_max": 0}, "n_max"),
+            ({"n_pad": -3}, "n_pad"),
+        ],
+    )
+    def test_out_of_range_model_values_exit_2(self, tmp_path, capsys, model, key):
+        base = {"n_ions": 2, "n_max": 12, "hamiltonian": "ld"}
+        cfg = write_config(tmp_path, model={**base, **model})
+        assert run_cli("sweep", "--config", str(cfg)) == 2
+        captured = capsys.readouterr()
+        assert f"model.{key} must be >=" in captured.err
+        # rejected by the loader, before any sweep row is computed
+        assert captured.out == ""
+
+    @pytest.mark.parametrize(
         "flags, n_max, n_pad",
         [
             ([], 12, 10),

@@ -148,6 +148,82 @@ class TestExpmPropagator:
         assert np.abs(u1 @ u2 - u12).max() < 1e-10
 
 
+def _complex_eigh_propagator(h: np.ndarray, t: float) -> np.ndarray:
+    # exp(-i H t) from the complex Hermitian solver, whatever H holds
+    vals, vecs = np.linalg.eigh(h.astype(complex))
+    return (vecs * np.exp(-1j * vals * t)) @ vecs.conj().T
+
+
+class TestRealArithmetic:
+    """The precondition of the real eigensolver path: every Hamiltonian the
+    package builds is real symmetric, and only a J_y term would break that."""
+
+    @pytest.mark.parametrize("builder", [hamiltonian_ld, hamiltonian_full])
+    @pytest.mark.parametrize("delta", [0.0, 0.4])
+    @pytest.mark.parametrize("n_ions", [1, 2, 3])
+    def test_hamiltonians_have_zero_imaginary_part(self, builder, delta, n_ions):
+        p = ModelParams(
+            eta=0.2, omega_ratio=0.9, theta=0.6, delta=delta, n_ions=n_ions, n_max=8
+        )
+        h = builder(p).mat
+        assert h.dtype == np.complex128
+        assert not h.imag.any()
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        st.floats(0.01, 0.4),
+        st.floats(0.0, 2.0),
+        st.floats(-np.pi, np.pi),
+        st.sampled_from([0.0, 0.3, -1.1]),
+        st.integers(1, 3),
+        st.floats(0.0, 2.0),
+        st.sampled_from([hamiltonian_ld, hamiltonian_full]),
+    )
+    def test_property_matches_complex_decomposition(
+        self, eta, ratio, theta, delta, n_ions, t_frac, builder
+    ):
+        p = ModelParams(
+            eta=eta, omega_ratio=ratio, theta=theta, delta=delta, n_ions=n_ions, n_max=10
+        )
+        h = builder(p)
+        t = t_frac * p.tau
+        u = expm_propagator(h, t).mat
+        assert u.dtype == np.complex128
+        assert np.abs(u - _complex_eigh_propagator(h.mat, t)).max() < 1e-12
+
+    def test_complex_hermitian_input_still_exact(self):
+        # a J_y drive makes H genuinely complex, so the complex solver runs
+        p = ModelParams(eta=0.15, omega_ratio=0.8, theta=0.4, n_ions=2, n_max=8)
+        eye_m = OperatorMatrix(np.eye(p.dim_motion), "motion")
+        jy = embed(collective_spin(2, "y"), eye_m)
+        h = OperatorMatrix(
+            hamiltonian_full(p).mat + 0.35 * jy.mat,
+            "composite",
+            (p.dim_internal, p.dim_motion),
+        )
+        assert h.mat.imag.any() and h.is_hermitian()
+        t = 0.8 * p.tau
+        u = expm_propagator(h, t).mat
+        assert np.abs(u - scipy.linalg.expm(-1j * t * h.mat)).max() < 1e-12
+
+    def test_solver_follows_the_input(self, monkeypatch):
+        seen = []
+        eigh = np.linalg.eigh
+
+        def recording_eigh(mat):
+            seen.append(mat.dtype)
+            return eigh(mat)
+
+        p = ModelParams(eta=0.1, omega_ratio=0.5, theta=0.2, n_ions=2, n_max=6)
+        h = hamiltonian_ld(p)
+        g = OperatorMatrix(np.array([[1.0, 0.5j], [-0.5j, 2.0]]), "motion")
+        monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
+        expm_propagator(h, 1.0)
+        sector_propagators(p, 1.0, "ld")
+        expm_propagator(g, 1.0)
+        assert seen == [np.float64, np.float64, np.complex128]
+
+
 class TestClosedForm:
     def test_factors_unitary_and_product_ordered(self):
         p = gate_params(0.1, 20)

@@ -185,6 +185,15 @@ class TestPositionSine:
         p = ModelParams(eta=0.3, omega_ratio=1.0, theta=-0.4, n_max=15)
         assert position_sine_operator(p).is_hermitian()
 
+    @pytest.mark.parametrize("eta, theta", [(0.05, 0.0), (0.3, -0.4), (1.2, 2.5)])
+    def test_real_symmetric(self, eta, theta):
+        # built in real arithmetic, so the imaginary part is exactly zero
+        p = ModelParams(eta=eta, omega_ratio=1.0, theta=theta, n_max=12)
+        s = position_sine_operator(p).mat
+        assert s.dtype == np.complex128
+        assert not s.imag.any()
+        assert np.array_equal(s, s.T)
+
     @pytest.mark.parametrize("eta", [0.05, 0.1, 0.2, 0.3])
     def test_norm_bounded_and_pad_stable(self, eta):
         p10 = ModelParams(eta=eta, omega_ratio=1.0, theta=0.0, n_max=10, n_pad=10)
