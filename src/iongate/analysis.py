@@ -2,6 +2,11 @@
 independence, truth-table and GHZ checks, Lamb-Dicke error sweeps, truncation
 convergence.
 
+The one-period propagator of the truth table, the sweep and the convergence
+study is assembled from the N+1 J_x sector propagators (`sector_sum` of
+`sector_propagators`), so these harnesses are resonant only; a detuned
+truth table takes its `u` from the dense oracle of `dynamics`.
+
 Definition used for state-level gate infidelity: for each |+/-> product input
 v with motional input rho_mot, the per-input fidelity is the composite-state
 fidelity F(U (|v><v| x rho_mot) U+, |Gv><Gv| x rho_mot) against the truth-table
@@ -20,13 +25,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dynamics import (
-    evolve,
-    expm_propagator,
-    hamiltonian_full,
-    hamiltonian_ld,
-    sector_propagators,
-)
+from .dynamics import evolve, sector_propagators, sector_sum
 from .hilbert import (
     ModelParams,
     OperatorMatrix,
@@ -175,13 +174,8 @@ def ghz_fidelity(rho_internal: QuantumState) -> tuple[float, float]:
 
 
 def _propagator_for(params: ModelParams, model: str) -> OperatorMatrix:
-    if model == "ld":
-        h = hamiltonian_ld(params)
-    elif model == "full":
-        h = hamiltonian_full(params)
-    else:
-        raise ValueError(f"model must be 'ld' or 'full', got {model!r}")
-    return expm_propagator(h, params.tau)
+    # resonant only: sector_propagators rejects detuning and unknown models
+    return sector_sum(params.n_ions, sector_propagators(params, params.tau, model))
 
 
 @dataclass(frozen=True)
@@ -216,7 +210,8 @@ def truth_table_check(
     Reports, per input: the internal fidelity after tracing out motion, the
     motional restoration fidelity after tracing out the ions, and the
     composite fidelity against image x restored motion (the phase-sensitive
-    quantity used as the gate infidelity).
+    quantity used as the gate infidelity). `u` defaults to the resonant
+    one-period propagator of the model, assembled from J_x sectors.
     """
     if motion.dim != params.dim_motion:
         raise ValueError(

@@ -72,6 +72,15 @@ def _require_keys(section: dict, allowed: set[str], where: str) -> None:
         raise ConfigError(f"unknown {where} keys: {sorted(unknown)}")
 
 
+#: the smallest accepted value of each integer model setting
+_MINIMA = {"n_ions": 1, "n_max": 1, "n_pad": 0}
+
+
+def _check_minimum(name: str, key: str, value: int) -> None:
+    if value < _MINIMA[key]:
+        raise ConfigError(f"{name} must be >= {_MINIMA[key]}, got {value}")
+
+
 def _is_int(value) -> bool:
     # JSON true/false arrive as bool, a subclass of int
     return isinstance(value, int) and not isinstance(value, bool)
@@ -118,13 +127,12 @@ def load_run_config(path: str) -> RunConfig:
         raise ConfigError("eta grid values must be finite and > 0")
     if not all(np.isfinite(x) and x >= 0 for x in nbar_grid):
         raise ConfigError("nbar grid values must be finite and >= 0")
-    for key, low in (("n_ions", 1), ("n_max", 1), ("n_pad", 0)):
+    for key in _MINIMA:
         if key not in model:
             continue
         if not _is_int(model[key]):
             raise ConfigError(f"model.{key} must be an integer, got {model[key]!r}")
-        if model[key] < low:
-            raise ConfigError(f"model.{key} must be >= {low}, got {model[key]}")
+        _check_minimum(f"model.{key}", key, model[key])
     seed = model.get("seed")
     if seed is not None and not _is_int(seed):
         raise ConfigError(f"model.seed must be an integer or null, got {seed!r}")
@@ -184,11 +192,7 @@ def _solution_dict(sol) -> dict:
 
 
 def cmd_solve(args) -> int:
-    try:
-        sol = solve_gate_params(args.eta)
-    except RuntimeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    sol = solve_gate_params(args.eta)
     payload = {"command": "solve", "seed": args.seed, "solution": _solution_dict(sol)}
     print(f"gate parameters for eta = {sol.eta:g}")
     print(f"  theta        = {sol.theta:.12g} rad")
@@ -212,22 +216,17 @@ def cmd_solve(args) -> int:
 
 
 def cmd_gate_check(args) -> int:
-    try:
-        sol = solve_gate_params(args.eta)
-        params = ModelParams(
-            eta=args.eta,
-            omega_ratio=sol.omega_ratio,
-            theta=sol.theta,
-            n_ions=2,
-            n_max=args.n_max,
-            n_pad=args.n_pad,
-        )
-        motion = thermal_state(ThermalSpec(nbar=args.nbar, n_max=args.n_max))
-        model = "full" if args.full_hamiltonian else "ld"
-        report = truth_table_check(params, motion, model=model)
-    except RuntimeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    sol = solve_gate_params(args.eta)
+    params = ModelParams(
+        eta=args.eta,
+        omega_ratio=sol.omega_ratio,
+        theta=sol.theta,
+        n_ions=2,
+        n_max=args.n_max,
+        n_pad=args.n_pad,
+    )
+    motion = thermal_state(ThermalSpec(nbar=args.nbar, n_max=args.n_max))
+    report = truth_table_check(params, motion, model=args.model)
     payload = {
         "command": "gate-check",
         "seed": args.seed,
@@ -267,26 +266,14 @@ def cmd_gate_check(args) -> int:
 
 def cmd_ghz(args) -> int:
     if not 2 <= args.n_ions <= 6 and not args.force:
-        print(
-            f"error: n_ions={args.n_ions} outside the desk-scale guard [2, 6]; "
-            "pass --force to override",
-            file=sys.stderr,
+        raise ConfigError(
+            f"n_ions={args.n_ions} outside the desk-scale guard [2, 6]; "
+            "pass --force to override"
         )
-        return 2
-    try:
-        motion = thermal_state(ThermalSpec(nbar=args.nbar, n_max=args.n_max))
-        model = "full" if args.full_hamiltonian else "ld"
-        report = ghz_check(
-            args.n_ions,
-            args.eta,
-            motion,
-            n_max=args.n_max,
-            n_pad=args.n_pad,
-            model=model,
-        )
-    except RuntimeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    motion = thermal_state(ThermalSpec(nbar=args.nbar, n_max=args.n_max))
+    report = ghz_check(
+        args.n_ions, args.eta, motion, n_max=args.n_max, n_pad=args.n_pad, model=args.model
+    )
     payload = {
         "command": "ghz",
         "seed": args.seed,
@@ -399,6 +386,9 @@ def cmd_sweep(args) -> int:
     config = load_run_config(args.config)
     n_max = config.n_max if args.n_max is None else args.n_max
     n_pad = config.n_pad if args.n_pad is None else args.n_pad
+    # the flags override the config file, so they take its range checks too
+    _check_minimum("--n-max", "n_max", n_max)
+    _check_minimum("--n-pad", "n_pad", n_pad)
     seed = args.seed if args.seed is not None else config.seed
     result = lamb_dicke_error_sweep(
         config.eta_grid,
@@ -460,32 +450,23 @@ def cmd_convergence(args) -> int:
     try:
         n_list = [int(x) for x in args.n_max_list.split(",")]
     except ValueError:
-        print(f"error: bad n_max list {args.n_max_list!r}", file=sys.stderr)
-        return 2
-    try:
-        sol = solve_gate_params(args.eta)
-        params = ModelParams(
-            eta=args.eta,
-            omega_ratio=sol.omega_ratio,
-            theta=sol.theta,
-            n_ions=2,
-            n_max=max(n_list),
-            n_pad=args.n_pad,
-        )
-        model = "full" if args.full_hamiltonian else "ld"
-        rows = truncation_convergence(params, n_list, nbar=args.nbar, model=model)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except RuntimeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        raise ConfigError(f"bad n_max list {args.n_max_list!r}") from None
+    sol = solve_gate_params(args.eta)
+    params = ModelParams(
+        eta=args.eta,
+        omega_ratio=sol.omega_ratio,
+        theta=sol.theta,
+        n_ions=2,
+        n_max=max(n_list),
+        n_pad=args.n_pad,
+    )
+    rows = truncation_convergence(params, n_list, nbar=args.nbar, model=args.model)
     payload = {
         "command": "convergence",
         "seed": args.seed,
         "eta": args.eta,
         "nbar": args.nbar,
-        "model": model,
+        "model": args.model,
         "rows": [
             {
                 "n_max": row.n_max,
@@ -497,7 +478,7 @@ def cmd_convergence(args) -> int:
             for row in rows
         ],
     }
-    print(f"truncation convergence: eta={args.eta:g} nbar={args.nbar:g} model={model}")
+    print(f"truncation convergence: eta={args.eta:g} nbar={args.nbar:g} model={args.model}")
     print("  n_max  gate_infidelity  independence_metric  diff_infid  diff_metric")
     for row in rows:
         di = "-" if row.diff_infidelity is None else f"{row.diff_infidelity:.3e}"
@@ -508,6 +489,9 @@ def cmd_convergence(args) -> int:
         )
     _write_out(args, payload, csv_text=_convergence_csv(rows))
     return 0
+
+
+_MODEL_FLAG = dict(action="store_const", const="full", default="ld", dest="model")
 
 
 def _add_common(sub: argparse.ArgumentParser) -> None:
@@ -543,7 +527,7 @@ def make_parser() -> argparse.ArgumentParser:
     p_gate = subs.add_parser("gate-check", help="truth-table check with thermal motion")
     p_gate.add_argument("--eta", type=float, default=0.1)
     p_gate.add_argument("--nbar", type=float, default=2.0)
-    p_gate.add_argument("--full-hamiltonian", action="store_true")
+    p_gate.add_argument("--full-hamiltonian", **_MODEL_FLAG)
     _add_common(p_gate)
     p_gate.set_defaults(func=cmd_gate_check)
 
@@ -551,7 +535,7 @@ def make_parser() -> argparse.ArgumentParser:
     p_ghz.add_argument("--n-ions", type=int, default=2, dest="n_ions")
     p_ghz.add_argument("--eta", type=float, default=0.1)
     p_ghz.add_argument("--nbar", type=float, default=2.0)
-    p_ghz.add_argument("--full-hamiltonian", action="store_true")
+    p_ghz.add_argument("--full-hamiltonian", **_MODEL_FLAG)
     p_ghz.add_argument("--force", action="store_true", help="override the N guard")
     _add_common(p_ghz)
     p_ghz.set_defaults(func=cmd_ghz)
@@ -572,7 +556,7 @@ def make_parser() -> argparse.ArgumentParser:
         dest="n_max_list",
         help="comma-separated increasing cutoffs",
     )
-    p_conv.add_argument("--full-hamiltonian", action="store_true")
+    p_conv.add_argument("--full-hamiltonian", **_MODEL_FLAG)
     _add_common(p_conv)
     p_conv.set_defaults(func=cmd_convergence)
 
@@ -582,11 +566,15 @@ def make_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = make_parser()
     args = parser.parse_args(argv)
+    # bad input (ConfigError is a ValueError) exits 2, a failed computation 1
     try:
         return args.func(args)
-    except (ConfigError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except RuntimeError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

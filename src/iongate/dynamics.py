@@ -1,31 +1,26 @@
-"""Hamiltonians and time evolution, computed two independent ways.
+"""Hamiltonians and time evolution.
 
-The brute-force route diagonalizes the Hermitian Hamiltonian and
-exponentiates its spectrum (`expm_propagator`). The analytic route builds the
-factorized propagator
+On resonance both Hamiltonians commute with J_x, so every propagator is
+sum_k P_k x U_k over the N+1 J_x sectors: P_k projects onto the |+/->
+products with k minus signs (m = N - 2k), and U_k acts on the n_max + 1 Fock
+states. Every resonant propagator is built from such blocks and assembled by
+`sector_sum`. `sector_propagators` exponentiates the motional blocks of the
+Hamiltonian. `closed_form_propagator` builds the factorized form
 
     U(t) = exp[i Phi(t) J_x^2] * exp(-i omega_a a+a t) * f_disp(t)
            * exp(-i Omega sin(theta) t J_x)
 
 with lambda = eta Omega cos(theta), Phi(t) = lambda^2 t / omega_a
 - lambda^2 sin(omega_a t) / omega_a^2, and f_disp a coherent displacement of
-amplitude beta(t) m conditioned on the J_x eigenvalue m, where
-beta(t) = -(lambda / omega_a) (e^{i omega_a t} - 1). Both routes
-exponentiate by Hermitian eigendecomposition, but of different matrices: the
-oracle diagonalizes the composite Hamiltonian, the analytic route only the
-N+1 displacement generators of size n_max + 1 (the other factors are
-diagonal in the J_x eigenbasis or in the Fock basis). So their agreement is
-a meaningful check of both.
+amplitude beta(t) m in sector m, beta(t) = -(lambda / omega_a)
+(e^{i omega_a t} - 1). At t = tau = 2 pi / omega_a the rotation and the
+displacement are the identity, and `propagator_at_tau` gives
+exp[i C J_x^2] exp[-i D J_x] x I.
 
-At t = tau = 2 pi / omega_a the rotation and displacement factors collapse to
-the identity and the propagator becomes a purely internal unitary
-exp[i C J_x^2] exp[-i D J_x] tensored with the motional identity
-(`propagator_at_tau`).
-
-On resonance both Hamiltonians commute with J_x, so the propagator is
-block diagonal in its eigenbasis: `sector_propagators` exponentiates the N+1
-motional blocks, each of size n_max + 1, instead of one matrix of size
-2^N (n_max + 1).
+The dense `expm_propagator` of `hamiltonian_ld` or `hamiltonian_full`
+diagonalizes the whole 2^N (n_max + 1) Hamiltonian. It is the independent
+oracle for the tests and the closed-form cross-check, and the route for
+detuned evolution, where J_x is not conserved.
 
 Both Hamiltonians are real symmetric in the Fock x computational basis:
 a, a+, sigma_x, sigma_z and the operator sine (see `position_sine_operator`)
@@ -143,59 +138,80 @@ def expm_propagator(h: OperatorMatrix, t: float) -> OperatorMatrix:
     return OperatorMatrix(u, h.layout, h.dims)
 
 
+def _sector_m(n_ions: int) -> np.ndarray:
+    """J_x eigenvalue m = N - 2k of each sector k = 0..N."""
+    return n_ions - 2 * np.arange(n_ions + 1)
+
+
+def sector_sum(n_ions: int, blocks: np.ndarray) -> OperatorMatrix:
+    """sum_k P_k x blocks[k] on the composite space, for blocks of shape
+    (N+1, n_max+1, n_max+1) indexed like `sector_propagators`.
+
+    P_k projects onto the |+/-> products with k minus signs (m = N - 2k).
+    With those products unnormalized, as the +/-1 columns S_k, P_k is
+    S_k S_k^T / 2^N, exact in floating point.
+    """
+    signs = np.ones((1, 1))
+    for _ in range(n_ions):
+        # columns |+> = (1, 1), |-> = (-1, 1) in (g, e) ordering, unnormalized
+        signs = np.kron(signs, [[1.0, -1.0], [1.0, 1.0]])
+    minus = np.array([bin(s).count("1") for s in range(2**n_ions)])
+    in_sector = minus == np.arange(n_ions + 1)[:, None]
+    projectors = (signs * in_sector[:, None, :]) @ signs.T / 2.0**n_ions
+    d_i, d_m = 2**n_ions, blocks.shape[-1]
+    flat = blocks.reshape(n_ions + 1, d_m * d_m)
+    # block (i, j) of the result is sum_k P_k[i, j] blocks[k]; filling the
+    # blocks in place keeps a single composite-sized array alive
+    mat = np.empty((d_i, d_m, d_i, d_m), dtype=complex)
+    for i, j in np.ndindex(d_i, d_i):
+        mat[i, :, j, :] = (projectors[:, i, j] @ flat).reshape(d_m, d_m)
+    return OperatorMatrix(mat.reshape(d_i * d_m, d_i * d_m), "composite", (d_i, d_m))
+
+
 def closed_form_propagator(params: ModelParams, t: float) -> PropagatorFactors:
     """The factorized propagator at time t (resonant case only).
 
-    f_twist and f_carrier are exponentiated in the J_x eigenbasis; f_disp is
-    assembled as sum_m kron(P_m, D(beta m)) over the N+1 distinct J_x
-    eigenvalues m, with P_m the projector onto the eigenspace of m and each
-    D(alpha) = exp(alpha a+ - alpha* a), alpha = beta m, the exponential of
-    the truncated generator: V e^{-i lambda} V+ from the eigendecomposition
-    of the Hermitian H_g = i (alpha a+ - alpha* a) on the n_max + 1 Fock
-    states.
+    Every factor is block diagonal over the J_x sectors, so each one, and
+    their ordered product, is formed per sector on the n_max + 1 Fock states
+    and assembled once by `sector_sum`. In sector m the blocks are
+    e^{i Phi m^2} I (twist), diag(e^{-i omega_a n t}) (rotation), D(beta m)
+    (displacement) and e^{-i Omega sin(theta) t m} I (carrier). Each
+    D(alpha) = exp(alpha a+ - alpha* a) is the exponential of the truncated
+    generator: V e^{-i lambda} V+ from one batched eigendecomposition of the
+    Hermitian H_g = i (alpha a+ - alpha* a) over the N+1 sectors.
     """
     if params.delta != 0.0:
         raise ValueError(
             "the closed form is only valid on resonance; got delta="
             f"{params.delta} (use expm_propagator for detuned evolution)"
         )
-    d_i, d_m = params.dim_internal, params.dim_motion
-    dims = (d_i, d_m)
+    n = params.n_ions
     omega = params.omega_a
     lam = params.eta * params.omega * np.cos(params.theta)
-
-    jx = collective_spin(params.n_ions, "x")
-    jx_vals, jx_vecs = np.linalg.eigh(jx.mat)
+    m = _sector_m(n)
+    eye = np.eye(params.dim_motion)
 
     phi = lam**2 * t / omega - lam**2 * np.sin(omega * t) / omega**2
-    twist_internal = (jx_vecs * np.exp(1j * phi * jx_vals**2)) @ jx_vecs.conj().T
-    f_twist = np.kron(twist_internal, np.eye(d_m))
+    twist = np.exp(1j * phi * m**2)[:, None, None] * eye
 
-    rot_phases = np.exp(-1j * omega * np.arange(d_m) * t)
-    f_rot = np.kron(np.eye(d_i), np.diag(rot_phases))
+    rot_phases = np.exp(-1j * omega * np.arange(params.dim_motion) * t)
+    rot = np.tile(np.diag(rot_phases), (n + 1, 1, 1))
 
     a, ad = ladder_operators(params.n_max)
     beta = -(lam / omega) * (np.exp(1j * omega * t) - 1.0)
-    sectors = np.rint(jx_vals)
-    f_disp = np.zeros((d_i * d_m, d_i * d_m), dtype=complex)
-    for m in np.unique(sectors):
-        alpha = beta * m
-        vals, vecs = np.linalg.eigh(1j * (alpha * ad.mat - np.conj(alpha) * a.mat))
-        block = (vecs * np.exp(-1j * vals)) @ vecs.conj().T
-        vecs_m = jx_vecs[:, sectors == m]
-        f_disp += np.kron(vecs_m @ vecs_m.conj().T, block)
+    alpha = (beta * m)[:, None, None]
+    vals, vecs = np.linalg.eigh(1j * (alpha * ad.mat - np.conj(alpha) * a.mat))
+    disp = (vecs * np.exp(-1j * vals)[:, None, :]) @ vecs.conj().transpose(0, 2, 1)
 
     carrier_phase = params.omega * np.sin(params.theta) * t
-    carrier_internal = (jx_vecs * np.exp(-1j * carrier_phase * jx_vals)) @ jx_vecs.conj().T
-    f_carrier = np.kron(carrier_internal, np.eye(d_m))
+    carrier = np.exp(-1j * carrier_phase * m)[:, None, None] * eye
 
-    product = f_twist @ f_rot @ f_disp @ f_carrier
     return PropagatorFactors(
-        f_twist=OperatorMatrix(f_twist, "composite", dims),
-        f_rot=OperatorMatrix(f_rot, "composite", dims),
-        f_disp=OperatorMatrix(f_disp, "composite", dims),
-        f_carrier=OperatorMatrix(f_carrier, "composite", dims),
-        product=OperatorMatrix(product, "composite", dims),
+        f_twist=sector_sum(n, twist),
+        f_rot=sector_sum(n, rot),
+        f_disp=sector_sum(n, disp),
+        f_carrier=sector_sum(n, carrier),
+        product=sector_sum(n, twist @ rot @ disp @ carrier),
         t=t,
     )
 
@@ -207,8 +223,9 @@ def sector_propagators(params: ModelParams, t: float, model: str) -> np.ndarray:
     H_m = omega_a a+a + Omega m f, where P_m projects onto the J_x eigenspace
     of m and f is the motional coupling of the model ("ld" or "full", as in
     `hamiltonian_ld` and `hamiltonian_full`), so exp(-i H t) is
-    sum_m P_m x U_m with U_m = exp(-i H_m t). Each U_m comes from one real
-    symmetric eigendecomposition of size n_max + 1.
+    sum_m P_m x U_m with U_m = exp(-i H_m t) (`sector_sum` assembles it).
+    Each U_m comes from one real symmetric eigendecomposition of size
+    n_max + 1.
 
     Returns an array of shape (N+1, n_max+1, n_max+1) whose entry k is U_m
     for m = N - 2k, the sector of the |+/-> products with k minus signs.
@@ -220,7 +237,7 @@ def sector_propagators(params: ModelParams, t: float, model: str) -> np.ndarray:
         )
     coupling = _coupling(params, model).mat
     a, ad = ladder_operators(params.n_max)
-    m = params.n_ions - 2 * np.arange(params.n_ions + 1)
+    m = _sector_m(params.n_ions)
     h = params.omega_a * (ad.mat @ a.mat) + params.omega * m[:, None, None] * coupling
     vals, vecs = _eigh(h)
     return (vecs * np.exp(-1j * vals * t)[:, None, :]) @ vecs.conj().transpose(0, 2, 1)
@@ -234,22 +251,18 @@ def propagator_at_tau(
     Returns (U, C, D) where U = exp[i C J_x^2] exp[-i D J_x] tensor identity,
     C = 2 pi eta^2 (Omega/omega_a)^2 cos^2(theta) and
     D = 2 pi (Omega/omega_a) sin(theta). The rotation and displacement factors
-    are exactly the identity at t = tau, so the motional factor is trivial.
+    are exactly the identity at t = tau, so the motional factor is trivial:
+    U is `sector_sum` of the blocks e^{i (C m^2 - D m)} I.
     """
     if params.delta != 0.0:
         raise ValueError("the pulse-period reduction requires delta = 0")
     r = params.omega_ratio
     c = 2.0 * np.pi * params.eta**2 * r**2 * np.cos(params.theta) ** 2
     d = 2.0 * np.pi * r * np.sin(params.theta)
-    jx = collective_spin(params.n_ions, "x")
-    vals, vecs = np.linalg.eigh(jx.mat)
-    internal = (vecs * np.exp(1j * (c * vals**2 - d * vals))) @ vecs.conj().T
-    u = np.kron(internal, np.eye(params.dim_motion))
-    return (
-        OperatorMatrix(u, "composite", dims=(params.dim_internal, params.dim_motion)),
-        float(c),
-        float(d),
-    )
+    m = _sector_m(params.n_ions)
+    phases = np.exp(1j * (c * m**2 - d * m))
+    u = sector_sum(params.n_ions, phases[:, None, None] * np.eye(params.dim_motion))
+    return u, float(c), float(d)
 
 
 def evolve(state: QuantumState, u: OperatorMatrix) -> QuantumState:

@@ -15,7 +15,7 @@ from helpers import (
     random_pure,
     solved,
 )
-from iongate import analysis
+from iongate import analysis, dynamics
 from iongate import (
     ModelParams,
     OperatorMatrix,
@@ -226,6 +226,32 @@ class TestTruthTable:
         p = gate_params(0.1, 20)
         with pytest.raises(ValueError):
             truth_table_check(p, fock_state(0, 30))
+
+
+class TestResonantRoute:
+    def test_harnesses_never_call_the_dense_oracle(self, monkeypatch):
+        p = gate_params(0.1, 12)
+        detuned = dataclasses.replace(p, delta=0.3)
+        oracle = expm_propagator(hamiltonian_ld(detuned), detuned.tau)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a resonant harness called the dense oracle")
+
+        # AssertionError is not one of the errors the sweep records per point
+        monkeypatch.setattr(dynamics, "expm_propagator", forbidden)
+        monkeypatch.setattr(analysis, "expm_propagator", forbidden, raising=False)
+        motion = fock_state(0, 12)
+        for model in ("ld", "full"):
+            assert truth_table_check(p, motion, model=model).gate_infidelity < 1e-3
+            truncation_convergence(p, [8, 12], nbar=0.0, model=model)
+            sweep = lamb_dicke_error_sweep((0.1,), (0.0,), n_max=12, model=model)
+            assert sweep.records[0].error is None
+        # detuning breaks the J_x sectors: the default propagator refuses it,
+        # and a propagator from the oracle still goes through
+        with pytest.raises(ValueError):
+            truth_table_check(detuned, motion)
+        report = truth_table_check(detuned, motion, u=oracle)
+        assert 0.0 <= report.gate_infidelity <= 1.0
 
 
 class TestGhzCheck:

@@ -276,20 +276,23 @@ class TestSweepCommand:
         assert captured.out == ""
 
     @pytest.mark.parametrize(
-        "model, key",
+        "model, flags, name",
         [
-            ({"n_ions": 0}, "n_ions"),
-            ({"n_max": 0}, "n_max"),
-            ({"n_pad": -3}, "n_pad"),
+            ({"n_ions": 0}, [], "model.n_ions"),
+            ({"n_max": 0}, [], "model.n_max"),
+            ({"n_pad": -3}, [], "model.n_pad"),
+            ({}, ["--n-max", "0"], "--n-max"),
+            ({}, ["--n-pad=-3"], "--n-pad"),
         ],
+        ids=["model0-n_ions", "model1-n_max", "model2-n_pad", "n-max-flag", "n-pad-flag"],
     )
-    def test_out_of_range_model_values_exit_2(self, tmp_path, capsys, model, key):
+    def test_out_of_range_model_values_exit_2(self, tmp_path, capsys, model, flags, name):
         base = {"n_ions": 2, "n_max": 12, "hamiltonian": "ld"}
         cfg = write_config(tmp_path, model={**base, **model})
-        assert run_cli("sweep", "--config", str(cfg)) == 2
+        assert run_cli("sweep", "--config", str(cfg), *flags) == 2
         captured = capsys.readouterr()
-        assert f"model.{key} must be >=" in captured.err
-        # rejected by the loader, before any sweep row is computed
+        assert f"{name} must be >=" in captured.err
+        # rejected up front, before any sweep row is computed
         assert captured.out == ""
 
     @pytest.mark.parametrize(
