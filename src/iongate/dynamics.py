@@ -5,7 +5,8 @@ sum_k P_k x U_k over the N+1 J_x sectors: P_k projects onto the |+/->
 products with k minus signs (m = N - 2k), and U_k acts on the n_max + 1 Fock
 states. Every resonant propagator is built from such blocks and assembled by
 `sector_sum`. `sector_propagators` exponentiates the motional blocks of the
-Hamiltonian. `closed_form_propagator` builds the factorized form
+Hamiltonian. `closed_form_propagator` returns the sector blocks of the
+factorized form
 
     U(t) = exp[i Phi(t) J_x^2] * exp(-i omega_a a+a t) * f_disp(t)
            * exp(-i Omega sin(theta) t J_x)
@@ -13,9 +14,10 @@ Hamiltonian. `closed_form_propagator` builds the factorized form
 with lambda = eta Omega cos(theta), Phi(t) = lambda^2 t / omega_a
 - lambda^2 sin(omega_a t) / omega_a^2, and f_disp a coherent displacement of
 amplitude beta(t) m in sector m, beta(t) = -(lambda / omega_a)
-(e^{i omega_a t} - 1). At t = tau = 2 pi / omega_a the rotation and the
-displacement are the identity, and `propagator_at_tau` gives
-exp[i C J_x^2] exp[-i D J_x] x I.
+(e^{i omega_a t} - 1). Each factor, and their ordered product, is assembled
+into a composite matrix only when it is read (see `PropagatorFactors`). At
+t = tau = 2 pi / omega_a the rotation and the displacement are the identity,
+and `propagator_at_tau` gives exp[i C J_x^2] exp[-i D J_x] x I.
 
 The dense `expm_propagator` of `hamiltonian_ld` or `hamiltonian_full`
 diagonalizes the whole 2^N (n_max + 1) Hamiltonian. It is the independent
@@ -28,12 +30,16 @@ are all real, and only a J_y term would make H complex. `expm_propagator` and
 `sector_propagators` therefore pick numpy's real symmetric eigensolver
 whenever their input has an imaginary part of exactly zero, and the complex
 Hermitian one otherwise. The spectrum is the same; the real solver is 3-5
-times faster. The propagator itself stays complex.
+times faster. The Hamiltonians are built from real krons and wrapped as
+complex operators once. The propagator itself stays complex: from real
+eigenvectors V, `expm_propagator` assembles it from two real products,
+(V cos(lambda t)) V^T - i (V sin(lambda t)) V^T.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -42,7 +48,6 @@ from .hilbert import (
     OperatorMatrix,
     QuantumState,
     collective_spin,
-    embed,
     ladder_operators,
     position_sine_operator,
 )
@@ -51,14 +56,44 @@ from .hilbert import (
 @dataclass(frozen=True)
 class PropagatorFactors:
     """The four factors of the analytic propagator, kept separately so each
-    one can be inspected, plus their ordered product."""
+    one can be inspected, plus their ordered product.
 
-    f_twist: OperatorMatrix
-    f_rot: OperatorMatrix
-    f_disp: OperatorMatrix
-    f_carrier: OperatorMatrix
-    product: OperatorMatrix
+    Each factor is held as its N+1 motional sector blocks, arrays of shape
+    (N+1, n_max+1, n_max+1) indexed like `sector_propagators`. The
+    composite matrices `f_twist`, `f_rot`, `f_disp`, `f_carrier` and
+    `product` are assembled by `sector_sum` on first access and cached, so
+    a caller that reads only `product` pays for one composite matrix.
+    `product` is the ordered product taken per sector.
+    """
+
+    twist: np.ndarray
+    rot: np.ndarray
+    disp: np.ndarray
+    carrier: np.ndarray
     t: float
+
+    def _assemble(self, blocks: np.ndarray) -> OperatorMatrix:
+        return sector_sum(len(blocks) - 1, blocks)
+
+    @cached_property
+    def f_twist(self) -> OperatorMatrix:
+        return self._assemble(self.twist)
+
+    @cached_property
+    def f_rot(self) -> OperatorMatrix:
+        return self._assemble(self.rot)
+
+    @cached_property
+    def f_disp(self) -> OperatorMatrix:
+        return self._assemble(self.disp)
+
+    @cached_property
+    def f_carrier(self) -> OperatorMatrix:
+        return self._assemble(self.carrier)
+
+    @cached_property
+    def product(self) -> OperatorMatrix:
+        return self._assemble(self.twist @ self.rot @ self.disp @ self.carrier)
 
 
 def _coupling(params: ModelParams, model: str) -> OperatorMatrix:
@@ -77,20 +112,19 @@ def _coupling(params: ModelParams, model: str) -> OperatorMatrix:
 
 
 def _composite_hamiltonian(params: ModelParams, coupling: OperatorMatrix) -> OperatorMatrix:
-    # omega_a a+a + (Delta/2) J_z + Omega f J_x on the composite space
-    a, ad = ladder_operators(params.n_max)
-    eye_m = OperatorMatrix(np.eye(params.dim_motion, dtype=complex), "motion")
-    eye_i = OperatorMatrix(
-        np.eye(params.dim_internal, dtype=complex), "internal"
-    )
-    number = OperatorMatrix(ad.mat @ a.mat, "motion")
-    jx = collective_spin(params.n_ions, "x")
+    # omega_a a+a + (Delta/2) J_z + Omega f J_x on the composite space. Every
+    # term is real in the Fock x computational basis, so the krons run in
+    # real arithmetic and the result is wrapped as a complex operator once.
+    number = np.diag(np.arange(params.dim_motion, dtype=float))
+    jx = collective_spin(params.n_ions, "x").mat.real
 
-    h = params.omega_a * embed(eye_i, number).mat
-    h = h + params.omega * embed(jx, coupling).mat
+    h = params.omega_a * np.kron(np.eye(params.dim_internal), number)
+    h += params.omega * np.kron(jx, coupling.mat.real)
     if params.delta != 0.0:
-        jz = collective_spin(params.n_ions, "z")
-        h = h + (params.delta * params.omega_a / 2.0) * embed(jz, eye_m).mat
+        jz = collective_spin(params.n_ions, "z").mat.real
+        h += (params.delta * params.omega_a / 2.0) * np.kron(
+            jz, np.eye(params.dim_motion)
+        )
     return OperatorMatrix(h, "composite", dims=(params.dim_internal, params.dim_motion))
 
 
@@ -129,12 +163,18 @@ def expm_propagator(h: OperatorMatrix, t: float) -> OperatorMatrix:
 
     This is the oracle route: V diag(e^{-i lambda_k t}) V+ from numpy's eigh,
     independent of any series or scaling-squaring expansion. A real symmetric
-    H is diagonalized in real arithmetic.
+    H is diagonalized in real arithmetic, and U is assembled from two real
+    products, (V cos(lambda t)) V^T - i (V sin(lambda t)) V^T.
     """
     if not h.is_hermitian(tol=1e-10):
         raise ValueError("expm_propagator requires a Hermitian matrix")
     vals, vecs = _eigh(h.mat)
-    u = (vecs * np.exp(-1j * vals * t)) @ vecs.conj().T
+    if np.iscomplexobj(vecs):
+        u = (vecs * np.exp(-1j * vals * t)) @ vecs.conj().T
+    else:
+        u = np.empty(vecs.shape, dtype=complex)
+        u.real = (vecs * np.cos(vals * t)) @ vecs.T
+        u.imag = (vecs * -np.sin(vals * t)) @ vecs.T
     return OperatorMatrix(u, h.layout, h.dims)
 
 
@@ -172,8 +212,10 @@ def closed_form_propagator(params: ModelParams, t: float) -> PropagatorFactors:
     """The factorized propagator at time t (resonant case only).
 
     Every factor is block diagonal over the J_x sectors, so each one, and
-    their ordered product, is formed per sector on the n_max + 1 Fock states
-    and assembled once by `sector_sum`. In sector m the blocks are
+    their ordered product, is formed per sector on the n_max + 1 Fock states;
+    no composite matrix is built here. The returned `PropagatorFactors`
+    assembles a factor by `sector_sum` only when it is read. In sector m the
+    blocks are
     e^{i Phi m^2} I (twist), diag(e^{-i omega_a n t}) (rotation), D(beta m)
     (displacement) and e^{-i Omega sin(theta) t m} I (carrier). Each
     D(alpha) = exp(alpha a+ - alpha* a) is the exponential of the truncated
@@ -206,14 +248,7 @@ def closed_form_propagator(params: ModelParams, t: float) -> PropagatorFactors:
     carrier_phase = params.omega * np.sin(params.theta) * t
     carrier = np.exp(-1j * carrier_phase * m)[:, None, None] * eye
 
-    return PropagatorFactors(
-        f_twist=sector_sum(n, twist),
-        f_rot=sector_sum(n, rot),
-        f_disp=sector_sum(n, disp),
-        f_carrier=sector_sum(n, carrier),
-        product=sector_sum(n, twist @ rot @ disp @ carrier),
-        t=t,
-    )
+    return PropagatorFactors(twist=twist, rot=rot, disp=disp, carrier=carrier, t=t)
 
 
 def sector_propagators(params: ModelParams, t: float, model: str) -> np.ndarray:

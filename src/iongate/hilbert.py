@@ -232,6 +232,10 @@ class ThermalSpec:
             p[0] = 1.0
             return p
         q = self.nbar / (1.0 + self.nbar)
+        if 1.0 - q == 0.0:
+            # from nbar ~ 1e16 on, q rounds to 1 and the formula below is 0/0;
+            # the truncated distribution tends to uniform as q -> 1
+            return np.full(self.n_max + 1, 1.0 / (self.n_max + 1))
         p = (1.0 - q) * q ** np.arange(self.n_max + 1)
         return p / p.sum()
 

@@ -178,6 +178,24 @@ class TestNonfiniteNbar:
         assert run_cli(*argv, "--n-max", "8") == 2
         assert "nbar must be finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("nbar", ["1e16", "1e300"])
+    def test_huge_nbar_runs_with_the_tail_warning_only(self, nbar, tmp_path):
+        # the uniform limit of the thermal populations: finite output and
+        # exit 0, with the truncation warning as the only warning
+        out = tmp_path / "gate.json"
+        with pytest.warns(UserWarning) as record:
+            code = run_cli(
+                "gate-check", "--nbar", nbar, "--n-max", "8", "--out", str(out)
+            )
+        assert code == 0
+        assert [str(w.message) for w in record] == [
+            "thermal tail weight 1.000e+00 above the cutoff n_max=8 exceeds 1e-6;"
+            " results may be truncation-limited"
+        ]
+        payload = json.loads(out.read_text())
+        assert np.isfinite(payload["gate_infidelity"])
+        assert np.all(np.isfinite(payload["composite_fidelities"]))
+
     @pytest.mark.parametrize(
         "grids, key",
         [

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import gate_params, quiet_thermal
+from iongate import dynamics
 from iongate import (
     ModelParams,
     OperatorMatrix,
@@ -22,6 +23,7 @@ from iongate import (
     ladder_operators,
     motional_independence_metric,
     pm_product_states,
+    position_sine_operator,
     propagator_at_tau,
     sector_propagators,
     sector_sum,
@@ -170,6 +172,32 @@ class TestRealArithmetic:
         assert h.dtype == np.complex128
         assert not h.imag.any()
 
+    @pytest.mark.parametrize("model", ["ld", "full"])
+    @pytest.mark.parametrize("delta", [0.0, 0.4])
+    @pytest.mark.parametrize("n_ions", [1, 2, 3])
+    def test_hamiltonians_match_embedded_sum(self, model, delta, n_ions):
+        # the reference: omega_a embed(I, a+a) + Omega embed(J_x, f)
+        # + (Delta/2) embed(J_z, I), every factor a complex OperatorMatrix
+        p = ModelParams(
+            eta=0.2, omega_ratio=0.9, theta=0.6, delta=delta, n_ions=n_ions, n_max=8
+        )
+        a, ad = ladder_operators(p.n_max)
+        if model == "ld":
+            f = p.eta * (a.mat + ad.mat) * np.cos(p.theta) + np.sin(p.theta) * np.eye(
+                p.dim_motion
+            )
+        else:
+            f = position_sine_operator(p).mat
+        eye_i = OperatorMatrix(np.eye(p.dim_internal), "internal")
+        eye_m = OperatorMatrix(np.eye(p.dim_motion), "motion")
+        expected = (
+            p.omega_a * embed(eye_i, OperatorMatrix(ad.mat @ a.mat, "motion")).mat
+            + p.omega * embed(collective_spin(n_ions, "x"), OperatorMatrix(f, "motion")).mat
+            + (p.delta * p.omega_a / 2.0) * embed(collective_spin(n_ions, "z"), eye_m).mat
+        )
+        builder = hamiltonian_ld if model == "ld" else hamiltonian_full
+        assert np.abs(builder(p).mat - expected).max() < 1e-14
+
     @settings(max_examples=25, deadline=None)
     @given(
         st.floats(0.01, 0.4),
@@ -207,6 +235,29 @@ class TestRealArithmetic:
         u = expm_propagator(h, t).mat
         assert np.abs(u - scipy.linalg.expm(-1j * t * h.mat)).max() < 1e-12
 
+    def test_oracle_assembly_at_crosscheck_size(self):
+        # a contained draw of the crosscheck workload: N=3, n_max=60 and
+        # lambda = eta Omega cos(theta) = 0.12 <= 1/(2N)
+        eta, lam, theta = 0.17, 0.12, 0.5
+        p = ModelParams(
+            eta=eta,
+            omega_ratio=lam / (eta * np.cos(theta)),
+            theta=theta,
+            n_ions=3,
+            n_max=60,
+        )
+        t = 0.43 * p.tau
+        h = hamiltonian_ld(p)
+        u = expm_propagator(h, t).mat
+        # V e^{-i Lambda t} V^T, one product in complex arithmetic
+        vals, vecs = np.linalg.eigh(h.mat.real)
+        vecs = vecs.astype(complex)
+        expected = (vecs * np.exp(-1j * vals * t)) @ vecs.T
+        assert np.abs(u - expected).max() < 1e-13
+        # a real symmetric H gives a complex-symmetric U
+        assert np.abs(u - u.T).max() < 1e-13
+        assert _unitarity_defect(u) < 1e-12
+
     def test_solver_follows_the_input(self, monkeypatch):
         seen = []
         eigh = np.linalg.eigh
@@ -235,6 +286,26 @@ class TestClosedForm:
         # product up to rounding (2e-16 measured here)
         ordered = f.f_twist.mat @ f.f_rot.mat @ f.f_disp.mat @ f.f_carrier.mat
         assert np.abs(f.product.mat - ordered).max() < 1e-13
+
+    def test_factors_assembled_on_demand(self, monkeypatch):
+        calls = []
+        assemble = dynamics.sector_sum
+
+        def counting_sector_sum(n_ions, blocks):
+            calls.append(n_ions)
+            return assemble(n_ions, blocks)
+
+        monkeypatch.setattr(dynamics, "sector_sum", counting_sector_sum)
+        p = gate_params(0.1, 12)
+        f = closed_form_propagator(p, 0.37 * p.tau)
+        assert calls == []
+        product = f.product
+        assert len(calls) == 1
+        assert f.product is product
+        assert len(calls) == 1
+        for name in ("f_twist", "f_rot", "f_disp", "f_carrier", "product"):
+            getattr(f, name)
+        assert calls == [p.n_ions] * 5
 
     def test_right_angle_disables_twist_and_displacement(self):
         p = ModelParams(eta=0.1, omega_ratio=0.8, theta=np.pi / 2, n_ions=2, n_max=8)

@@ -260,6 +260,18 @@ class TestThermal:
         with pytest.raises(ValueError, match="nbar"):
             ThermalSpec(nbar=nbar, n_max=10)
 
+    @pytest.mark.parametrize("nbar", [1e16, 1e300])
+    def test_huge_nbar_gives_uniform_limit(self, nbar):
+        # q = nbar / (1 + nbar) rounds to 1 here; the geometric formula
+        # would be 0/0, while its q -> 1 limit is uniform
+        spec = ThermalSpec(nbar=nbar, n_max=10)
+        assert spec.nbar / (1.0 + spec.nbar) == 1.0
+        assert np.array_equal(spec.populations, np.full(11, 1.0 / 11))
+        assert spec.tail_weight == 1.0
+        # just below that point the formula still runs and reaches the limit
+        near = ThermalSpec(nbar=9e15, n_max=10).populations
+        assert np.abs(near - 1.0 / 11).max() < 1e-14
+
     @settings(max_examples=25, deadline=None)
     @given(nbar=st.floats(0.0, 8.0), n_max=st.integers(5, 40))
     def test_property_valid_distribution(self, nbar, n_max):
