@@ -391,14 +391,8 @@ def lamb_dicke_error_sweep(
             t0 = time.perf_counter()
             try:
                 if gate is None:
-                    solution = solve_gate_params(eta)
-                    params = ModelParams(
-                        eta=eta,
-                        omega_ratio=solution.omega_ratio,
-                        theta=solution.theta,
-                        n_ions=n_ions,
-                        n_max=n_max,
-                        n_pad=n_pad,
+                    params = solve_gate_params(eta).model_params(
+                        n_ions=n_ions, n_max=n_max, n_pad=n_pad
                     )
                     gate = params, _propagator_for(params, model)
                 params, u = gate

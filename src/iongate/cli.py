@@ -12,10 +12,11 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -28,7 +29,7 @@ from .analysis import (
     truncation_convergence,
     truth_table_check,
 )
-from .hilbert import ModelParams, ThermalSpec, thermal_state
+from .hilbert import ThermalSpec, thermal_state
 from .synthesis import literal_params, solve_gate_params
 
 SWEEP_CSV_COLUMNS = (
@@ -48,7 +49,8 @@ class RunConfig:
     """Validated sweep configuration from a JSON file.
 
     The file has exactly the top-level keys {model, grids, output}; unknown
-    keys at any level are rejected before any computation starts.
+    keys at any level are rejected before any computation starts. The
+    defaults below apply to the model and output keys the file leaves out.
     """
 
     eta_grid: tuple[float, ...]
@@ -136,26 +138,41 @@ def load_run_config(path: str) -> RunConfig:
     seed = model.get("seed")
     if seed is not None and not _is_int(seed):
         raise ConfigError(f"model.seed must be an integer or null, got {seed!r}")
-    hamiltonian = model.get("hamiltonian", "full")
-    if hamiltonian not in ("full", "ld"):
-        raise ConfigError(f"hamiltonian must be 'full' or 'ld', got {hamiltonian!r}")
+    if "hamiltonian" in model and model["hamiltonian"] not in ("full", "ld"):
+        raise ConfigError(
+            f"hamiltonian must be 'full' or 'ld', got {model['hamiltonian']!r}"
+        )
+    for key, path in output.items():
+        if not isinstance(path, str):
+            raise ConfigError(f"output.{key} must be a path string, got {path!r}")
+    # the model keys are RunConfig field names; absent ones take its defaults
     return RunConfig(
         eta_grid=eta_grid,
         nbar_grid=nbar_grid,
-        n_ions=model.get("n_ions", 2),
-        n_max=model.get("n_max", 40),
-        n_pad=model.get("n_pad", 10),
-        hamiltonian=hamiltonian,
-        seed=seed,
-        csv_path=output.get("csv"),
-        json_path=output.get("json"),
+        **model,
+        **{f"{key}_path": path for key, path in output.items()},
     )
 
 
-def _fmt17(x) -> str:
-    if x is None:
+def _cell(value) -> str:
+    """One CSV cell: None is empty, flags are joined by ';', integers and
+    strings are written as they are, and floats to 17 significant digits."""
+    if value is None:
         return ""
-    return format(float(x), ".17g")
+    if isinstance(value, tuple):
+        return ";".join(value)
+    if isinstance(value, (int, str)):
+        return str(value)
+    return format(float(value), ".17g")
+
+
+def _csv_text(columns, records) -> str:
+    """A header of `columns`, then one row of those attributes per record."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(columns)
+    writer.writerows([_cell(getattr(rec, col)) for col in columns] for rec in records)
+    return buf.getvalue()
 
 
 def _json_bytes(payload: dict) -> str:
@@ -178,22 +195,9 @@ def _write_out(args, payload: dict, csv_text: str | None = None) -> None:
         fh.write(text)
 
 
-def _solution_dict(sol) -> dict:
-    return {
-        "eta": sol.eta,
-        "theta": sol.theta,
-        "omega_ratio": sol.omega_ratio,
-        "achieved_c": sol.achieved_c,
-        "achieved_d": sol.achieved_d,
-        "residual_c": sol.residual_c,
-        "residual_d": sol.residual_d,
-        "branch": list(sol.branch),
-    }
-
-
 def cmd_solve(args) -> int:
     sol = solve_gate_params(args.eta)
-    payload = {"command": "solve", "seed": args.seed, "solution": _solution_dict(sol)}
+    payload = {"command": "solve", "seed": args.seed, "solution": asdict(sol)}
     print(f"gate parameters for eta = {sol.eta:g}")
     print(f"  theta        = {sol.theta:.12g} rad")
     print(f"  Omega/omega_a= {sol.omega_ratio:.12g}")
@@ -202,7 +206,7 @@ def cmd_solve(args) -> int:
     print(f"  residuals    = ({sol.residual_c:.3e}, {sol.residual_d:.3e})")
     if args.literal_params:
         lit = literal_params(args.eta)
-        payload["literal"] = _solution_dict(lit)
+        payload["literal"] = asdict(lit)
         print("literal published formulas for the same target:")
         print(f"  theta        = {lit.theta:.12g} rad")
         print(f"  Omega/omega_a= {lit.omega_ratio:.12g}")
@@ -216,14 +220,8 @@ def cmd_solve(args) -> int:
 
 
 def cmd_gate_check(args) -> int:
-    sol = solve_gate_params(args.eta)
-    params = ModelParams(
-        eta=args.eta,
-        omega_ratio=sol.omega_ratio,
-        theta=sol.theta,
-        n_ions=2,
-        n_max=args.n_max,
-        n_pad=args.n_pad,
+    params = solve_gate_params(args.eta).model_params(
+        n_ions=2, n_max=args.n_max, n_pad=args.n_pad
     )
     motion = thermal_state(ThermalSpec(nbar=args.nbar, n_max=args.n_max))
     report = truth_table_check(params, motion, model=args.model)
@@ -314,26 +312,6 @@ def cmd_ghz(args) -> int:
     return 0
 
 
-def _sweep_csv(result: SweepResult) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(SWEEP_CSV_COLUMNS)
-    for rec in result.records:
-        writer.writerow(
-            [
-                _fmt17(rec.eta),
-                _fmt17(rec.nbar),
-                str(rec.n_max),
-                _fmt17(rec.infidelity_gate),
-                _fmt17(rec.infidelity_ghz),
-                _fmt17(rec.leakage),
-                ";".join(rec.flags),
-                rec.error or "",
-            ]
-        )
-    return buf.getvalue()
-
-
 def _scipy_version() -> str | None:
     """The installed scipy version, read from its package metadata so that
     scipy itself is never imported; None if it is not installed."""
@@ -367,16 +345,7 @@ def _sweep_json(result: SweepResult) -> dict:
             "scipy": _scipy_version(),
         },
         "records": [
-            {
-                "eta": rec.eta,
-                "nbar": rec.nbar,
-                "n_max": rec.n_max,
-                "infidelity_gate": rec.infidelity_gate,
-                "infidelity_ghz": rec.infidelity_ghz,
-                "leakage": rec.leakage,
-                "flags": list(rec.flags),
-                "error": rec.error,
-            }
+            {col: getattr(rec, col) for col in SWEEP_CSV_COLUMNS}
             for rec in result.records
         ],
     }
@@ -399,7 +368,7 @@ def cmd_sweep(args) -> int:
         model=config.hamiltonian,
         seed=seed,
     )
-    csv_text = _sweep_csv(result)
+    csv_text = _csv_text(SWEEP_CSV_COLUMNS, result.records)
     payload = _sweep_json(result)
     print(
         f"sweep: {len(result.eta_values)} eta x {len(result.nbar_values)} nbar "
@@ -427,38 +396,13 @@ def cmd_sweep(args) -> int:
     return 1 if any(rec.error for rec in result.records) else 0
 
 
-def _convergence_csv(rows: tuple[ConvergenceRow, ...]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(
-        ["n_max", "gate_infidelity", "metric", "diff_infidelity", "diff_metric"]
-    )
-    for row in rows:
-        writer.writerow(
-            [
-                str(row.n_max),
-                _fmt17(row.gate_infidelity),
-                _fmt17(row.metric),
-                _fmt17(row.diff_infidelity),
-                _fmt17(row.diff_metric),
-            ]
-        )
-    return buf.getvalue()
-
-
 def cmd_convergence(args) -> int:
     try:
         n_list = [int(x) for x in args.n_max_list.split(",")]
     except ValueError:
         raise ConfigError(f"bad n_max list {args.n_max_list!r}") from None
-    sol = solve_gate_params(args.eta)
-    params = ModelParams(
-        eta=args.eta,
-        omega_ratio=sol.omega_ratio,
-        theta=sol.theta,
-        n_ions=2,
-        n_max=max(n_list),
-        n_pad=args.n_pad,
+    params = solve_gate_params(args.eta).model_params(
+        n_ions=2, n_max=max(n_list), n_pad=args.n_pad
     )
     rows = truncation_convergence(params, n_list, nbar=args.nbar, model=args.model)
     payload = {
@@ -467,16 +411,7 @@ def cmd_convergence(args) -> int:
         "eta": args.eta,
         "nbar": args.nbar,
         "model": args.model,
-        "rows": [
-            {
-                "n_max": row.n_max,
-                "gate_infidelity": row.gate_infidelity,
-                "metric": row.metric,
-                "diff_infidelity": row.diff_infidelity,
-                "diff_metric": row.diff_metric,
-            }
-            for row in rows
-        ],
+        "rows": [asdict(row) for row in rows],
     }
     print(f"truncation convergence: eta={args.eta:g} nbar={args.nbar:g} model={args.model}")
     print("  n_max  gate_infidelity  independence_metric  diff_infid  diff_metric")
@@ -487,7 +422,8 @@ def cmd_convergence(args) -> int:
             f"  {row.n_max:5d}  {row.gate_infidelity:15.6e}  {row.metric:19.6e}"
             f"  {di:>10s}  {dm:>11s}"
         )
-    _write_out(args, payload, csv_text=_convergence_csv(rows))
+    columns = [f.name for f in fields(ConvergenceRow)]
+    _write_out(args, payload, csv_text=_csv_text(columns, rows))
     return 0
 
 
@@ -503,8 +439,11 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
         help="format for --out (default json)",
     )
     sub.add_argument("--seed", type=int, default=None, help="recorded in provenance")
-    sub.add_argument("--n-max", type=int, default=40, dest="n_max")
-    sub.add_argument("--n-pad", type=int, default=10, dest="n_pad")
+
+
+def _add_cutoffs(sub: argparse.ArgumentParser, n_max: int | None, n_pad: int | None) -> None:
+    sub.add_argument("--n-max", type=int, default=n_max, dest="n_max")
+    sub.add_argument("--n-pad", type=int, default=n_pad, dest="n_pad")
 
 
 def make_parser() -> argparse.ArgumentParser:
@@ -513,8 +452,10 @@ def make_parser() -> argparse.ArgumentParser:
         description="standing-wave phase gate simulator for trapped ions",
     )
     subs = parser.add_subparsers(dest="command", required=True)
+    # whole flag names only, so that --n-max cannot stand for --n-max-list
+    add_parser = functools.partial(subs.add_parser, allow_abbrev=False)
 
-    p_solve = subs.add_parser("solve", help="solve the gate parameter constraints")
+    p_solve = add_parser("solve", help="solve the gate parameter constraints")
     p_solve.add_argument("--eta", type=float, required=True)
     p_solve.add_argument(
         "--literal-params",
@@ -524,30 +465,32 @@ def make_parser() -> argparse.ArgumentParser:
     _add_common(p_solve)
     p_solve.set_defaults(func=cmd_solve)
 
-    p_gate = subs.add_parser("gate-check", help="truth-table check with thermal motion")
+    p_gate = add_parser("gate-check", help="truth-table check with thermal motion")
     p_gate.add_argument("--eta", type=float, default=0.1)
     p_gate.add_argument("--nbar", type=float, default=2.0)
     p_gate.add_argument("--full-hamiltonian", **_MODEL_FLAG)
     _add_common(p_gate)
+    _add_cutoffs(p_gate, 40, 10)
     p_gate.set_defaults(func=cmd_gate_check)
 
-    p_ghz = subs.add_parser("ghz", help="GHZ generation check")
+    p_ghz = add_parser("ghz", help="GHZ generation check")
     p_ghz.add_argument("--n-ions", type=int, default=2, dest="n_ions")
     p_ghz.add_argument("--eta", type=float, default=0.1)
     p_ghz.add_argument("--nbar", type=float, default=2.0)
     p_ghz.add_argument("--full-hamiltonian", **_MODEL_FLAG)
     p_ghz.add_argument("--force", action="store_true", help="override the N guard")
     _add_common(p_ghz)
+    _add_cutoffs(p_ghz, 40, 10)
     p_ghz.set_defaults(func=cmd_ghz)
 
-    p_sweep = subs.add_parser("sweep", help="run a sweep from a JSON config")
+    p_sweep = add_parser("sweep", help="run a sweep from a JSON config")
     p_sweep.add_argument("--config", required=True)
     _add_common(p_sweep)
     # None means "take the cutoffs from the config file"
-    p_sweep.set_defaults(n_max=None, n_pad=None)
+    _add_cutoffs(p_sweep, None, None)
     p_sweep.set_defaults(func=cmd_sweep)
 
-    p_conv = subs.add_parser("convergence", help="gate metrics vs Fock cutoff")
+    p_conv = add_parser("convergence", help="gate metrics vs Fock cutoff")
     p_conv.add_argument("--eta", type=float, default=0.1)
     p_conv.add_argument("--nbar", type=float, default=2.0)
     p_conv.add_argument(
@@ -558,6 +501,7 @@ def make_parser() -> argparse.ArgumentParser:
     )
     p_conv.add_argument("--full-hamiltonian", **_MODEL_FLAG)
     _add_common(p_conv)
+    p_conv.add_argument("--n-pad", type=int, default=10, dest="n_pad")
     p_conv.set_defaults(func=cmd_convergence)
 
     return parser
@@ -566,10 +510,11 @@ def make_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = make_parser()
     args = parser.parse_args(argv)
-    # bad input (ConfigError is a ValueError) exits 2, a failed computation 1
+    # bad input (ConfigError is a ValueError) and an output path that cannot
+    # be written exit 2, a failed computation 1
     try:
         return args.func(args)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except RuntimeError as exc:

@@ -17,7 +17,8 @@ amplitude beta(t) m in sector m, beta(t) = -(lambda / omega_a)
 (e^{i omega_a t} - 1). Each factor, and their ordered product, is assembled
 into a composite matrix only when it is read (see `PropagatorFactors`). At
 t = tau = 2 pi / omega_a the rotation and the displacement are the identity,
-and `propagator_at_tau` gives exp[i C J_x^2] exp[-i D J_x] x I.
+and `propagator_at_tau` gives exp[i C J_x^2] exp[-i D J_x] x I, with (C, D)
+from `pulse_period_coefficients`.
 
 The dense `expm_propagator` of `hamiltonian_ld` or `hamiltonian_full`
 diagonalizes the whole 2^N (n_max + 1) Hamiltonian. It is the independent
@@ -278,26 +279,35 @@ def sector_propagators(params: ModelParams, t: float, model: str) -> np.ndarray:
     return (vecs * np.exp(-1j * vals * t)[:, None, :]) @ vecs.conj().transpose(0, 2, 1)
 
 
+def pulse_period_coefficients(
+    eta: float, omega_ratio: float, theta: float
+) -> tuple[float, float]:
+    """The coefficients (C, D) of U(tau) = exp[i C J_x^2] exp[-i D J_x]:
+    C = 2 pi eta^2 (Omega/omega_a)^2 cos^2(theta) and
+    D = 2 pi (Omega/omega_a) sin(theta)."""
+    c = 2.0 * np.pi * eta**2 * omega_ratio**2 * np.cos(theta) ** 2
+    d = 2.0 * np.pi * omega_ratio * np.sin(theta)
+    return float(c), float(d)
+
+
 def propagator_at_tau(
     params: ModelParams,
 ) -> tuple[OperatorMatrix, float, float]:
     """Propagator after one full trap period, with its two coefficients.
 
-    Returns (U, C, D) where U = exp[i C J_x^2] exp[-i D J_x] tensor identity,
-    C = 2 pi eta^2 (Omega/omega_a)^2 cos^2(theta) and
-    D = 2 pi (Omega/omega_a) sin(theta). The rotation and displacement factors
-    are exactly the identity at t = tau, so the motional factor is trivial:
-    U is `sector_sum` of the blocks e^{i (C m^2 - D m)} I.
+    Returns (U, C, D) where U = exp[i C J_x^2] exp[-i D J_x] tensor identity
+    and (C, D) come from `pulse_period_coefficients`. The rotation and
+    displacement factors are exactly the identity at t = tau, so the
+    motional factor is trivial: U is `sector_sum` of the blocks
+    e^{i (C m^2 - D m)} I.
     """
     if params.delta != 0.0:
         raise ValueError("the pulse-period reduction requires delta = 0")
-    r = params.omega_ratio
-    c = 2.0 * np.pi * params.eta**2 * r**2 * np.cos(params.theta) ** 2
-    d = 2.0 * np.pi * r * np.sin(params.theta)
+    c, d = pulse_period_coefficients(params.eta, params.omega_ratio, params.theta)
     m = _sector_m(params.n_ions)
     phases = np.exp(1j * (c * m**2 - d * m))
     u = sector_sum(params.n_ions, phases[:, None, None] * np.eye(params.dim_motion))
-    return u, float(c), float(d)
+    return u, c, d
 
 
 def evolve(state: QuantumState, u: OperatorMatrix) -> QuantumState:

@@ -138,9 +138,6 @@ class OperatorMatrix:
     def is_hermitian(self, tol: float = 1e-12) -> bool:
         return np.abs(self.mat - self.mat.conj().T).max() <= tol
 
-    def dagger(self) -> "OperatorMatrix":
-        return OperatorMatrix(self.mat.conj().T, self.layout, self.dims)
-
 
 @dataclass(frozen=True)
 class QuantumState:

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import propagator_at_tau
+from .dynamics import propagator_at_tau, pulse_period_coefficients
 from .hilbert import ModelParams, OperatorMatrix, QuantumState, collective_spin
 
 GATE_C = np.pi / 8.0
@@ -53,6 +53,17 @@ class GateSolution:
     def residuals(self) -> tuple[float, float]:
         return (self.residual_c, self.residual_d)
 
+    def model_params(self, *, n_ions: int, n_max: int, n_pad: int) -> ModelParams:
+        """The resonant model at this gate point with the given size."""
+        return ModelParams(
+            eta=self.eta,
+            omega_ratio=self.omega_ratio,
+            theta=self.theta,
+            n_ions=n_ions,
+            n_max=n_max,
+            n_pad=n_pad,
+        )
+
 
 @dataclass(frozen=True)
 class GhzRecipe:
@@ -68,17 +79,6 @@ class GhzRecipe:
     n_ions: int
     params: ModelParams
     expected_rel_phase: float | None
-
-
-def _constraint_residuals(
-    theta: float, r: float, eta: float, k1: int, k2: int
-) -> tuple[float, float]:
-    c = 2.0 * np.pi * eta**2 * r**2 * np.cos(theta) ** 2
-    d = 2.0 * np.pi * r * np.sin(theta)
-    return (
-        c - (GATE_C + 2.0 * np.pi * k1),
-        -d - (GATE_MINUS_D + 2.0 * np.pi * k2),
-    )
 
 
 def _branch_solution(eta: float, k1: int, k2: int) -> tuple[float, float]:
@@ -110,7 +110,9 @@ def solve_gate_params(eta: float, k1: int = 0, k2: int = 0) -> GateSolution:
             "C = pi/8 + 2 pi k1 must be positive, so k1 must be >= 0"
         )
     theta, r = _branch_solution(eta, k1, k2)
-    res_c, res_d = _constraint_residuals(theta, r, eta, k1, k2)
+    c, d = pulse_period_coefficients(eta, r, theta)
+    res_c = c - (GATE_C + 2.0 * np.pi * k1)
+    res_d = -d - (GATE_MINUS_D + 2.0 * np.pi * k2)
     # written so that a NaN residual fails too
     if not (abs(res_c) <= 1e-12 and abs(res_d) <= 1e-12):
         raise RuntimeError(
@@ -118,9 +120,19 @@ def solve_gate_params(eta: float, k1: int = 0, k2: int = 0) -> GateSolution:
             f"residuals ({res_c:.3e}, {res_d:.3e})"
         )
 
+    solution = GateSolution(
+        eta=eta,
+        theta=theta,
+        omega_ratio=r,
+        achieved_c=c,
+        achieved_d=d,
+        residual_c=abs(res_c),
+        residual_d=abs(res_d),
+        branch=(k1, k2),
+    )
     # verification on a minimal two-ion space; the solved pair is N-independent
-    params = ModelParams(eta=eta, omega_ratio=r, theta=theta, n_ions=2, n_max=1)
-    u_tau, c, d = propagator_at_tau(params)
+    params = solution.model_params(n_ions=2, n_max=1, n_pad=0)
+    u_tau = propagator_at_tau(params)[0]
     ideal = ideal_gate_unitary(2)
     distance = np.abs(u_tau.mat - np.kron(ideal.mat, np.eye(params.dim_motion))).max()
     if not distance <= 1e-10:
@@ -128,16 +140,7 @@ def solve_gate_params(eta: float, k1: int = 0, k2: int = 0) -> GateSolution:
             f"solved parameters fail verification for eta={eta}: "
             f"gate distance {distance:.3e}"
         )
-    return GateSolution(
-        eta=eta,
-        theta=theta,
-        omega_ratio=r,
-        achieved_c=c,
-        achieved_d=d,
-        residual_c=abs(c - (GATE_C + 2.0 * np.pi * k1)),
-        residual_d=abs(-d - (GATE_MINUS_D + 2.0 * np.pi * k2)),
-        branch=(k1, k2),
-    )
+    return solution
 
 
 def literal_params(eta: float) -> GateSolution:
@@ -206,15 +209,7 @@ def ghz_recipe(n_ions: int, eta: float, n_max: int = 40, n_pad: int = 10) -> Ghz
         # -(pi/2 + N pi/2) mod 2 pi, the phase of exp[+i pi/8 J_x^2] |g...g>
         expected = np.pi / 2.0 if n_ions % 4 == 2 else -np.pi / 2.0
         return GhzRecipe(n_ions=n_ions, params=params, expected_rel_phase=expected)
-    solution = solve_gate_params(eta)
-    params = ModelParams(
-        eta=eta,
-        omega_ratio=solution.omega_ratio,
-        theta=solution.theta,
-        n_ions=n_ions,
-        n_max=n_max,
-        n_pad=n_pad,
-    )
+    params = solve_gate_params(eta).model_params(n_ions=n_ions, n_max=n_max, n_pad=n_pad)
     return GhzRecipe(n_ions=n_ions, params=params, expected_rel_phase=None)
 
 

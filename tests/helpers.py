@@ -34,15 +34,7 @@ def solved(eta: float):
 
 def gate_params(eta: float, n_max: int, n_ions: int = 2, n_pad: int = 10) -> ModelParams:
     """ModelParams at the solved gate point for this eta."""
-    s = solved(eta)
-    return ModelParams(
-        eta=eta,
-        omega_ratio=s.omega_ratio,
-        theta=s.theta,
-        n_ions=n_ions,
-        n_max=n_max,
-        n_pad=n_pad,
-    )
+    return solved(eta).model_params(n_ions=n_ions, n_max=n_max, n_pad=n_pad)
 
 
 def quiet_thermal(nbar: float, n_max: int) -> QuantumState:

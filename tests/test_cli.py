@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from iongate.cli import load_run_config, main
+from iongate.cli import ConfigError, load_run_config, main
 
 SCHEMA = json.loads(
     (Path(__file__).parent / "data" / "cli_schema.json").read_text()
@@ -168,14 +168,14 @@ class TestNonfiniteNbar:
     @pytest.mark.parametrize(
         "argv",
         [
-            ("ghz", "--nbar", "nan"),
-            ("ghz", "--nbar", "inf"),
-            ("gate-check", "--nbar", "nan"),
-            ("convergence", "--nbar", "inf"),
+            ("ghz", "--nbar", "nan", "--n-max", "8"),
+            ("ghz", "--nbar", "inf", "--n-max", "8"),
+            ("gate-check", "--nbar", "nan", "--n-max", "8"),
+            ("convergence", "--nbar", "inf", "--n-max-list", "8"),
         ],
     )
     def test_exits_2_naming_nbar(self, argv, capsys):
-        assert run_cli(*argv, "--n-max", "8") == 2
+        assert run_cli(*argv) == 2
         assert "nbar must be finite" in capsys.readouterr().err
 
     @pytest.mark.parametrize("nbar", ["1e16", "1e300"])
@@ -359,6 +359,22 @@ class TestSweepCommand:
         assert parsed.n_max == 12
         assert parsed.seed is None
 
+    def test_absent_model_keys_take_the_defaults(self, tmp_path):
+        cfg = write_config(tmp_path, model={})
+        parsed = load_run_config(str(cfg))
+        assert (parsed.n_ions, parsed.n_max, parsed.n_pad) == (2, 40, 10)
+        assert parsed.hamiltonian == "full"
+        assert parsed.csv_path is None and parsed.json_path is None
+
+    @pytest.mark.parametrize("key", ["csv", "json"])
+    @pytest.mark.parametrize("value", [True, 7, 3.5, ["x.csv"], None])
+    def test_output_paths_must_be_strings(self, tmp_path, key, value):
+        # checked on the loader itself: through the CLI, true and 7 would be
+        # opened as file descriptors 1 and 7
+        cfg = write_config(tmp_path, output={key: value})
+        with pytest.raises(ConfigError, match=f"output.{key}"):
+            load_run_config(str(cfg))
+
 
 class TestConvergenceCommand:
     @pytest.mark.filterwarnings("ignore:thermal tail weight")
@@ -422,6 +438,24 @@ class TestOutputContract:
         out = tmp_path / "solve.json"
         assert run_cli("solve", "--eta", "0.1", "--seed", "42", "--out", str(out)) == 0
         assert json.loads(out.read_text())["seed"] == 42
+
+    def test_unwritable_out_exits_2(self, tmp_path, capsys):
+        assert run_cli("solve", "--eta", "0.1", "--out", str(tmp_path)) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["solve", "--eta", "0.1", "--n-max", "5"],
+            ["solve", "--eta", "0.1", "--n-pad", "3"],
+            ["convergence", "--n-max", "8"],
+        ],
+    )
+    def test_cutoff_flags_only_where_read(self, argv):
+        # solve reads no cutoff, convergence takes its cutoffs from the list
+        with pytest.raises(SystemExit) as exc:
+            run_cli(*argv)
+        assert exc.value.code == 2
 
 
 class TestEntryPoint:

@@ -118,6 +118,23 @@ class TestSolveGateParams:
         ideal = np.kron(ideal_gate_unitary(2).mat, np.eye(6))
         assert np.abs(u.mat - ideal).max() < 1e-10
 
+    @pytest.mark.parametrize("k1, k2", [(0, 0), (2, -1)])
+    def test_achieved_coefficients_are_the_propagators(self, k1, k2):
+        # one formula owns C and D: the solve reports exactly what the
+        # one-period propagator of the model at the gate point uses
+        s = solve_gate_params(0.13, k1, k2)
+        p = s.model_params(n_ions=2, n_max=1, n_pad=0)
+        assert (s.achieved_c, s.achieved_d) == propagator_at_tau(p)[1:]
+
+    def test_model_params_copies_the_gate_point(self):
+        s = solved(0.1)
+        p = s.model_params(n_ions=3, n_max=7, n_pad=2)
+        assert (p.eta, p.theta, p.omega_ratio) == (s.eta, s.theta, s.omega_ratio)
+        assert (p.n_ions, p.n_max, p.n_pad) == (3, 7, 2)
+        assert (p.omega_a, p.delta) == (1.0, 0.0)
+        with pytest.raises(TypeError):
+            s.model_params(3, 7, 2)
+
 
 class TestLiteralParams:
     def test_formula_values(self):
