@@ -182,7 +182,6 @@ def _propagator_for(params: ModelParams, model: str) -> OperatorMatrix:
 class TruthTableReport:
     """Per-input truth-table results for one parameter point."""
 
-    params: ModelParams
     model: str
     input_labels: tuple[str, ...]
     internal_fidelities: tuple[float, ...]
@@ -237,7 +236,6 @@ def truth_table_check(
         labels.append(label)
     flags = (TRUNCATION_FLAG,) if leak > LEAKAGE_THRESHOLD else ()
     return TruthTableReport(
-        params=params,
         model=model,
         input_labels=tuple(labels),
         internal_fidelities=tuple(f_int),
@@ -252,8 +250,6 @@ def truth_table_check(
 class GhzReport:
     """GHZ generation results for one recipe run."""
 
-    n_ions: int
-    params: ModelParams
     model: str
     fidelity: float
     rel_phase: float
@@ -314,8 +310,6 @@ def ghz_check(
         deviation = abs(_wrap_angle(phase - recipe.expected_rel_phase))
     flags = (TRUNCATION_FLAG,) if leak > LEAKAGE_THRESHOLD else ()
     return GhzReport(
-        n_ions=n_ions,
-        params=params,
         model=model,
         fidelity=fid,
         rel_phase=phase,
@@ -339,7 +333,6 @@ class SweepPoint:
     flags: tuple[str, ...]
     error: str | None
     runtime_s: float
-    params: ModelParams | None
 
 
 @dataclass(frozen=True)
@@ -350,6 +343,7 @@ class SweepResult:
     nbar_values: tuple[float, ...]
     n_ions: int
     n_max: int
+    n_pad: int
     model: str
     records: tuple[SweepPoint, ...]
     seed: int | None = None
@@ -414,7 +408,6 @@ def lamb_dicke_error_sweep(
                         flags=flags,
                         error=None,
                         runtime_s=time.perf_counter() - t0,
-                        params=params,
                     )
                 )
             except (RuntimeError, ValueError) as exc:
@@ -429,7 +422,6 @@ def lamb_dicke_error_sweep(
                         flags=(),
                         error=str(exc),
                         runtime_s=time.perf_counter() - t0,
-                        params=None,
                     )
                 )
     return SweepResult(
@@ -437,6 +429,7 @@ def lamb_dicke_error_sweep(
         nbar_values=nbar_values,
         n_ions=n_ions,
         n_max=n_max,
+        n_pad=n_pad,
         model=model,
         records=tuple(records),
         seed=seed,

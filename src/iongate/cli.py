@@ -11,10 +11,12 @@ never in machine output.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import functools
 import io
 import json
+import os
 import sys
 from dataclasses import asdict, dataclass, fields
 
@@ -179,20 +181,27 @@ def _json_bytes(payload: dict) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def _write_out(args, payload: dict, csv_text: str | None = None) -> None:
-    if not args.out:
-        return
-    fmt = args.format
-    if fmt == "csv":
-        if csv_text is None:
-            raise ConfigError("csv format is only available for tabular commands")
-        text = csv_text
-    elif fmt == "json":
-        text = _json_bytes(payload)
-    else:
-        raise ConfigError("--out requires --format json or csv")
-    with open(args.out, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
+def _write_out(path: str | None, text: str) -> None:
+    if path:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+
+
+@contextlib.contextmanager
+def _opened(paths):
+    """Every path opened for writing, all or none: when one cannot be opened,
+    the files opened before it are removed again."""
+    with contextlib.ExitStack() as files:
+        with contextlib.ExitStack() as undo:
+            handles = {}
+            for path in paths:
+                handles[path] = files.enter_context(
+                    open(path, "w", encoding="utf-8", newline="")
+                )
+                undo.callback(os.remove, path)
+            # every path is open: nothing to undo
+            undo.pop_all()
+        yield handles
 
 
 def cmd_solve(args) -> int:
@@ -215,7 +224,7 @@ def cmd_solve(args) -> int:
         print(f"  residuals    = ({lit.residual_c:.3e}, {lit.residual_d:.3e})")
         print("  (off the target by a factor of pi in both coefficients;")
         print("   reported for cross-checking, see README)")
-    _write_out(args, payload)
+    _write_out(args.out, _json_bytes(payload))
     return 0
 
 
@@ -258,7 +267,7 @@ def cmd_gate_check(args) -> int:
     print(f"  leakage above n_max/2: {report.leakage:.6e}")
     if report.flags:
         print(f"  flags: {', '.join(report.flags)}")
-    _write_out(args, payload)
+    _write_out(args.out, _json_bytes(payload))
     return 0
 
 
@@ -308,7 +317,7 @@ def cmd_ghz(args) -> int:
     print(f"  leakage above n_max/2: {report.leakage:.6e}")
     if report.flags:
         print(f"  flags: {', '.join(report.flags)}")
-    _write_out(args, payload)
+    _write_out(args.out, _json_bytes(payload))
     return 0
 
 
@@ -330,11 +339,7 @@ def _sweep_json(result: SweepResult) -> dict:
         "model": {
             "n_ions": result.n_ions,
             "n_max": result.n_max,
-            "n_pad": (
-                result.records[0].params.n_pad
-                if result.records and result.records[0].params
-                else None
-            ),
+            "n_pad": result.n_pad,
             "hamiltonian": result.model,
         },
         "grids": {"eta": list(result.eta_values), "nbar": list(result.nbar_values)},
@@ -359,17 +364,27 @@ def cmd_sweep(args) -> int:
     _check_minimum("--n-max", "n_max", n_max)
     _check_minimum("--n-pad", "n_pad", n_pad)
     seed = args.seed if args.seed is not None else config.seed
-    result = lamb_dicke_error_sweep(
-        config.eta_grid,
-        config.nbar_grid,
-        n_ions=config.n_ions,
-        n_max=n_max,
-        n_pad=n_pad,
-        model=config.hamiltonian,
-        seed=seed,
-    )
-    csv_text = _csv_text(SWEEP_CSV_COLUMNS, result.records)
-    payload = _sweep_json(result)
+    # the format of each output path; a path named twice takes the last one
+    formats = {config.csv_path: "csv", config.json_path: "json", args.out: args.format}
+    formats.pop(None, None)
+    # opened before the sweep runs, so that a path that cannot be written
+    # fails the command before any row is computed
+    with _opened(formats) as handles:
+        result = lamb_dicke_error_sweep(
+            config.eta_grid,
+            config.nbar_grid,
+            n_ions=config.n_ions,
+            n_max=n_max,
+            n_pad=n_pad,
+            model=config.hamiltonian,
+            seed=seed,
+        )
+        texts = {
+            "csv": _csv_text(SWEEP_CSV_COLUMNS, result.records),
+            "json": _json_bytes(_sweep_json(result)),
+        }
+        for path, fh in handles.items():
+            fh.write(texts[formats[path]])
     print(
         f"sweep: {len(result.eta_values)} eta x {len(result.nbar_values)} nbar "
         f"points, n_ions={result.n_ions}, n_max={n_max}, model={result.model}"
@@ -384,15 +399,9 @@ def cmd_sweep(args) -> int:
                 f"  ghz {rec.infidelity_ghz:.3e}  leak {rec.leakage:.3e}"
                 f"  ({rec.runtime_s:.2f}s){flag_note}"
             )
-    if config.csv_path:
-        with open(config.csv_path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(csv_text)
-        print(f"wrote {config.csv_path}")
-    if config.json_path:
-        with open(config.json_path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(_json_bytes(payload))
-        print(f"wrote {config.json_path}")
-    _write_out(args, payload, csv_text=csv_text)
+    for path in (config.csv_path, config.json_path):
+        if path:
+            print(f"wrote {path}")
     return 1 if any(rec.error for rec in result.records) else 0
 
 
@@ -422,8 +431,8 @@ def cmd_convergence(args) -> int:
             f"  {row.n_max:5d}  {row.gate_infidelity:15.6e}  {row.metric:19.6e}"
             f"  {di:>10s}  {dm:>11s}"
         )
-    columns = [f.name for f in fields(ConvergenceRow)]
-    _write_out(args, payload, csv_text=_csv_text(columns, rows))
+    csv_text = _csv_text([f.name for f in fields(ConvergenceRow)], rows)
+    _write_out(args.out, csv_text if args.format == "csv" else _json_bytes(payload))
     return 0
 
 
@@ -432,13 +441,17 @@ _MODEL_FLAG = dict(action="store_const", const="full", default="ld", dest="model
 
 def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--out", default=None, help="write machine output to this path")
+    sub.add_argument("--seed", type=int, default=None, help="recorded in provenance")
+
+
+def _add_format(sub: argparse.ArgumentParser) -> None:
+    # only the tabular commands have a CSV form
     sub.add_argument(
         "--format",
-        choices=("json", "csv", "text"),
+        choices=("json", "csv"),
         default="json",
         help="format for --out (default json)",
     )
-    sub.add_argument("--seed", type=int, default=None, help="recorded in provenance")
 
 
 def _add_cutoffs(sub: argparse.ArgumentParser, n_max: int | None, n_pad: int | None) -> None:
@@ -486,6 +499,7 @@ def make_parser() -> argparse.ArgumentParser:
     p_sweep = add_parser("sweep", help="run a sweep from a JSON config")
     p_sweep.add_argument("--config", required=True)
     _add_common(p_sweep)
+    _add_format(p_sweep)
     # None means "take the cutoffs from the config file"
     _add_cutoffs(p_sweep, None, None)
     p_sweep.set_defaults(func=cmd_sweep)
@@ -501,6 +515,7 @@ def make_parser() -> argparse.ArgumentParser:
     )
     p_conv.add_argument("--full-hamiltonian", **_MODEL_FLAG)
     _add_common(p_conv)
+    _add_format(p_conv)
     p_conv.add_argument("--n-pad", type=int, default=10, dest="n_pad")
     p_conv.set_defaults(func=cmd_convergence)
 

@@ -5,36 +5,28 @@ sum_k P_k x U_k over the N+1 J_x sectors: P_k projects onto the |+/->
 products with k minus signs (m = N - 2k), and U_k acts on the n_max + 1 Fock
 states. Every resonant propagator is built from such blocks and assembled by
 `sector_sum`. `sector_propagators` exponentiates the motional blocks of the
-Hamiltonian. `closed_form_propagator` returns the sector blocks of the
+Hamiltonian. With times in units of 1/omega_a and rates as ratios to it
+(see `hilbert`), `closed_form_propagator` returns the sector blocks of the
 factorized form
 
-    U(t) = exp[i Phi(t) J_x^2] * exp(-i omega_a a+a t) * f_disp(t)
+    U(t) = exp[i Phi(t) J_x^2] * exp(-i a+a t) * f_disp(t)
            * exp(-i Omega sin(theta) t J_x)
 
-with lambda = eta Omega cos(theta), Phi(t) = lambda^2 t / omega_a
-- lambda^2 sin(omega_a t) / omega_a^2, and f_disp a coherent displacement of
-amplitude beta(t) m in sector m, beta(t) = -(lambda / omega_a)
-(e^{i omega_a t} - 1). Each factor, and their ordered product, is assembled
-into a composite matrix only when it is read (see `PropagatorFactors`). At
-t = tau = 2 pi / omega_a the rotation and the displacement are the identity,
-and `propagator_at_tau` gives exp[i C J_x^2] exp[-i D J_x] x I, with (C, D)
-from `pulse_period_coefficients`.
+with lambda = eta Omega cos(theta), Phi(t) = lambda^2 (t - sin t), and f_disp
+a coherent displacement of amplitude beta(t) m in sector m,
+beta(t) = -lambda (e^{i t} - 1). Each factor, and their ordered product, is
+assembled into a composite matrix only when it is read (see
+`PropagatorFactors`). At t = tau = 2 pi the rotation and the displacement
+are the identity, and `propagator_at_tau` gives exp[i C J_x^2] exp[-i D J_x]
+x I, with (C, D) from `pulse_period_coefficients`.
 
 The dense `expm_propagator` of `hamiltonian_ld` or `hamiltonian_full`
 diagonalizes the whole 2^N (n_max + 1) Hamiltonian. It is the independent
 oracle for the tests and the closed-form cross-check, and the route for
 detuned evolution, where J_x is not conserved.
 
-Both Hamiltonians are real symmetric in the Fock x computational basis:
-a, a+, sigma_x, sigma_z and the operator sine (see `position_sine_operator`)
-are all real, and only a J_y term would make H complex. `expm_propagator` and
-`sector_propagators` therefore pick numpy's real symmetric eigensolver
-whenever their input has an imaginary part of exactly zero, and the complex
-Hermitian one otherwise. The spectrum is the same; the real solver is 3-5
-times faster. The Hamiltonians are built from real krons and wrapped as
-complex operators once. The propagator itself stays complex: from real
-eigenvectors V, `expm_propagator` assembles it from two real products,
-(V cos(lambda t)) V^T - i (V sin(lambda t)) V^T.
+Both Hamiltonians are real symmetric in the Fock x computational basis, so
+numpy's eigh diagonalizes them with its real solver.
 """
 
 from __future__ import annotations
@@ -71,7 +63,6 @@ class PropagatorFactors:
     rot: np.ndarray
     disp: np.ndarray
     carrier: np.ndarray
-    t: float
 
     def _assemble(self, blocks: np.ndarray) -> OperatorMatrix:
         return sector_sum(len(blocks) - 1, blocks)
@@ -113,29 +104,26 @@ def _coupling(params: ModelParams, model: str) -> OperatorMatrix:
 
 
 def _composite_hamiltonian(params: ModelParams, coupling: OperatorMatrix) -> OperatorMatrix:
-    # omega_a a+a + (Delta/2) J_z + Omega f J_x on the composite space. Every
-    # term is real in the Fock x computational basis, so the krons run in
-    # real arithmetic and the result is wrapped as a complex operator once.
+    # a+a + (Delta/2) J_z + Omega f J_x; the spin operators are complex for
+    # `ideal_gate_unitary`, and taking their real parts keeps H real
     number = np.diag(np.arange(params.dim_motion, dtype=float))
     jx = collective_spin(params.n_ions, "x").mat.real
 
-    h = params.omega_a * np.kron(np.eye(params.dim_internal), number)
-    h += params.omega * np.kron(jx, coupling.mat.real)
+    h = np.kron(np.eye(params.dim_internal), number)
+    h += params.omega_ratio * np.kron(jx, coupling.mat)
     if params.delta != 0.0:
         jz = collective_spin(params.n_ions, "z").mat.real
-        h += (params.delta * params.omega_a / 2.0) * np.kron(
-            jz, np.eye(params.dim_motion)
-        )
+        h += (params.delta / 2.0) * np.kron(jz, np.eye(params.dim_motion))
     return OperatorMatrix(h, "composite", dims=(params.dim_internal, params.dim_motion))
 
 
 def hamiltonian_ld(params: ModelParams) -> OperatorMatrix:
     """Lamb-Dicke Hamiltonian on the composite space.
 
-    H = omega_a a+a + (Delta/2) J_z + Omega [eta (a + a+) cos(theta)
+    H = a+a + (Delta/2) J_z + Omega [eta (a + a+) cos(theta)
         + sin(theta)] J_x
 
-    with Delta = params.delta * omega_a.
+    with every rate a ratio to omega_a: Delta = delta, Omega = omega_ratio.
     """
     return _composite_hamiltonian(params, _coupling(params, "ld"))
 
@@ -143,20 +131,13 @@ def hamiltonian_ld(params: ModelParams) -> OperatorMatrix:
 def hamiltonian_full(params: ModelParams) -> OperatorMatrix:
     """Full standing-wave Hamiltonian with the operator-valued sine.
 
-    H = omega_a a+a + (Delta/2) J_z + Omega sin(eta (a + a+) + theta) J_x
+    H = a+a + (Delta/2) J_z + Omega sin(eta (a + a+) + theta) J_x
 
     The sine operator is built at the padded cutoff (see
     `position_sine_operator`), so the Lamb-Dicke linearization is the only
     difference from `hamiltonian_ld`.
     """
     return _composite_hamiltonian(params, _coupling(params, "full"))
-
-
-def _eigh(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """numpy's eigh, in real arithmetic when the Hermitian input has an
-    imaginary part of exactly zero: the real symmetric solver returns the
-    same spectrum several times faster than the complex one."""
-    return np.linalg.eigh(mat if mat.imag.any() else mat.real)
 
 
 def expm_propagator(h: OperatorMatrix, t: float) -> OperatorMatrix:
@@ -169,7 +150,7 @@ def expm_propagator(h: OperatorMatrix, t: float) -> OperatorMatrix:
     """
     if not h.is_hermitian(tol=1e-10):
         raise ValueError("expm_propagator requires a Hermitian matrix")
-    vals, vecs = _eigh(h.mat)
+    vals, vecs = np.linalg.eigh(h.mat)
     if np.iscomplexobj(vecs):
         u = (vecs * np.exp(-1j * vals * t)) @ vecs.conj().T
     else:
@@ -217,7 +198,7 @@ def closed_form_propagator(params: ModelParams, t: float) -> PropagatorFactors:
     no composite matrix is built here. The returned `PropagatorFactors`
     assembles a factor by `sector_sum` only when it is read. In sector m the
     blocks are
-    e^{i Phi m^2} I (twist), diag(e^{-i omega_a n t}) (rotation), D(beta m)
+    e^{i Phi m^2} I (twist), diag(e^{-i n t}) (rotation), D(beta m)
     (displacement) and e^{-i Omega sin(theta) t m} I (carrier). Each
     D(alpha) = exp(alpha a+ - alpha* a) is the exponential of the truncated
     generator: V e^{-i lambda} V+ from one batched eigendecomposition of the
@@ -229,34 +210,33 @@ def closed_form_propagator(params: ModelParams, t: float) -> PropagatorFactors:
             f"{params.delta} (use expm_propagator for detuned evolution)"
         )
     n = params.n_ions
-    omega = params.omega_a
-    lam = params.eta * params.omega * np.cos(params.theta)
+    lam = params.eta * params.omega_ratio * np.cos(params.theta)
     m = _sector_m(n)
     eye = np.eye(params.dim_motion)
 
-    phi = lam**2 * t / omega - lam**2 * np.sin(omega * t) / omega**2
+    phi = lam**2 * t - lam**2 * np.sin(t)
     twist = np.exp(1j * phi * m**2)[:, None, None] * eye
 
-    rot_phases = np.exp(-1j * omega * np.arange(params.dim_motion) * t)
+    rot_phases = np.exp(-1j * np.arange(params.dim_motion) * t)
     rot = np.tile(np.diag(rot_phases), (n + 1, 1, 1))
 
     a, ad = ladder_operators(params.n_max)
-    beta = -(lam / omega) * (np.exp(1j * omega * t) - 1.0)
+    beta = -lam * (np.exp(1j * t) - 1.0)
     alpha = (beta * m)[:, None, None]
     vals, vecs = np.linalg.eigh(1j * (alpha * ad.mat - np.conj(alpha) * a.mat))
     disp = (vecs * np.exp(-1j * vals)[:, None, :]) @ vecs.conj().transpose(0, 2, 1)
 
-    carrier_phase = params.omega * np.sin(params.theta) * t
+    carrier_phase = params.omega_ratio * np.sin(params.theta) * t
     carrier = np.exp(-1j * carrier_phase * m)[:, None, None] * eye
 
-    return PropagatorFactors(twist=twist, rot=rot, disp=disp, carrier=carrier, t=t)
+    return PropagatorFactors(twist=twist, rot=rot, disp=disp, carrier=carrier)
 
 
 def sector_propagators(params: ModelParams, t: float, model: str) -> np.ndarray:
     """The motional propagators of the N+1 J_x sectors (resonant case only).
 
     On resonance both Hamiltonians are sum_m P_m x H_m with
-    H_m = omega_a a+a + Omega m f, where P_m projects onto the J_x eigenspace
+    H_m = a+a + Omega m f, where P_m projects onto the J_x eigenspace
     of m and f is the motional coupling of the model ("ld" or "full", as in
     `hamiltonian_ld` and `hamiltonian_full`), so exp(-i H t) is
     sum_m P_m x U_m with U_m = exp(-i H_m t) (`sector_sum` assembles it).
@@ -274,9 +254,9 @@ def sector_propagators(params: ModelParams, t: float, model: str) -> np.ndarray:
     coupling = _coupling(params, model).mat
     a, ad = ladder_operators(params.n_max)
     m = _sector_m(params.n_ions)
-    h = params.omega_a * (ad.mat @ a.mat) + params.omega * m[:, None, None] * coupling
-    vals, vecs = _eigh(h)
-    return (vecs * np.exp(-1j * vals * t)[:, None, :]) @ vecs.conj().transpose(0, 2, 1)
+    h = ad.mat @ a.mat + params.omega_ratio * m[:, None, None] * coupling
+    vals, vecs = np.linalg.eigh(h)
+    return (vecs * np.exp(-1j * vals * t)[:, None, :]) @ vecs.transpose(0, 2, 1)
 
 
 def pulse_period_coefficients(

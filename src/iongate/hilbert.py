@@ -9,8 +9,9 @@ Conventions (normative for every module in this package):
 - Pauli operators have eigenvalues +/-1 with sigma_z = |e><e| - |g><g| and
   sigma_x = |e><g| + |g><e|, so in the per-ion (g, e) ordering sigma_z is
   diag(-1, +1).
-- omega_a = 1 defines the time unit; every other rate is stored as a ratio
-  to it.
+- The trap frequency omega_a is the unit: times are in units of 1/omega_a,
+  so one trap period is 2 pi, and every other rate is stored as a ratio to
+  omega_a.
 """
 
 from __future__ import annotations
@@ -43,8 +44,6 @@ class ModelParams:
         Rabi frequency over trap frequency, Omega / omega_a, >= 0.
     theta : float
         Standing-wave offset angle in radians.
-    omega_a : float
-        Trap frequency; defaults to 1 and defines the time unit.
     delta : float
         Carrier detuning in units of omega_a (0 means resonance).
     n_ions : int
@@ -58,21 +57,18 @@ class ModelParams:
     eta: float
     omega_ratio: float
     theta: float
-    omega_a: float = 1.0
     delta: float = 0.0
     n_ions: int = 2
     n_max: int = 40
     n_pad: int = 10
 
     def __post_init__(self):
-        for name in ("eta", "omega_ratio", "theta", "omega_a", "delta"):
+        for name in ("eta", "omega_ratio", "theta", "delta"):
             value = getattr(self, name)
             if not np.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
         if not self.eta > 0:
             raise ValueError(f"eta must be > 0, got {self.eta}")
-        if not self.omega_a > 0:
-            raise ValueError(f"omega_a must be > 0, got {self.omega_a}")
         if self.omega_ratio < 0:
             raise ValueError(f"omega_ratio must be >= 0, got {self.omega_ratio}")
         if self.n_ions < 1:
@@ -83,14 +79,9 @@ class ModelParams:
             raise ValueError(f"n_pad must be >= 0, got {self.n_pad}")
 
     @property
-    def omega(self) -> float:
-        """Absolute Rabi frequency Omega."""
-        return self.omega_ratio * self.omega_a
-
-    @property
     def tau(self) -> float:
-        """One trap period, 2 pi / omega_a."""
-        return 2.0 * np.pi / self.omega_a
+        """One trap period, 2 pi / omega_a = 2 pi."""
+        return 2.0 * np.pi
 
     @property
     def dim_internal(self) -> int:
@@ -107,7 +98,9 @@ class ModelParams:
 
 @dataclass(frozen=True)
 class OperatorMatrix:
-    """Dense complex square matrix tagged with its Hilbert-space layout.
+    """Dense square matrix tagged with its Hilbert-space layout.
+
+    The matrix is float64 when its data are real and complex128 otherwise.
 
     ``dims = (dim_internal, dim_motion)`` is set for composite layout so that
     consumers can undo the tensor structure without carrying ModelParams
@@ -119,7 +112,7 @@ class OperatorMatrix:
     dims: tuple[int, int] | None = None
 
     def __post_init__(self):
-        m = np.asarray(self.mat, dtype=complex)
+        m = np.asarray(self.mat, dtype=complex if np.iscomplexobj(self.mat) else float)
         object.__setattr__(self, "mat", m)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError(f"operator must be square, got shape {m.shape}")
@@ -255,13 +248,10 @@ def ladder_operators(n_max: int) -> tuple[OperatorMatrix, OperatorMatrix]:
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
     dim = n_max + 1
-    a = np.zeros((dim, dim), dtype=complex)
+    a = np.zeros((dim, dim))
     ns = np.arange(1, dim)
     a[ns - 1, ns] = np.sqrt(ns)
-    return (
-        OperatorMatrix(a, "motion"),
-        OperatorMatrix(a.conj().T, "motion"),
-    )
+    return OperatorMatrix(a, "motion"), OperatorMatrix(a.T, "motion")
 
 
 def collective_spin(n_ions: int, axis: Literal["x", "y", "z"]) -> OperatorMatrix:
@@ -303,16 +293,10 @@ def position_sine_operator(params: ModelParams) -> OperatorMatrix:
     the eigenvalues, and the result truncated back to n_max + 1 dimensions.
     Padding keeps the truncated block accurate; the n_pad-doubling check in
     the tests bounds the residual.
-
-    a, the position x and hence the sine are real symmetric in the Fock
-    basis, so everything is built in float64 and diagonalized by the real
-    solver; the result has an imaginary part of exactly zero.
+    The operator is real symmetric in the Fock basis.
     """
-    dim_pad = params.n_max + params.n_pad + 1
-    a = np.zeros((dim_pad, dim_pad))
-    ns = np.arange(1, dim_pad)
-    a[ns - 1, ns] = np.sqrt(ns)
-    x = params.eta * (a + a.T) + params.theta * np.eye(dim_pad)
+    a, ad = ladder_operators(params.n_max + params.n_pad)
+    x = params.eta * (a.mat + ad.mat) + params.theta * np.eye(a.dim)
     vals, vecs = np.linalg.eigh(x)
     s = (vecs * np.sin(vals)) @ vecs.T
     s = s[: params.n_max + 1, : params.n_max + 1]

@@ -49,10 +49,6 @@ class GateSolution:
     residual_d: float
     branch: tuple[int, int] = (0, 0)
 
-    @property
-    def residuals(self) -> tuple[float, float]:
-        return (self.residual_c, self.residual_d)
-
     def model_params(self, *, n_ions: int, n_max: int, n_pad: int) -> ModelParams:
         """The resonant model at this gate point with the given size."""
         return ModelParams(
@@ -76,7 +72,6 @@ class GhzRecipe:
     phase against it. For odd N no phase is asserted and the field is None.
     """
 
-    n_ions: int
     params: ModelParams
     expected_rel_phase: float | None
 
@@ -150,9 +145,10 @@ def literal_params(eta: float) -> GateSolution:
     omega_a / Omega = sqrt(64 eta^2 / (eta^2 pi^2 + 4 pi))
 
     and report the coefficients these values actually achieve through
-    `propagator_at_tau`. No success assertion is made: direct substitution
-    gives C = pi^2/8 and -D = pi^2/4 for every eta, a factor pi away from the
-    gate target, and the residuals field carries that discrepancy.
+    `pulse_period_coefficients`. No success assertion is made: direct
+    substitution gives C = pi^2/8 and -D = pi^2/4 for every eta, a factor pi
+    away from the gate target, and the residual fields carry that
+    discrepancy.
     """
     if not (np.isfinite(eta) and eta > 0):
         raise ValueError(f"eta must be finite and > 0, got {eta}")
@@ -160,8 +156,9 @@ def literal_params(eta: float) -> GateSolution:
     theta = float(np.arcsin(sin_theta))
     inverse_r = np.sqrt(64.0 * eta**2 / (eta**2 * np.pi**2 + 4.0 * np.pi))
     r = float(1.0 / inverse_r)
-    params = ModelParams(eta=eta, omega_ratio=r, theta=theta)
-    _, c, d = propagator_at_tau(params)
+    # rejects a non-finite (theta, r), such as r = 1/0 when eta^2 underflows
+    ModelParams(eta=eta, omega_ratio=r, theta=theta)
+    c, d = pulse_period_coefficients(eta, r, theta)
     return GateSolution(
         eta=eta,
         theta=theta,
@@ -208,9 +205,9 @@ def ghz_recipe(n_ions: int, eta: float, n_max: int = 40, n_pad: int = 10) -> Ghz
         )
         # -(pi/2 + N pi/2) mod 2 pi, the phase of exp[+i pi/8 J_x^2] |g...g>
         expected = np.pi / 2.0 if n_ions % 4 == 2 else -np.pi / 2.0
-        return GhzRecipe(n_ions=n_ions, params=params, expected_rel_phase=expected)
+        return GhzRecipe(params=params, expected_rel_phase=expected)
     params = solve_gate_params(eta).model_params(n_ions=n_ions, n_max=n_max, n_pad=n_pad)
-    return GhzRecipe(n_ions=n_ions, params=params, expected_rel_phase=None)
+    return GhzRecipe(params=params, expected_rel_phase=None)
 
 
 def ideal_ghz_state(n_ions: int, phi_g: float, phi_e: float) -> QuantumState:

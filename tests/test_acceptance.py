@@ -82,10 +82,10 @@ def contained_n_max(params, t):
     1e-6 weight above n_max/2.
 
     |beta(t')| = |lambda/omega_a| |e^{i omega_a t'} - 1| peaks at
-    2|lambda/omega_a| once omega_a t' reaches pi.
+    2|lambda/omega_a| once omega_a t' reaches pi; omega_a is the unit.
     """
     lam = params.eta * params.omega_ratio * np.cos(params.theta)
-    phase = min(params.omega_a * t, np.pi)
+    phase = min(t, np.pi)
     alpha = abs(lam) * abs(np.exp(1j * phase) - 1.0) * params.n_ions
     n_max = 30
     while max(displaced_fock_tail(k, alpha, n_max // 2) for k in range(16)) >= 1e-6:

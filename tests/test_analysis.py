@@ -323,8 +323,8 @@ class TestSweep:
         kwargs = dict(n_max=12, model="ld", seed=123)
         a = lamb_dicke_error_sweep((0.1,), (0.5,), **kwargs)
         b = lamb_dicke_error_sweep((0.1,), (0.5,), **kwargs)
-        ra = dataclasses.replace(a.records[0], runtime_s=0.0, params=None)
-        rb = dataclasses.replace(b.records[0], runtime_s=0.0, params=None)
+        ra = dataclasses.replace(a.records[0], runtime_s=0.0)
+        rb = dataclasses.replace(b.records[0], runtime_s=0.0)
         assert ra == rb
         assert a.seed == 123
 
@@ -334,7 +334,7 @@ class TestSweep:
         failed, good = result.records[:2], result.records[2:]
         assert failed[0].error and failed[0].error == failed[1].error
         for rec in failed:
-            assert rec.params is None and rec.infidelity_gate is None
+            assert rec.infidelity_gate is None
         assert all(rec.error is None for rec in good)
 
     def test_propagator_built_once_per_eta(self, monkeypatch):
@@ -357,9 +357,9 @@ class TestSweep:
             assert rec.leakage == single.leakage
 
     def test_records_carry_provenance(self):
-        result = lamb_dicke_error_sweep((0.1,), (0.0,), n_max=12, model="ld")
+        result = lamb_dicke_error_sweep((0.1,), (0.0,), n_max=12, n_pad=7, model="ld")
         rec = result.records[0]
-        assert rec.params is not None and rec.params.n_max == 12
+        assert (result.n_max, result.n_pad, rec.n_max) == (12, 7, 12)
         assert rec.runtime_s >= 0.0
 
 

@@ -238,6 +238,33 @@ class TestSweepCommand:
         assert sorted(payload["records"][0]) == SCHEMA["sweep"]["record"]
         assert set(payload["versions"]) == {"iongate", "numpy", "scipy"}
 
+    def test_n_pad_recorded_when_the_first_point_fails(self, tmp_path):
+        out = tmp_path / "sw.json"
+        cfg = write_config(
+            tmp_path,
+            model={"n_ions": 2, "n_max": 12, "n_pad": 7, "hamiltonian": "ld"},
+            grids={"eta": [1e9, 0.1], "nbar": [0.0]},
+        )
+        assert run_cli("sweep", "--config", str(cfg), "--out", str(out)) == 1
+        payload = json.loads(out.read_text())
+        assert payload["records"][0]["error"]
+        assert payload["model"]["n_pad"] == 7
+
+    @pytest.mark.parametrize("missing", ["csv", "json", "out"])
+    def test_unwritable_output_refused_before_computing(self, tmp_path, capsys, missing):
+        paths = {
+            key: tmp_path / ("nodir" if key == missing else ".") / f"sw.{key}"
+            for key in ("csv", "json", "out")
+        }
+        cfg = write_config(
+            tmp_path, output={"csv": str(paths["csv"]), "json": str(paths["json"])}
+        )
+        code = run_cli("sweep", "--config", str(cfg), "--out", str(paths["out"]))
+        assert code == 2
+        # no row was computed, and the outputs that could be opened are gone
+        assert capsys.readouterr().out == ""
+        assert not any(path.exists() for path in paths.values())
+
     def test_output_paths_from_config(self, tmp_path):
         target = tmp_path / "rows.csv"
         cfg = write_config(tmp_path, output={"csv": str(target)})
@@ -412,16 +439,26 @@ class TestConvergenceCommand:
 
 
 class TestOutputContract:
-    def test_csv_refused_for_scalar_commands(self, tmp_path):
+    def test_csv_refused_for_scalar_commands(self, tmp_path, capsys):
+        # JSON is their only machine format, so --format is not an option
+        # and the command is refused before it computes anything
         out = tmp_path / "x.csv"
-        code = run_cli("solve", "--eta", "0.1", "--out", str(out), "--format", "csv")
-        assert code == 2
+        for command in ("solve", "gate-check", "ghz"):
+            with pytest.raises(SystemExit) as exc:
+                run_cli(command, "--eta", "0.1", "--out", str(out), "--format", "csv")
+            assert exc.value.code == 2
+            assert capsys.readouterr().out == ""
+        assert not out.exists()
 
-    def test_text_format_needs_no_out(self, tmp_path):
-        assert run_cli("solve", "--eta", "0.1", "--format", "text") == 0
-        out = tmp_path / "x.txt"
-        code = run_cli("solve", "--eta", "0.1", "--format", "text", "--out", str(out))
-        assert code == 2
+    @pytest.mark.parametrize("command", ["sweep", "convergence"])
+    def test_text_format_refused(self, tmp_path, capsys, command):
+        # human text goes to standard output only; no file takes it
+        cfg = write_config(tmp_path)
+        args = ["--config", str(cfg)] if command == "sweep" else []
+        with pytest.raises(SystemExit) as exc:
+            run_cli(command, *args, "--format", "text")
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
 
     def test_machine_output_only_via_out(self, tmp_path, capsys):
         assert run_cli("solve", "--eta", "0.1") == 0

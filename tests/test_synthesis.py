@@ -131,7 +131,7 @@ class TestSolveGateParams:
         p = s.model_params(n_ions=3, n_max=7, n_pad=2)
         assert (p.eta, p.theta, p.omega_ratio) == (s.eta, s.theta, s.omega_ratio)
         assert (p.n_ions, p.n_max, p.n_pad) == (3, 7, 2)
-        assert (p.omega_a, p.delta) == (1.0, 0.0)
+        assert p.delta == 0.0
         with pytest.raises(TypeError):
             s.model_params(3, 7, 2)
 
@@ -159,6 +159,11 @@ class TestLiteralParams:
         lit = literal_params(0.1)
         assert np.isclose(lit.residual_c, np.pi**2 / 8 - np.pi / 8, atol=1e-12)
         assert np.isclose(lit.residual_d, np.pi**2 / 4 - np.pi / 4, atol=1e-12)
+
+    def test_infinite_rate_is_rejected(self):
+        # eta^2 underflows to 0, so r = 1/0 is infinite, which the model refuses
+        with np.errstate(divide="ignore"), pytest.raises(ValueError, match="omega_ratio"):
+            literal_params(1e-200)
 
     def test_large_eta_limit(self):
         lit = literal_params(1e6)
