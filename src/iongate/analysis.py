@@ -15,6 +15,14 @@ minus the mean over the 2^N inputs. The composite form is essential: these
 inputs are J_x eigenstates, so their traced internal state is exactly the
 input under both Hamiltonians and a purely internal fidelity would be
 identically 1 regardless of parameters (see README).
+
+Evaluation order of the truth table, with d = 2^N (n_max+1): each input's
+output state is W rho W+ with the d x (n_max+1) matrix W = U (|v> x I_m), in
+d^2 (n_max+1) work; the reduced states and the leakage are read from it as
+a plain array, without a `QuantumState` or a per-state validation. What
+remains of size d is the composite Uhlmann fidelity against
+|Gv><Gv| x rho, an eigh and an eigvalsh of size d per input, which is most
+of the truth table's time.
 """
 
 from __future__ import annotations
@@ -25,13 +33,12 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dynamics import evolve, sector_propagators, sector_sum
+from .dynamics import sector_propagators, sector_sum
 from .hilbert import (
     ModelParams,
     OperatorMatrix,
     QuantumState,
     ThermalSpec,
-    composite_mixed,
     pm_product_states,
     thermal_state,
 )
@@ -62,8 +69,11 @@ def partial_trace(state: QuantumState, keep: str) -> QuantumState:
             reduced = np.einsum("anbn->ab", rho)
         else:
             reduced = np.einsum("anam->nm", rho)
-    reduced = (reduced + reduced.conj().T) / 2.0
-    return QuantumState("mixed", reduced, keep)
+    return QuantumState("mixed", _hermitian_part(reduced), keep)
+
+
+def _hermitian_part(m: np.ndarray) -> np.ndarray:
+    return (m + m.conj().T) / 2.0
 
 
 def _sqrt_psd(rho: np.ndarray) -> np.ndarray:
@@ -89,10 +99,27 @@ def fidelity(a: QuantumState, b: QuantumState) -> float:
     elif b.kind == "pure":
         val = np.vdot(b.data, a.data @ b.data).real
     else:
-        sq = _sqrt_psd(a.data)
-        inner = np.clip(np.linalg.eigvalsh(sq @ b.data @ sq), 0.0, None)
-        val = float(np.sqrt(inner).sum() ** 2)
+        val = _uhlmann(a.data, b.data)
+    return _unit(val)
+
+
+def _uhlmann(a: np.ndarray, b: np.ndarray) -> float:
+    # (tr sqrt(sqrt(a) b sqrt(a)))^2 of two density matrices, unclipped
+    sq = _sqrt_psd(a)
+    inner = np.clip(np.linalg.eigvalsh(sq @ b @ sq), 0.0, None)
+    return float(np.sqrt(inner).sum() ** 2)
+
+
+def _unit(val: float) -> float:
+    # clamp a roundoff-level excursion into [0, 1]; NaN stays NaN
     return float(min(max(val, 0.0), 1.0))
+
+
+def _infidelity(fid: float) -> float:
+    # 1 - fid floored at 0; written so that NaN stays NaN, where
+    # max(0.0, nan) would report a perfect gate
+    val = 1.0 - fid
+    return 0.0 if val < 0.0 else val
 
 
 def unitary_gate_fidelity(actual: OperatorMatrix, ideal: OperatorMatrix) -> float:
@@ -193,8 +220,7 @@ class TruthTableReport:
     @property
     def gate_infidelity(self) -> float:
         """One minus the mean composite fidelity over the inputs."""
-        mean = float(np.mean(self.composite_fidelities))
-        return max(0.0, 1.0 - mean)
+        return _infidelity(float(np.mean(self.composite_fidelities)))
 
 
 def truth_table_check(
@@ -210,7 +236,12 @@ def truth_table_check(
     motional restoration fidelity after tracing out the ions, and the
     composite fidelity against image x restored motion (the phase-sensitive
     quantity used as the gate infidelity). `u` defaults to the resonant
-    one-period propagator of the model, assembled from J_x sectors.
+    one-period propagator of the model, assembled from J_x sectors; any
+    finite composite `u` of the right size is accepted, a detuned one from
+    the dense oracle included.
+
+    Each output state is W rho W+ with W = U (|v> x I_m); the metrics read
+    it as a plain array, so nothing of composite size is validated per input.
     """
     if motion.dim != params.dim_motion:
         raise ValueError(
@@ -218,21 +249,36 @@ def truth_table_check(
         )
     if u is None:
         u = _propagator_for(params, model)
+    if u.dim != params.dim:
+        raise ValueError(
+            f"propagator dim {u.dim} does not match the model dim {params.dim}"
+        )
+    # the only finiteness check: every state below is built from u and motion
+    if not np.isfinite(u.mat).all():
+        raise ValueError("propagator must be finite")
+    d_i, d_m = params.dim_internal, params.dim_motion
+    rho_m = motion.density()
     ideal = ideal_gate_unitary(params.n_ions)
     inputs = pm_product_states(params.n_ions)
     labels, f_int, f_res, f_comp = [], [], [], []
     leak = 0.0
     for label in sorted(inputs):
-        vec = inputs[label]
-        image_vec = ideal.mat @ vec.data
-        image = QuantumState("pure", image_vec / np.linalg.norm(image_vec), "internal")
-        state_in = composite_mixed(vec, motion)
-        out = evolve(state_in, u)
-        f_int.append(fidelity(partial_trace(out, "internal"), image))
-        f_res.append(fidelity(partial_trace(out, "motion"), motion))
-        target = composite_mixed(image, motion)
-        f_comp.append(fidelity(out, target))
-        leak = max(leak, leakage_population(out))
+        vec = inputs[label].data
+        image = ideal.mat @ vec
+        image /= np.linalg.norm(image)
+        out = _output_state(u.mat, vec, rho_m)
+        blocks = out.reshape(d_i, d_m, d_i, d_m)
+        red_int = _hermitian_part(np.einsum("anbn->ab", blocks))
+        red_m = _hermitian_part(np.einsum("anam->nm", blocks))
+        f_int.append(_unit(np.vdot(image, red_int @ image).real))
+        if motion.kind == "pure":
+            f_res.append(_unit(np.vdot(motion.data, red_m @ motion.data).real))
+        else:
+            f_res.append(_unit(_uhlmann(red_m, rho_m)))
+        target = np.kron(np.outer(image, image.conj()), rho_m)
+        f_comp.append(_unit(_uhlmann(out, target)))
+        populations = np.real(np.diagonal(red_m))
+        leak = max(leak, float(populations[params.n_max // 2 + 1 :].sum()))
         labels.append(label)
     flags = (TRUNCATION_FLAG,) if leak > LEAKAGE_THRESHOLD else ()
     return TruthTableReport(
@@ -244,6 +290,17 @@ def truth_table_check(
         leakage=leak,
         flags=flags,
     )
+
+
+def _output_state(u: np.ndarray, vec: np.ndarray, rho_m: np.ndarray) -> np.ndarray:
+    # U (|v><v| x rho_m) U+ = W rho_m W+ with the d x (n_max+1) matrix
+    # W = U (|v> x I_m): d^2 (n_max+1) work instead of 2 d^3. Hermitized in
+    # place and W freed on return, so no second copy of out outlives this call
+    w = u @ np.kron(vec[:, None], np.eye(rho_m.shape[0]))
+    out = w @ rho_m @ w.conj().T
+    out += out.conj().T
+    out /= 2.0
+    return out
 
 
 @dataclass(frozen=True)
@@ -403,7 +460,7 @@ def lamb_dicke_error_sweep(
                         nbar=nbar,
                         n_max=n_max,
                         infidelity_gate=table.gate_infidelity,
-                        infidelity_ghz=max(0.0, 1.0 - ghz.fidelity),
+                        infidelity_ghz=_infidelity(ghz.fidelity),
                         leakage=leak,
                         flags=flags,
                         error=None,

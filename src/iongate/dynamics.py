@@ -263,11 +263,18 @@ def pulse_period_coefficients(
     eta: float, omega_ratio: float, theta: float
 ) -> tuple[float, float]:
     """The coefficients (C, D) of U(tau) = exp[i C J_x^2] exp[-i D J_x]:
-    C = 2 pi eta^2 (Omega/omega_a)^2 cos^2(theta) and
-    D = 2 pi (Omega/omega_a) sin(theta)."""
-    c = 2.0 * np.pi * eta**2 * omega_ratio**2 * np.cos(theta) ** 2
-    d = 2.0 * np.pi * omega_ratio * np.sin(theta)
-    return float(c), float(d)
+    C = 2 pi lambda^2 with the coupling lambda = eta (Omega/omega_a) cos(theta),
+    and D = 2 pi (Omega/omega_a) sin(theta).
+
+    C is formed from lambda, not from eta^2 and (Omega/omega_a)^2, whose
+    squares leave the float range long before C does (eta = 1e-200 at the
+    gate point has lambda = 1/4). The products are Python floats, so a C
+    beyond the float range is inf, never an exception or a numpy warning.
+    """
+    lam = float(eta) * float(omega_ratio) * float(np.cos(theta))
+    c = 2.0 * np.pi * (lam * lam)
+    d = 2.0 * np.pi * float(omega_ratio) * float(np.sin(theta))
+    return c, d
 
 
 def propagator_at_tau(

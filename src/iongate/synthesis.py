@@ -78,8 +78,9 @@ class GhzRecipe:
 
 def _branch_solution(eta: float, k1: int, k2: int) -> tuple[float, float]:
     """(theta, r) of branch (k1, k2) in closed form: x = r cos(theta) from the
-    C constraint, y = r sin(theta) from the D constraint."""
-    x = np.sqrt((GATE_C + 2.0 * np.pi * k1) / (2.0 * np.pi)) / eta
+    C constraint, y = r sin(theta) from the D constraint. x is a Python
+    float, so a subnormal eta gives x = inf rather than a numpy warning."""
+    x = float(np.sqrt((GATE_C + 2.0 * np.pi * k1) / (2.0 * np.pi))) / float(eta)
     y = -(GATE_MINUS_D + 2.0 * np.pi * k2) / (2.0 * np.pi)
     return float(np.arctan2(y, x)), float(np.hypot(x, y))
 

@@ -9,22 +9,28 @@ import numpy as np
 
 from iongate import (
     ModelParams,
+    OperatorMatrix,
     QuantumState,
     ThermalSpec,
     composite_mixed,
     composite_pure,
     evolve,
     expm_propagator,
+    fidelity,
     ghz_fidelity,
     ghz_recipe,
     hamiltonian_full,
     hamiltonian_ld,
+    ideal_gate_unitary,
     internal_product_state,
     leakage_population,
     partial_trace,
+    pm_product_states,
     solve_gate_params,
     thermal_state,
+    TruthTableReport,
 )
+from iongate.analysis import LEAKAGE_THRESHOLD, TRUNCATION_FLAG
 
 
 @lru_cache(maxsize=None)
@@ -76,3 +82,37 @@ def dense_ghz(
     out = evolve(state, u)
     fid, phase = ghz_fidelity(partial_trace(out, "internal"))
     return fid, phase, leakage_population(out)
+
+
+def dense_truth_table(
+    params: ModelParams, motion: QuantumState, u: OperatorMatrix, model: str = "ld"
+) -> TruthTableReport:
+    """The truth table by evolving each composite input U (|v><v| x rho) U+
+    as a validated state and reading every metric through the public state
+    functions: the reference for the W rho W+ route of `truth_table_check`."""
+    ideal = ideal_gate_unitary(params.n_ions)
+    inputs = pm_product_states(params.n_ions)
+    labels, f_int, f_res, f_comp = [], [], [], []
+    leak = 0.0
+    for label in sorted(inputs):
+        vec = inputs[label]
+        image_vec = ideal.mat @ vec.data
+        image = QuantumState("pure", image_vec / np.linalg.norm(image_vec), "internal")
+        state_in = composite_mixed(vec, motion)
+        out = evolve(state_in, u)
+        f_int.append(fidelity(partial_trace(out, "internal"), image))
+        f_res.append(fidelity(partial_trace(out, "motion"), motion))
+        target = composite_mixed(image, motion)
+        f_comp.append(fidelity(out, target))
+        leak = max(leak, leakage_population(out))
+        labels.append(label)
+    flags = (TRUNCATION_FLAG,) if leak > LEAKAGE_THRESHOLD else ()
+    return TruthTableReport(
+        model=model,
+        input_labels=tuple(labels),
+        internal_fidelities=tuple(f_int),
+        restoration_fidelities=tuple(f_res),
+        composite_fidelities=tuple(f_comp),
+        leakage=leak,
+        flags=flags,
+    )

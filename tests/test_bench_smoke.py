@@ -5,6 +5,9 @@ requires every output to match the recorded references, so a change that
 moves a checked value past the benchmark's tolerance fails here first.
 """
 
+import contextlib
+import importlib.util
+import io
 import json
 import subprocess
 import sys
@@ -12,7 +15,19 @@ from pathlib import Path
 
 import pytest
 
+from iongate.cli import main
+
 ROOT = Path(__file__).resolve().parent.parent
+
+
+def _perfbench_workloads():
+    path = ROOT / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    # dataclasses resolve the module's annotations through sys.modules
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.mark.parametrize("workload", ["cli-short", "crosscheck", "ghz-n5", "sweep-n3"])
@@ -28,3 +43,15 @@ def test_smoke_run_is_correct(workload):
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     assert result["correct"], proc.stdout
     assert result["failed"] == 0, proc.stdout
+
+
+def test_full_size_n3_sweep_matches_the_references(tmp_path):
+    # the smoke sweep runs N=2 at n_max=20; the dense composite-fidelity
+    # noise is largest at the full size N=3, n_max=40 and nbar=0, so these
+    # four points of the full reference grid are checked at REF_TOL as well
+    workloads = _perfbench_workloads()
+    job = workloads.sweep_job((0.04, 0.25), (0.0, 2.0), 3, 40, tmp_path)
+    with contextlib.redirect_stdout(io.StringIO()):
+        rc = main(job.args)
+    assert len(job.outputs()) == 4
+    assert workloads.check_job(job, rc, workloads.load_refs()) == []

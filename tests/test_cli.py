@@ -62,6 +62,22 @@ class TestSolveCommand:
         assert run_cli("solve", "--eta", eta) == 2
         assert "finite" in capsys.readouterr().err
 
+    def test_tiny_eta_solves(self, tmp_path):
+        # eta^2 and r^2 leave the float range, the coupling eta r cos(theta)
+        # = 1/4 does not
+        out = tmp_path / "solve.json"
+        assert run_cli("solve", "--eta", "1e-200", "--out", str(out)) == 0
+        sol = json.loads(out.read_text())["solution"]
+        assert abs(sol["achieved_c"] - np.pi / 8) < 1e-12
+        assert np.isclose(sol["omega_ratio"], 2.5e199, rtol=1e-12)
+
+    @pytest.mark.parametrize("eta", ["1e5", "1e200", "1e-320"])
+    def test_out_of_range_eta_exits_1(self, eta, capsys):
+        # above eta ~ 2.4e4 cos(theta) is roundoff-limited and C misses its
+        # 1e-12 residual (at 1e200, C is inf); a subnormal eta makes r inf
+        assert run_cli("solve", "--eta", eta) == 1
+        assert "gate parameter solve failed" in capsys.readouterr().err
+
 
 class TestGateCheckCommand:
     def test_vacuum_run_schema_and_values(self, tmp_path):
