@@ -16,13 +16,15 @@ inputs are J_x eigenstates, so their traced internal state is exactly the
 input under both Hamiltonians and a purely internal fidelity would be
 identically 1 regardless of parameters (see README).
 
-Evaluation order of the truth table, with d = 2^N (n_max+1): each input's
-output state is W rho W+ with the d x (n_max+1) matrix W = U (|v> x I_m), in
-d^2 (n_max+1) work; the reduced states and the leakage are read from it as
-a plain array, without a `QuantumState` or a per-state validation. What
-remains of size d is the composite Uhlmann fidelity against
-|Gv><Gv| x rho, an eigh and an eigvalsh of size d per input, which is most
-of the truth table's time.
+Each state quantity has one array kernel, shared by the public function
+and the harnesses: `_reduced` (partial trace, `partial_trace`), `_fidelity`
+(`fidelity`), `_weight_above` (`leakage_population`, `ghz_check`) and
+`dynamics._conjugate` (w rho w+, `evolve`). The truth table, with
+d = 2^N (n_max+1), builds each output state as W rho W+ with the
+d x (n_max+1) matrix W = U (|v> x I_m) and reads everything from that plain
+array, with no `QuantumState` and no per-state validation. What remains of
+size d is the composite Uhlmann fidelity against |Gv><Gv| x rho, most of
+the truth table's time.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dynamics import sector_propagators, sector_sum
+from .dynamics import _conjugate, sector_propagators, sector_sum
 from .hilbert import (
     ModelParams,
     OperatorMatrix,
@@ -56,20 +58,18 @@ def partial_trace(state: QuantumState, keep: str) -> QuantumState:
         raise ValueError("partial_trace requires a composite state with dims")
     if keep not in ("internal", "motion"):
         raise ValueError(f"keep must be 'internal' or 'motion', got {keep!r}")
-    d_i, d_m = state.dims
-    if state.kind == "pure":
-        psi = state.data.reshape(d_i, d_m)
-        if keep == "internal":
-            reduced = psi @ psi.conj().T
-        else:
-            reduced = psi.T @ psi.conj()
-    else:
-        rho = state.data.reshape(d_i, d_m, d_i, d_m)
-        if keep == "internal":
-            reduced = np.einsum("anbn->ab", rho)
-        else:
-            reduced = np.einsum("anam->nm", rho)
+    if state.kind == "mixed":
+        return QuantumState("mixed", _reduced(state.data, state.dims, keep), keep)
+    # a pure state is reduced without forming its composite density matrix
+    psi = state.data.reshape(state.dims)
+    reduced = psi @ psi.conj().T if keep == "internal" else psi.T @ psi.conj()
     return QuantumState("mixed", _hermitian_part(reduced), keep)
+
+
+def _reduced(rho: np.ndarray, dims: tuple[int, int], keep: str) -> np.ndarray:
+    # the Hermitian part of the partial trace of a composite density matrix
+    subscripts = "anbn->ab" if keep == "internal" else "anam->nm"
+    return _hermitian_part(np.einsum(subscripts, rho.reshape(*dims, *dims)))
 
 
 def _hermitian_part(m: np.ndarray) -> np.ndarray:
@@ -92,14 +92,19 @@ def fidelity(a: QuantumState, b: QuantumState) -> float:
     """
     if a.dim != b.dim:
         raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
-    if a.kind == "pure" and b.kind == "pure":
-        return float(np.abs(np.vdot(a.data, b.data)) ** 2)
-    if a.kind == "pure":
-        val = np.vdot(a.data, b.data @ a.data).real
-    elif b.kind == "pure":
-        val = np.vdot(b.data, a.data @ b.data).real
+    return _fidelity(a.data, b.data)
+
+
+def _fidelity(a: np.ndarray, b: np.ndarray) -> float:
+    # `fidelity` on arrays: a vector is a pure state, a matrix a mixed one
+    if a.ndim == 1 and b.ndim == 1:
+        return float(np.abs(np.vdot(a, b)) ** 2)
+    if a.ndim == 1:
+        val = np.vdot(a, b @ a).real
+    elif b.ndim == 1:
+        val = np.vdot(b, a @ b).real
     else:
-        val = _uhlmann(a.data, b.data)
+        val = _uhlmann(a, b)
     return _unit(val)
 
 
@@ -141,22 +146,16 @@ def motional_independence_metric(u: OperatorMatrix, n_limit: int) -> float:
         raise ValueError("metric requires a composite operator with dims")
     d_i, d_m = u.dims
     n_max = d_m - 1
-    if n_limit > n_max // 2:
+    if not 0 <= n_limit <= n_max // 2:
         raise ValueError(
-            f"n_limit={n_limit} exceeds n_max/2={n_max // 2}; blocks beyond "
-            "that are truncation-corrupted by construction"
+            f"n_limit={n_limit} is outside [0, n_max/2={n_max // 2}]; blocks "
+            "beyond n_max/2 are truncation-corrupted by construction"
         )
     blocks = u.mat.reshape(d_i, d_m, d_i, d_m)
-    v0 = blocks[:, 0, :, 0]
-    worst = 0.0
-    for n in range(n_limit + 1):
-        for m in range(n_limit + 1):
-            block = blocks[:, n, :, m]
-            if n == m:
-                worst = max(worst, float(np.abs(block - v0).max()))
-            else:
-                worst = max(worst, float(np.abs(block).max()))
-    return worst
+    kept = blocks[:, : n_limit + 1, :, : n_limit + 1].copy()
+    diagonal = np.arange(n_limit + 1)
+    kept[:, diagonal, :, diagonal] -= blocks[:, 0, :, 0]
+    return float(np.abs(kept).max())
 
 
 def leakage_population(state: QuantumState, n_threshold: int | None = None) -> float:
@@ -174,17 +173,28 @@ def leakage_population(state: QuantumState, n_threshold: int | None = None) -> f
         raise ValueError("leakage requires a composite or motional state")
     if n_threshold is None:
         n_threshold = (d_m - 1) // 2
+    if n_threshold < 0:
+        raise ValueError(f"n_threshold must be >= 0, got {n_threshold}")
     if state.kind == "pure":
         probs = np.abs(state.data.reshape(d_i, d_m)) ** 2
-        return float(probs[:, n_threshold + 1 :].sum())
-    diag = np.real(np.diagonal(state.data)).reshape(d_i, d_m)
-    return float(diag[:, n_threshold + 1 :].sum())
+    else:
+        probs = np.real(np.diagonal(state.data)).reshape(d_i, d_m)
+    return float(_weight_above(probs, n_threshold).sum())
+
+
+def _weight_above(populations: np.ndarray, n_threshold: int) -> np.ndarray:
+    # population above Fock index n_threshold, summed over the last axis
+    return populations[..., n_threshold + 1 :].sum(-1)
+
+
+def _flags(leak: float) -> tuple[str, ...]:
+    return (TRUNCATION_FLAG,) if leak > LEAKAGE_THRESHOLD else ()
 
 
 def _ghz_maximum(rho_gg: float, rho_ee: float, rho_eg: complex) -> tuple[float, float]:
     # (rho_GG + rho_EE + 2 |rho_EG|)/2 at phi_e - phi_g = arg(rho_EG)
     fid = (rho_gg + rho_ee + 2.0 * np.abs(rho_eg)) / 2.0
-    return float(min(max(fid, 0.0), 1.0)), float(np.angle(rho_eg))
+    return _unit(fid), float(np.angle(rho_eg))
 
 
 def ghz_fidelity(rho_internal: QuantumState) -> tuple[float, float]:
@@ -238,10 +248,8 @@ def truth_table_check(
     quantity used as the gate infidelity). `u` defaults to the resonant
     one-period propagator of the model, assembled from J_x sectors; any
     finite composite `u` of the right size is accepted, a detuned one from
-    the dense oracle included.
-
-    Each output state is W rho W+ with W = U (|v> x I_m); the metrics read
-    it as a plain array, so nothing of composite size is validated per input.
+    the dense oracle included. Nothing of composite size is validated per
+    input (see the module docstring).
     """
     if motion.dim != params.dim_motion:
         raise ValueError(
@@ -256,7 +264,7 @@ def truth_table_check(
     # the only finiteness check: every state below is built from u and motion
     if not np.isfinite(u.mat).all():
         raise ValueError("propagator must be finite")
-    d_i, d_m = params.dim_internal, params.dim_motion
+    dims = params.dim_internal, params.dim_motion
     rho_m = motion.density()
     ideal = ideal_gate_unitary(params.n_ions)
     inputs = pm_product_states(params.n_ions)
@@ -266,21 +274,16 @@ def truth_table_check(
         vec = inputs[label].data
         image = ideal.mat @ vec
         image /= np.linalg.norm(image)
-        out = _output_state(u.mat, vec, rho_m)
-        blocks = out.reshape(d_i, d_m, d_i, d_m)
-        red_int = _hermitian_part(np.einsum("anbn->ab", blocks))
-        red_m = _hermitian_part(np.einsum("anam->nm", blocks))
-        f_int.append(_unit(np.vdot(image, red_int @ image).real))
-        if motion.kind == "pure":
-            f_res.append(_unit(np.vdot(motion.data, red_m @ motion.data).real))
-        else:
-            f_res.append(_unit(_uhlmann(red_m, rho_m)))
-        target = np.kron(np.outer(image, image.conj()), rho_m)
-        f_comp.append(_unit(_uhlmann(out, target)))
+        # U (|v><v| x rho) U+ = W rho W+ with W = U (|v> x I_m); W is a
+        # temporary, so it is freed before the d-sized fidelity runs
+        out = _conjugate(u.mat @ np.kron(vec[:, None], np.eye(dims[1])), rho_m)
+        red_m = _reduced(out, dims, "motion")
+        f_int.append(_fidelity(_reduced(out, dims, "internal"), image))
+        f_res.append(_fidelity(red_m, motion.data))
+        f_comp.append(_fidelity(out, np.kron(np.outer(image, image.conj()), rho_m)))
         populations = np.real(np.diagonal(red_m))
-        leak = max(leak, float(populations[params.n_max // 2 + 1 :].sum()))
+        leak = max(leak, float(_weight_above(populations, params.n_max // 2)))
         labels.append(label)
-    flags = (TRUNCATION_FLAG,) if leak > LEAKAGE_THRESHOLD else ()
     return TruthTableReport(
         model=model,
         input_labels=tuple(labels),
@@ -288,19 +291,8 @@ def truth_table_check(
         restoration_fidelities=tuple(f_res),
         composite_fidelities=tuple(f_comp),
         leakage=leak,
-        flags=flags,
+        flags=_flags(leak),
     )
-
-
-def _output_state(u: np.ndarray, vec: np.ndarray, rho_m: np.ndarray) -> np.ndarray:
-    # U (|v><v| x rho_m) U+ = W rho_m W+ with the d x (n_max+1) matrix
-    # W = U (|v> x I_m): d^2 (n_max+1) work instead of 2 d^3. Hermitized in
-    # place and W freed on return, so no second copy of out outlives this call
-    w = u @ np.kron(vec[:, None], np.eye(rho_m.shape[0]))
-    out = w @ rho_m @ w.conj().T
-    out += out.conj().T
-    out /= 2.0
-    return out
 
 
 @dataclass(frozen=True)
@@ -361,11 +353,10 @@ def ghz_check(
         signed @ overlaps @ weights,
     )
     populations = np.einsum("kij,kij->ki", moved, u.conj()).real
-    leak = float(weights @ populations[:, n_max // 2 + 1 :].sum(axis=1))
+    leak = float(weights @ _weight_above(populations, n_max // 2))
     deviation = None
     if recipe.expected_rel_phase is not None:
         deviation = abs(_wrap_angle(phase - recipe.expected_rel_phase))
-    flags = (TRUNCATION_FLAG,) if leak > LEAKAGE_THRESHOLD else ()
     return GhzReport(
         model=model,
         fidelity=fid,
@@ -373,7 +364,7 @@ def ghz_check(
         expected_rel_phase=recipe.expected_rel_phase,
         phase_deviation=deviation,
         leakage=leak,
-        flags=flags,
+        flags=_flags(leak),
     )
 
 
@@ -453,34 +444,30 @@ def lamb_dicke_error_sweep(
                     n_ions, eta, motion, n_max=n_max, n_pad=n_pad, model=model
                 )
                 leak = max(table.leakage, ghz.leakage)
-                flags = (TRUNCATION_FLAG,) if leak > LEAKAGE_THRESHOLD else ()
-                records.append(
-                    SweepPoint(
-                        eta=eta,
-                        nbar=nbar,
-                        n_max=n_max,
-                        infidelity_gate=table.gate_infidelity,
-                        infidelity_ghz=_infidelity(ghz.fidelity),
-                        leakage=leak,
-                        flags=flags,
-                        error=None,
-                        runtime_s=time.perf_counter() - t0,
-                    )
+                outcome = dict(
+                    infidelity_gate=table.gate_infidelity,
+                    infidelity_ghz=_infidelity(ghz.fidelity),
+                    leakage=leak,
+                    flags=_flags(leak),
+                    error=None,
                 )
             except (RuntimeError, ValueError) as exc:
-                records.append(
-                    SweepPoint(
-                        eta=eta,
-                        nbar=nbar,
-                        n_max=n_max,
-                        infidelity_gate=None,
-                        infidelity_ghz=None,
-                        leakage=None,
-                        flags=(),
-                        error=str(exc),
-                        runtime_s=time.perf_counter() - t0,
-                    )
+                outcome = dict(
+                    infidelity_gate=None,
+                    infidelity_ghz=None,
+                    leakage=None,
+                    flags=(),
+                    error=str(exc),
                 )
+            records.append(
+                SweepPoint(
+                    eta=eta,
+                    nbar=nbar,
+                    n_max=n_max,
+                    **outcome,
+                    runtime_s=time.perf_counter() - t0,
+                )
+            )
     return SweepResult(
         eta_values=eta_values,
         nbar_values=nbar_values,

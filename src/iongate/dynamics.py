@@ -190,6 +190,15 @@ def sector_sum(n_ions: int, blocks: np.ndarray) -> OperatorMatrix:
     return OperatorMatrix(mat.reshape(d_i * d_m, d_i * d_m), "composite", (d_i, d_m))
 
 
+def _require_resonance(params: ModelParams, route: str) -> None:
+    # the J_x sectors, and every route built on them, need delta = 0
+    if params.delta != 0.0:
+        raise ValueError(
+            f"{route} is only valid on resonance; got delta="
+            f"{params.delta} (use expm_propagator for detuned evolution)"
+        )
+
+
 def closed_form_propagator(params: ModelParams, t: float) -> PropagatorFactors:
     """The factorized propagator at time t (resonant case only).
 
@@ -204,11 +213,7 @@ def closed_form_propagator(params: ModelParams, t: float) -> PropagatorFactors:
     generator: V e^{-i lambda} V+ from one batched eigendecomposition of the
     Hermitian H_g = i (alpha a+ - alpha* a) over the N+1 sectors.
     """
-    if params.delta != 0.0:
-        raise ValueError(
-            "the closed form is only valid on resonance; got delta="
-            f"{params.delta} (use expm_propagator for detuned evolution)"
-        )
+    _require_resonance(params, "the closed form")
     n = params.n_ions
     lam = params.eta * params.omega_ratio * np.cos(params.theta)
     m = _sector_m(n)
@@ -246,11 +251,7 @@ def sector_propagators(params: ModelParams, t: float, model: str) -> np.ndarray:
     Returns an array of shape (N+1, n_max+1, n_max+1) whose entry k is U_m
     for m = N - 2k, the sector of the |+/-> products with k minus signs.
     """
-    if params.delta != 0.0:
-        raise ValueError(
-            "the J_x sectors decouple only on resonance; got delta="
-            f"{params.delta} (use expm_propagator for detuned evolution)"
-        )
+    _require_resonance(params, "the J_x sector decomposition")
     coupling = _coupling(params, model).mat
     a, ad = ladder_operators(params.n_max)
     m = _sector_m(params.n_ions)
@@ -288,8 +289,7 @@ def propagator_at_tau(
     motional factor is trivial: U is `sector_sum` of the blocks
     e^{i (C m^2 - D m)} I.
     """
-    if params.delta != 0.0:
-        raise ValueError("the pulse-period reduction requires delta = 0")
+    _require_resonance(params, "the pulse-period reduction")
     c, d = pulse_period_coefficients(params.eta, params.omega_ratio, params.theta)
     m = _sector_m(params.n_ions)
     phases = np.exp(1j * (c * m**2 - d * m))
@@ -309,7 +309,13 @@ def evolve(state: QuantumState, u: OperatorMatrix) -> QuantumState:
         )
     if state.kind == "pure":
         return QuantumState("pure", u.mat @ state.data, state.layout, state.dims)
-    rho = u.mat @ state.data @ u.mat.conj().T
-    # re-Hermitize to keep the constructor's validation happy at 1e-16 level
-    rho = (rho + rho.conj().T) / 2.0
+    rho = _conjugate(u.mat, state.data)
     return QuantumState("mixed", rho, state.layout, state.dims)
+
+
+def _conjugate(w: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    # w rho w+ (w may be rectangular), re-Hermitized in place: no second copy
+    out = w @ rho @ w.conj().T
+    out += out.conj().T
+    out /= 2.0
+    return out

@@ -17,7 +17,7 @@ with cos(theta) > 0 and r > 0; the principal branch is
 r = sqrt(eta^2 + 4) / (8 eta), sin(theta) = -eta / sqrt(eta^2 + 4).
 `solve_gate_params` evaluates it and verifies the result.
 
-`literal_params` evaluates, verbatim, an alternative published
+`literal_params` evaluates an alternative published
 parameter-selection prescription for the same gate and reports the
 coefficients it actually achieves (pi^2/8 and pi^2/4, off the target by a
 factor of pi); see the README for the derivation. It never asserts success.
@@ -25,6 +25,7 @@ factor of pi); see the README for the derivation. It never asserts success.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -140,7 +141,7 @@ def solve_gate_params(eta: float, k1: int = 0, k2: int = 0) -> GateSolution:
 
 
 def literal_params(eta: float) -> GateSolution:
-    """Evaluate the published closed-form parameter prescription verbatim.
+    """Evaluate the published closed-form parameter prescription.
 
     sin(theta) = -sqrt(eta^2 pi / (eta^2 pi + 4))
     omega_a / Omega = sqrt(64 eta^2 / (eta^2 pi^2 + 4 pi))
@@ -150,14 +151,19 @@ def literal_params(eta: float) -> GateSolution:
     substitution gives C = pi^2/8 and -D = pi^2/4 for every eta, a factor pi
     away from the gate target, and the residual fields carry that
     discrepancy.
+
+    They are evaluated without eta^2, which loses precision below eta ~
+    1.5e-154: with x = eta sqrt(pi), theta = atan2(-x, 2) (the arcsin branch,
+    cos(theta) > 0) and r = sqrt(pi) hypot(x, 2) / (8 eta), in Python floats,
+    so r is finite down to eta ~ 2.5e-309, and an inf r below that is
+    refused by the model, never a numpy warning.
     """
     if not (np.isfinite(eta) and eta > 0):
         raise ValueError(f"eta must be finite and > 0, got {eta}")
-    sin_theta = -np.sqrt(eta**2 * np.pi / (eta**2 * np.pi + 4.0))
-    theta = float(np.arcsin(sin_theta))
-    inverse_r = np.sqrt(64.0 * eta**2 / (eta**2 * np.pi**2 + 4.0 * np.pi))
-    r = float(1.0 / inverse_r)
-    # rejects a non-finite (theta, r), such as r = 1/0 when eta^2 underflows
+    x = float(eta) * math.sqrt(math.pi)
+    theta = math.atan2(-x, 2.0)
+    r = math.sqrt(math.pi) * math.hypot(x, 2.0) / (8.0 * float(eta))
+    # rejects a non-finite r
     ModelParams(eta=eta, omega_ratio=r, theta=theta)
     c, d = pulse_period_coefficients(eta, r, theta)
     return GateSolution(

@@ -161,6 +161,37 @@ class TestMotionalIndependenceMetric:
         u = OperatorMatrix(np.eye(4 * 9, dtype=complex), "composite", dims=(4, 9))
         with pytest.raises(ValueError):
             motional_independence_metric(u, 5)
+        with pytest.raises(ValueError, match="n_limit"):
+            motional_independence_metric(u, -1)
+
+    def test_matches_block_loop(self):
+        d_i, d_m, n_limit = 4, 11, 3
+        rng = np.random.default_rng(13)
+        g = rng.normal(size=(d_i * d_m,) * 2) + 1j * rng.normal(size=(d_i * d_m,) * 2)
+        q, _ = np.linalg.qr(g)
+
+        def loop(mat):
+            blocks = mat.reshape(d_i, d_m, d_i, d_m)
+            worst = 0.0
+            for n in range(n_limit + 1):
+                for m in range(n_limit + 1):
+                    block = blocks[:, n, :, m]
+                    if n == m:
+                        block = block - blocks[:, 0, :, 0]
+                    worst = max(worst, float(np.abs(block).max()))
+            return worst
+
+        def metric(mat):
+            op = OperatorMatrix(mat, "composite", dims=(d_i, d_m))
+            return motional_independence_metric(op, n_limit)
+
+        assert metric(q) == loop(q)
+        # one entry of the last kept block, then of the first block outside
+        for n, m, counts in ((n_limit, n_limit, True), (n_limit + 1, 0, False)):
+            bumped = q.copy()
+            bumped[d_m + n, 2 * d_m + m] += 50.0
+            assert metric(bumped) == loop(bumped)
+            assert (metric(bumped) > 49.0) == counts
 
 
 class TestLeakage:
@@ -169,6 +200,14 @@ class TestLeakage:
 
     def test_top_fock_state_is_all_leakage(self):
         assert np.isclose(leakage_population(fock_state(10, 10)), 1.0)
+
+    def test_negative_threshold_is_rejected(self):
+        with pytest.raises(ValueError, match="n_threshold"):
+            leakage_population(fock_state(7, 10), -5)
+
+    def test_threshold_at_the_cutoff_leaves_nothing(self):
+        for n_threshold in (10, 15):
+            assert leakage_population(fock_state(10, 10), n_threshold) == 0.0
 
     def test_thermal_tail_matches_geometric_sum(self):
         state = quiet_thermal(2.0, 20)

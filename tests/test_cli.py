@@ -64,12 +64,18 @@ class TestSolveCommand:
 
     def test_tiny_eta_solves(self, tmp_path):
         # eta^2 and r^2 leave the float range, the coupling eta r cos(theta)
-        # = 1/4 does not
+        # = 1/4 does not; the literal expressions are evaluated without eta^2
         out = tmp_path / "solve.json"
-        assert run_cli("solve", "--eta", "1e-200", "--out", str(out)) == 0
-        sol = json.loads(out.read_text())["solution"]
+        code = run_cli(
+            "solve", "--eta", "1e-200", "--literal-params", "--out", str(out)
+        )
+        assert code == 0
+        payload = json.loads(out.read_text())
+        sol, literal = payload["solution"], payload["literal"]
         assert abs(sol["achieved_c"] - np.pi / 8) < 1e-12
         assert np.isclose(sol["omega_ratio"], 2.5e199, rtol=1e-12)
+        assert abs(literal["achieved_c"] - np.pi**2 / 8) < 1e-12
+        assert abs(-literal["achieved_d"] - np.pi**2 / 4) < 1e-12
 
     @pytest.mark.parametrize("eta", ["1e5", "1e200", "1e-320"])
     def test_out_of_range_eta_exits_1(self, eta, capsys):

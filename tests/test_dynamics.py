@@ -461,6 +461,11 @@ class TestPropagatorAtTau:
         u, _, _ = propagator_at_tau(p)
         assert motional_independence_metric(u, 9) < 1e-14
 
+    def test_rejects_detuning(self):
+        p = ModelParams(eta=0.1, omega_ratio=1.0, theta=0.0, delta=0.5, n_max=6)
+        with pytest.raises(ValueError, match="resonance"):
+            propagator_at_tau(p)
+
 
 class TestMotionalIndependence:
     def test_oracle_at_tau_factorizes(self):

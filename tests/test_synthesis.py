@@ -161,9 +161,22 @@ class TestLiteralParams:
         assert np.isclose(lit.residual_d, np.pi**2 / 4 - np.pi / 4, atol=1e-12)
 
     def test_infinite_rate_is_rejected(self):
-        # eta^2 underflows to 0, so r = 1/0 is infinite, which the model refuses
-        with np.errstate(divide="ignore"), pytest.raises(ValueError, match="omega_ratio"):
-            literal_params(1e-200)
+        # r = sqrt(pi) hypot(eta sqrt(pi), 2) / (8 eta) leaves the float range
+        # below eta of about 2.5e-309, and the model refuses the infinite rate
+        with pytest.raises(ValueError, match="omega_ratio"):
+            literal_params(1e-309)
+
+    def test_coefficients_over_the_eta_range(self):
+        # eta^2 is subnormal below about 1.5e-154 and 0 below about 2e-162;
+        # the literal expressions never form it, so C and -D stay on
+        # pi^2/8 and pi^2/4 down to eta = 1e-300. Above eta ~ 1e3, theta is
+        # within 1e-3 of -pi/2 and cos(theta) is roundoff-limited (1.7e-12
+        # at eta = 1e4), as for the solved parameters
+        for eta in np.logspace(-300, 3, 400):
+            lit = literal_params(float(eta))
+            assert abs(lit.achieved_c - np.pi**2 / 8) < 1e-12, eta
+            assert abs(-lit.achieved_d - np.pi**2 / 4) < 1e-12, eta
+            assert np.cos(lit.theta) > 0
 
     def test_large_eta_limit(self):
         lit = literal_params(1e6)
