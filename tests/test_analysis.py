@@ -48,7 +48,7 @@ from iongate import (
 )
 
 #: largest W rho W+ vs dense-evolution differences over 1600 random draws of
-#: the strategy below were 1.7e-8 (restoration) and 1.0e-7 (composite): the
+#: the strategy below were 2.0e-8 (restoration) and 1.0e-7 (composite): the
 #: Uhlmann fidelity of rank-deficient states has a sqrt(roundoff) noise floor
 RESTORATION_TOL = 1e-7
 COMPOSITE_TOL = 5e-7
@@ -131,6 +131,15 @@ class TestFidelity:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             fidelity(fock_state(0, 3), fock_state(0, 4))
+
+    def test_layout_mismatch(self):
+        # same dimension, different spaces: motional |0> against internal |gg>
+        with pytest.raises(ValueError, match="layout"):
+            fidelity(fock_state(0, 3), internal_product_state("gg"))
+        a = composite_mixed(internal_product_state("gg"), quiet_thermal(1.0, 5))
+        b = QuantumState("mixed", a.data, "composite", dims=(6, 4))
+        with pytest.raises(ValueError, match="dims"):
+            fidelity(a, b)
 
 
 class TestUnitaryGateFidelity:
@@ -285,6 +294,9 @@ class TestTruthTable:
         with pytest.raises(ValueError, match="dim"):
             small = OperatorMatrix(u[:-4, :-4], "composite", dims=(4, 8))
             truth_table_check(p, motion, u=small)
+        # finite but not unitary: sqrt(W rho W+) = W sqrt(rho) W+ would not hold
+        with pytest.raises(ValueError, match="unitary"):
+            truth_table_check(p, motion, u=OperatorMatrix(0.5 * u, "composite", dims=(4, 9)))
         u[3, 5] = np.nan
         with pytest.raises(ValueError, match="finite"):
             truth_table_check(p, motion, u=OperatorMatrix(u, "composite", dims=(4, 9)))
@@ -310,12 +322,30 @@ class TestTruthTable:
         def forbidden(*args, **kwargs):
             raise AssertionError("the truth table evolved a composite state")
 
+        shapes = {"eigh": [], "eigvalsh": []}
+
+        def shape_recording(name):
+            solver = getattr(np.linalg, name)
+
+            def solve(a, *args, **kwargs):
+                shapes[name].append(np.shape(a))
+                return solver(a, *args, **kwargs)
+
+            return solve
+
+        motion = quiet_thermal(0.5, 12)
         monkeypatch.setattr(QuantumState, "__post_init__", recording)
         monkeypatch.setattr(dynamics, "evolve", forbidden)
         monkeypatch.setattr(analysis, "evolve", forbidden, raising=False)
-        report = truth_table_check(p, quiet_thermal(0.5, 12), model="full", u=u)
+        for name in shapes:
+            monkeypatch.setattr(np.linalg, name, shape_recording(name))
+        report = truth_table_check(p, motion, model="full", u=u)
         assert len(report.composite_fidelities) == 8
         assert dims and p.dim not in dims
+        # the square root of each output state comes from sqrt(rho): no
+        # d-sized eigh, and one d-sized eigvalsh per input
+        assert shapes["eigh"] and all(p.dim not in s for s in shapes["eigh"])
+        assert sum(p.dim in s for s in shapes["eigvalsh"]) == 8
 
 
 class TestTruthTableAgainstDense:

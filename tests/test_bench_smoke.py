@@ -8,6 +8,7 @@ moves a checked value past the benchmark's tolerance fails here first.
 import contextlib
 import importlib.util
 import io
+import itertools
 import json
 import subprocess
 import sys
@@ -55,3 +56,21 @@ def test_full_size_n3_sweep_matches_the_references(tmp_path):
         rc = main(job.args)
     assert len(job.outputs()) == 4
     assert workloads.check_job(job, rc, workloads.load_refs()) == []
+
+
+def test_full_size_gate_checks_match_the_references(tmp_path):
+    # the smoke gate-checks run at n_max=20; the composite fidelities move at
+    # the dense noise level, so every full-size gate-check of the reference
+    # grid (6 eta x 3 nbar x 2 models, n_max=40) is checked at REF_TOL as well
+    workloads = _perfbench_workloads()
+    refs = workloads.load_refs()
+    grid = list(
+        itertools.product(workloads.CLI_ETAS, workloads.CLI_NBARS, workloads.MODELS)
+    )
+    assert len(grid) == 36
+    for i, (eta, nbar, model) in enumerate(grid):
+        out = tmp_path / f"{i}.json"
+        job = workloads.gate_check_job(eta, nbar, workloads.FULL.gate_n_max, model, out)
+        with contextlib.redirect_stdout(io.StringIO()):
+            rc = main(job.args)
+        assert workloads.check_job(job, rc, refs) == []
