@@ -16,16 +16,15 @@ inputs are J_x eigenstates, so their traced internal state is exactly the
 input under both Hamiltonians and a purely internal fidelity would be
 identically 1 regardless of parameters (see README).
 
-Each state quantity has one array kernel, shared by the public function
-and the harnesses: `_reduced` (partial trace, `partial_trace`), `_fidelity`
-(`fidelity`), `_weight_above` (`leakage_population`, `ghz_check`) and
-`dynamics._conjugate` (w rho w+, `evolve`). The truth table, with
-d = 2^N (n_max+1), builds each output state as W rho W+ with the
-d x (n_max+1) matrix W = U (|v> x I_m) and reads everything from that plain
-array, with no `QuantumState` and no per-state validation. For a unitary U,
-W is an isometry, so sqrt(W rho W+) = W sqrt(rho) W+: the composite
-Uhlmann fidelity against |Gv><Gv| x rho needs sqrt(rho) once and no
-d-sized square root. What remains of size d is one `eigvalsh` per input.
+Each state quantity has one array kernel, shared by the public function and
+the harnesses: `_reduced` (partial trace of X X+ from X; `partial_trace` of
+a pure state), `_fidelity` (`fidelity`), `_weight_above` (`leakage_population`,
+`ghz_check`) and `dynamics._conjugate` (w rho w+, `evolve`). Per input, the
+truth table sums u's column blocks into W = U (|v> x I_m); X = W sqrt(rho)
+has X X+ = W rho W+, which gives the reduced states and the leakage, and
+sqrt(W rho W+) = X W+ makes the composite Uhlmann fidelity the spectrum of
+W S W+, the one d x d array built per input (d = 2^N (n_max+1)). No
+`QuantumState` is built and no per-state validation runs.
 """
 
 from __future__ import annotations
@@ -42,6 +41,7 @@ from .hilbert import (
     OperatorMatrix,
     QuantumState,
     ThermalSpec,
+    _require_same_space,
     pm_product_states,
     thermal_state,
 )
@@ -59,18 +59,18 @@ def partial_trace(state: QuantumState, keep: str) -> QuantumState:
         raise ValueError("partial_trace requires a composite state with dims")
     if keep not in ("internal", "motion"):
         raise ValueError(f"keep must be 'internal' or 'motion', got {keep!r}")
-    if state.kind == "mixed":
+    if state.kind == "pure":
         return QuantumState("mixed", _reduced(state.data, state.dims, keep), keep)
-    # a pure state is reduced without forming its composite density matrix
-    psi = state.data.reshape(state.dims)
-    reduced = psi @ psi.conj().T if keep == "internal" else psi.T @ psi.conj()
-    return QuantumState("mixed", _hermitian_part(reduced), keep)
-
-
-def _reduced(rho: np.ndarray, dims: tuple[int, int], keep: str) -> np.ndarray:
-    # the Hermitian part of the partial trace of a composite density matrix
     subscripts = "anbn->ab" if keep == "internal" else "anam->nm"
-    return _hermitian_part(np.einsum(subscripts, rho.reshape(*dims, *dims)))
+    rho = state.data.reshape(*state.dims, *state.dims)
+    return QuantumState("mixed", _hermitian_part(np.einsum(subscripts, rho)), keep)
+
+
+def _reduced(x: np.ndarray, dims: tuple[int, int], keep: str) -> np.ndarray:
+    # the partial trace of X X+ (X is d x r; r = 1 for a state vector) from X
+    axis = 0 if keep == "internal" else 1
+    m = np.moveaxis(x.reshape(*dims, -1), axis, 0).reshape(dims[axis], -1)
+    return _hermitian_part(m @ m.conj().T)
 
 
 def _hermitian_part(m: np.ndarray) -> np.ndarray:
@@ -92,12 +92,7 @@ def fidelity(a: QuantumState, b: QuantumState) -> float:
     (tr sqrt(sqrt(rho) sigma sqrt(rho)))^2. Both states must have the same
     layout and, if composite, the same dims.
     """
-    if a.dim != b.dim:
-        raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
-    if a.layout != b.layout:
-        raise ValueError(f"layout mismatch: {a.layout} vs {b.layout}")
-    if a.dims != b.dims:
-        raise ValueError(f"composite dims mismatch: {a.dims} vs {b.dims}")
+    _require_same_space(a, b)
     return _fidelity(a.data, b.data)
 
 
@@ -139,9 +134,9 @@ def _infidelity(fid: float) -> float:
 
 
 def unitary_gate_fidelity(actual: OperatorMatrix, ideal: OperatorMatrix) -> float:
-    """Global-phase-invariant operator fidelity |tr(ideal+ actual)| / d."""
-    if actual.dim != ideal.dim:
-        raise ValueError(f"dimension mismatch: {actual.dim} vs {ideal.dim}")
+    """Global-phase-invariant fidelity |tr(ideal+ actual)| / d of two
+    operators with the same dimension, layout and, if composite, dims."""
+    _require_same_space(actual, ideal)
     return float(np.abs(np.trace(ideal.mat.conj().T @ actual.mat)) / actual.dim)
 
 
@@ -209,13 +204,16 @@ def _ghz_maximum(rho_gg: float, rho_ee: float, rho_eg: complex) -> tuple[float, 
 
 
 def ghz_fidelity(rho_internal: QuantumState) -> tuple[float, float]:
-    """Best fidelity to any equal GHZ superposition, and the relative phase.
+    """Best fidelity of an internal state to any equal GHZ superposition,
+    and the relative phase.
 
     Maximizing <psi|rho|psi> over the two phases of
     (e^{i phi_g}|g..g> + e^{i phi_e}|e..e>)/sqrt(2) gives
     (rho_GG + rho_EE + 2 |rho_EG|)/2, attained at phi_e - phi_g =
     arg(rho_EG), which is returned as the measured relative phase.
     """
+    if rho_internal.layout != "internal":
+        raise ValueError("ghz_fidelity needs an internal state")
     rho = rho_internal.density()
     g, e = 0, rho.shape[0] - 1
     return _ghz_maximum(rho[g, g].real, rho[e, e].real, rho[e, g])
@@ -258,11 +256,11 @@ def truth_table_check(
     composite fidelity against image x restored motion (the phase-sensitive
     quantity used as the gate infidelity). `u` defaults to the resonant
     one-period propagator of the model, assembled from J_x sectors; any
-    finite unitary composite `u` of the right size is accepted, a detuned
+    finite unitary composite `u` with the model's dims is accepted, a detuned
     one from the dense oracle included. Unitarity is checked per input as
     W+W = I to 1e-10, on the (n_max+1)-sized block that the composite
-    fidelity relies on; a `u` that fails it raises `ValueError`. Nothing of
-    composite size is validated per input (see the module docstring).
+    fidelity relies on; a `u` that fails it raises `ValueError`. Of size
+    d x d, only W S W+ is built per input (see the module docstring).
     """
     if motion.dim != params.dim_motion:
         raise ValueError(
@@ -270,48 +268,47 @@ def truth_table_check(
         )
     if u is None:
         u = _propagator_for(params, model)
-    if u.dim != params.dim:
-        raise ValueError(
-            f"propagator dim {u.dim} does not match the model dim {params.dim}"
-        )
+    dims = params.dim_internal, params.dim_motion
+    if u.dims != dims:
+        raise ValueError(f"propagator dims {u.dims} do not match the model dims {dims}")
     # the only finiteness check: every state below is built from u and motion
     if not np.isfinite(u.mat).all():
         raise ValueError("propagator must be finite")
-    dims = params.dim_internal, params.dim_motion
-    eye_m = np.eye(dims[1])
     rho_m = motion.density()
     sqrt_rho = _sqrt_psd(rho_m)
+    eye_m = np.eye(dims[1])
+    # column block i of u is U (|i> x I_m); the reshape is a view, not a copy
+    columns = u.mat.reshape(params.dim, *dims)
     ideal = ideal_gate_unitary(params.n_ions)
     inputs = pm_product_states(params.n_ions)
-    labels, f_int, f_res, f_comp = [], [], [], []
+    labels, f_int, f_res, f_comp = sorted(inputs), [], [], []
     leak = 0.0
-    for label in sorted(inputs):
+    for label in labels:
         vec = inputs[label].data
         image = ideal.mat @ vec
         image /= np.linalg.norm(image)
         # U (|v><v| x rho) U+ = W rho W+ with the isometry W = U (|v> x I_m)
-        w = u.mat @ np.kron(vec[:, None], eye_m)
+        w = np.einsum("xim,i->xm", columns, vec)
         # W+W = I_m holds for a unitary u, and the square root below needs it;
         # checking u+u would cost d^3
         if not np.abs(w.conj().T @ w - eye_m).max() <= 1e-10:
             raise ValueError("propagator must be unitary")
-        out = _conjugate(w, rho_m)
-        red_m = _reduced(out, dims, "motion")
-        f_int.append(_fidelity(_reduced(out, dims, "internal"), image))
+        # W rho W+ = X X+ with X = W sqrt(rho): the reduced states come from X
+        x = w @ sqrt_rho
+        red_m = _reduced(x, dims, "motion")
+        f_int.append(_fidelity(_reduced(x, dims, "internal"), image))
         f_res.append(_fidelity(red_m, motion.data))
-        # composite fidelity against |g><g| x rho, g = Gv: sqrt(out) is
-        # W sqrt(rho) W+, so sqrt(out) (|g><g| x rho) sqrt(out) = W S W+ with
-        # S = sqrt(rho) Y+ rho Y sqrt(rho) and Y = (<g| x I) W
+        # composite fidelity against |g><g| x rho, g = Gv: sqrt(W rho W+) is
+        # X W+, so the Uhlmann matrix of W rho W+ and |g><g| x rho is W S W+
+        # with S = sqrt(rho) Y+ rho Y sqrt(rho) and Y = (<g| x I) W
         y = (image.conj() @ w.reshape(dims[0], -1)).reshape(dims[1], dims[1])
         s = _conjugate(sqrt_rho @ y.conj().T, rho_m)
-        # W S W+ has the nonzero spectrum of S, but the d-sized eigvalsh is
-        # kept: the benchmark references (perfbench/refs.json) record the
-        # roundoff noise of its d - (n_max+1) null eigenvalues; once they are
+        # the d x d W S W+ is built only for its eigvalsh: it has the nonzero
+        # spectrum of S, but perfbench/refs.json records the roundoff noise
+        # of its d - (n_max+1) null eigenvalues; once the references are
         # re-derived, eigvalsh(S) of size n_max+1 replaces it
         f_comp.append(_unit(_trace_sqrt_squared(_conjugate(w, s))))
-        populations = np.real(np.diagonal(red_m))
-        leak = max(leak, float(_weight_above(populations, params.n_max // 2)))
-        labels.append(label)
+        leak = max(leak, float(_weight_above(red_m.diagonal().real, params.n_max // 2)))
     return TruthTableReport(
         model=model,
         input_labels=tuple(labels),

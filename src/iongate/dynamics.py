@@ -40,6 +40,7 @@ from .hilbert import (
     ModelParams,
     OperatorMatrix,
     QuantumState,
+    _require_same_space,
     collective_spin,
     ladder_operators,
     position_sine_operator,
@@ -298,15 +299,8 @@ def propagator_at_tau(
 
 
 def evolve(state: QuantumState, u: OperatorMatrix) -> QuantumState:
-    """Apply a unitary: U|psi> for pure states, U rho U+ for mixed ones."""
-    if state.dim != u.dim:
-        raise ValueError(
-            f"dimension mismatch: state dim {state.dim}, operator dim {u.dim}"
-        )
-    if state.layout != u.layout:
-        raise ValueError(
-            f"layout mismatch: state {state.layout}, operator {u.layout}"
-        )
+    """Apply a unitary of the state's space: U|psi> if pure, U rho U+ if mixed."""
+    _require_same_space(state, u)
     if state.kind == "pure":
         return QuantumState("pure", u.mat @ state.data, state.layout, state.dims)
     rho = _conjugate(u.mat, state.data)

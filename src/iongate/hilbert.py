@@ -196,6 +196,14 @@ class QuantumState:
         return self.data
 
 
+def _require_same_space(a, b) -> None:
+    # states and operators of one space share dimension, layout and dims
+    for attr in ("dim", "layout", "dims"):
+        x, y = getattr(a, attr), getattr(b, attr)
+        if x != y:
+            raise ValueError(f"{attr} mismatch: {x} vs {y}")
+
+
 @dataclass(frozen=True)
 class ThermalSpec:
     """Thermal motional state specification at mean occupation nbar.

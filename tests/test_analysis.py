@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -47,8 +48,8 @@ from iongate import (
     unitary_gate_fidelity,
 )
 
-#: largest W rho W+ vs dense-evolution differences over 1600 random draws of
-#: the strategy below were 2.0e-8 (restoration) and 1.0e-7 (composite): the
+#: largest truth-table vs dense-evolution differences over 1600 random draws
+#: of the strategy below were 2.2e-8 (restoration) and 1.3e-7 (composite): the
 #: Uhlmann fidelity of rank-deficient states has a sqrt(roundoff) noise floor
 RESTORATION_TOL = 1e-7
 COMPOSITE_TOL = 5e-7
@@ -157,6 +158,17 @@ class TestUnitaryGateFidelity:
         sx = OperatorMatrix(np.array([[0, 1], [1, 0]], dtype=complex), "internal")
         assert unitary_gate_fidelity(sx, eye) == 0.0
 
+    def test_layout_mismatch(self):
+        # same dimension, different spaces
+        with pytest.raises(ValueError, match="layout"):
+            unitary_gate_fidelity(
+                OperatorMatrix(np.eye(4), "motion"), OperatorMatrix(np.eye(4), "internal")
+            )
+        a = OperatorMatrix(np.eye(24), "composite", dims=(4, 6))
+        b = OperatorMatrix(np.eye(24), "composite", dims=(6, 4))
+        with pytest.raises(ValueError, match="dims"):
+            unitary_gate_fidelity(a, b)
+
 
 class TestMotionalIndependenceMetric:
     def test_factorized_operator_scores_zero(self):
@@ -242,6 +254,11 @@ class TestGhzFidelity:
         fid, _ = ghz_fidelity(QuantumState("mixed", rho, "internal"))
         assert np.isclose(fid, 0.5, atol=1e-12)
 
+    def test_rejects_a_motional_state(self):
+        # a motional state has no GHZ components
+        with pytest.raises(ValueError, match="internal"):
+            ghz_fidelity(quiet_thermal(1.0, 3))
+
 
 class TestTruthTable:
     def test_ld_gate_at_converged_cutoff(self):
@@ -294,6 +311,9 @@ class TestTruthTable:
         with pytest.raises(ValueError, match="dim"):
             small = OperatorMatrix(u[:-4, :-4], "composite", dims=(4, 8))
             truth_table_check(p, motion, u=small)
+        # the right size with the factors swapped
+        with pytest.raises(ValueError, match="dims"):
+            truth_table_check(p, motion, u=OperatorMatrix(u, "composite", dims=(9, 4)))
         # finite but not unitary: sqrt(W rho W+) = W sqrt(rho) W+ would not hold
         with pytest.raises(ValueError, match="unitary"):
             truth_table_check(p, motion, u=OperatorMatrix(0.5 * u, "composite", dims=(4, 9)))
@@ -310,7 +330,7 @@ class TestTruthTable:
         assert report(0.75).gate_infidelity == 0.25
 
     def test_no_composite_state_is_built_or_evolved(self, monkeypatch):
-        p = gate_params(0.1, 12, n_ions=3)
+        p = gate_params(0.1, 40, n_ions=3)
         u = sector_sum(3, sector_propagators(p, p.tau, "full"))
         dims = []
         validate = QuantumState.__post_init__
@@ -323,20 +343,40 @@ class TestTruthTable:
             raise AssertionError("the truth table evolved a composite state")
 
         shapes = {"eigh": [], "eigvalsh": []}
+        eigvalsh_args = []
 
         def shape_recording(name):
             solver = getattr(np.linalg, name)
 
             def solve(a, *args, **kwargs):
                 shapes[name].append(np.shape(a))
+                if name == "eigvalsh":
+                    eigvalsh_args.append(a)
                 return solver(a, *args, **kwargs)
 
             return solve
 
-        motion = quiet_thermal(0.5, 12)
+        conjugated = []
+        conjugate = analysis._conjugate
+
+        def conjugate_recording(w, rho):
+            conjugated.append(conjugate(w, rho))
+            return conjugated[-1]
+
+        kron_shapes = []
+        kron = np.kron
+
+        def kron_recording(a, b):
+            out = kron(a, b)
+            kron_shapes.append(out.shape)
+            return out
+
+        motion = quiet_thermal(0.5, 40)
         monkeypatch.setattr(QuantumState, "__post_init__", recording)
         monkeypatch.setattr(dynamics, "evolve", forbidden)
         monkeypatch.setattr(analysis, "evolve", forbidden, raising=False)
+        monkeypatch.setattr(analysis, "_conjugate", conjugate_recording)
+        monkeypatch.setattr(np, "kron", kron_recording)
         for name in shapes:
             monkeypatch.setattr(np.linalg, name, shape_recording(name))
         report = truth_table_check(p, motion, model="full", u=u)
@@ -346,6 +386,23 @@ class TestTruthTable:
         # d-sized eigh, and one d-sized eigvalsh per input
         assert shapes["eigh"] and all(p.dim not in s for s in shapes["eigh"])
         assert sum(p.dim in s for s in shapes["eigvalsh"]) == 8
+        # the one d x d array per input is W S W+, made for that eigvalsh;
+        # the output state W rho W+ is never formed
+        square = [m for m in conjugated if m.shape == (p.dim, p.dim)]
+        assert len(square) == 8
+        assert all(any(a is m for m in square) for a in eigvalsh_args if p.dim in a.shape)
+        # np.kron builds the 2^N-sized gate and inputs only; W comes from u
+        assert kron_shapes and max(max(s) for s in kron_shapes) <= p.dim_internal
+        # with u given, the peak stays below three d x d complex arrays: W S W+,
+        # the temporary of its Hermitization and the d x (n_max+1) arrays
+        monkeypatch.undo()
+        tracemalloc.start()
+        try:
+            truth_table_check(p, motion, model="full", u=u)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * p.dim**2 * 16
 
 
 class TestTruthTableAgainstDense:

@@ -48,13 +48,15 @@ def test_smoke_run_is_correct(workload):
 
 def test_full_size_n3_sweep_matches_the_references(tmp_path):
     # the smoke sweep runs N=2 at n_max=20; the dense composite-fidelity
-    # noise is largest at the full size N=3, n_max=40 and nbar=0, so these
-    # four points of the full reference grid are checked at REF_TOL as well
+    # noise is largest at the full size N=3, n_max=40, so the whole full
+    # reference grid (8 eta x 2 nbar) is checked at REF_TOL as well
     workloads = _perfbench_workloads()
-    job = workloads.sweep_job((0.04, 0.25), (0.0, 2.0), 3, 40, tmp_path)
+    etas, nbars = workloads.SWEEP_ETAS, workloads.SWEEP_NBARS
+    size = workloads.FULL
+    job = workloads.sweep_job(etas, nbars, size.sweep_n_ions, size.sweep_n_max, tmp_path)
     with contextlib.redirect_stdout(io.StringIO()):
         rc = main(job.args)
-    assert len(job.outputs()) == 4
+    assert len(job.outputs()) == len(etas) * len(nbars) == 16
     assert workloads.check_job(job, rc, workloads.load_refs()) == []
 
 

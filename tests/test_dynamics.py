@@ -11,6 +11,7 @@ from iongate import dynamics
 from iongate import (
     ModelParams,
     OperatorMatrix,
+    QuantumState,
     closed_form_propagator,
     collective_spin,
     embed,
@@ -512,3 +513,11 @@ class TestEvolve:
         eye = OperatorMatrix(np.eye(6, dtype=complex), "motion")
         with pytest.raises(ValueError):
             evolve(state, eye)
+
+    def test_composite_dims_mismatch_rejected(self):
+        # same dimension and layout, swapped factors
+        rho = np.eye(24, dtype=complex) / 24
+        state = QuantumState("mixed", rho, "composite", dims=(4, 6))
+        u = OperatorMatrix(np.eye(24, dtype=complex), "composite", dims=(6, 4))
+        with pytest.raises(ValueError, match="dims"):
+            evolve(state, u)
