@@ -18,13 +18,14 @@ identically 1 regardless of parameters (see README).
 
 Each state quantity has one array kernel, shared by the public function and
 the harnesses: `_reduced` (partial trace of X X+ from X; `partial_trace` of
-a pure state), `_fidelity` (`fidelity`), `_weight_above` (`leakage_population`,
-`ghz_check`) and `dynamics._conjugate` (w rho w+, `evolve`). Per input, the
-truth table sums u's column blocks into W = U (|v> x I_m); X = W sqrt(rho)
-has X X+ = W rho W+, which gives the reduced states and the leakage, and
-sqrt(W rho W+) = X W+ makes the composite Uhlmann fidelity the spectrum of
-W S W+, the one d x d array built per input (d = 2^N (n_max+1)). No
-`QuantumState` is built and no per-state validation runs.
+a pure state), `_fidelity` (`fidelity`) and `_weight_above`
+(`leakage_population`, `ghz_check`). Per input, the truth table sums u's
+column blocks into W = U (|v> x I_m); X = W sqrt(rho) has X X+ = W rho W+,
+which gives the reduced states and the leakage, and sqrt(W rho W+) = X W+
+makes the composite Uhlmann fidelity the spectrum of Z Z+ with the
+d x (n_max+1) factor Z = X Y+ sqrt(rho), Y = (<Gv| x I) W: Z Z+ is the one
+d x d array built per input (d = 2^N (n_max+1)). No `QuantumState` is
+built and no per-state validation runs.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dynamics import _conjugate, sector_propagators, sector_sum
+from .dynamics import sector_propagators, sector_sum
 from .hilbert import (
     ModelParams,
     OperatorMatrix,
@@ -45,7 +46,7 @@ from .hilbert import (
     pm_product_states,
     thermal_state,
 )
-from .synthesis import ghz_recipe, ideal_gate_unitary, solve_gate_params
+from .synthesis import GhzRecipe, ghz_recipe, ideal_gate_unitary, solve_gate_params
 
 #: leakage above this level marks a result as truncation-unreliable
 LEAKAGE_THRESHOLD = 1e-6
@@ -105,14 +106,13 @@ def _fidelity(a: np.ndarray, b: np.ndarray) -> float:
     elif b.ndim == 1:
         val = np.vdot(b, a @ b).real
     else:
-        val = _uhlmann(a, b)
+        val = _uhlmann(_sqrt_psd(a), b)
     return _unit(val)
 
 
-def _uhlmann(a: np.ndarray, b: np.ndarray) -> float:
+def _uhlmann(sqrt_a: np.ndarray, b: np.ndarray) -> float:
     # (tr sqrt(sqrt(a) b sqrt(a)))^2 of two density matrices, unclipped
-    sq = _sqrt_psd(a)
-    return _trace_sqrt_squared(sq @ b @ sq)
+    return _trace_sqrt_squared(sqrt_a @ b @ sqrt_a)
 
 
 def _trace_sqrt_squared(m: np.ndarray) -> float:
@@ -219,6 +219,11 @@ def ghz_fidelity(rho_internal: QuantumState) -> tuple[float, float]:
     return _ghz_maximum(rho[g, g].real, rho[e, e].real, rho[e, g])
 
 
+def _require_motion(motion: QuantumState, params: ModelParams) -> None:
+    if motion.layout != "motion" or motion.dim != params.dim_motion:
+        raise ValueError(f"motion must be a motional state of n_max={params.n_max}")
+
+
 def _propagator_for(params: ModelParams, model: str) -> OperatorMatrix:
     # resonant only: sector_propagators rejects detuning and unknown models
     return sector_sum(params.n_ions, sector_propagators(params, params.tau, model))
@@ -259,13 +264,11 @@ def truth_table_check(
     finite unitary composite `u` with the model's dims is accepted, a detuned
     one from the dense oracle included. Unitarity is checked per input as
     W+W = I to 1e-10, on the (n_max+1)-sized block that the composite
-    fidelity relies on; a `u` that fails it raises `ValueError`. Of size
-    d x d, only W S W+ is built per input (see the module docstring).
+    fidelity relies on; a `u` that fails it raises `ValueError`, and so
+    does a non-motional `motion`. One sqrt(rho) serves the restoration
+    fidelity F(rho, red_m) and the composite one, of Z Z+ (module docstring).
     """
-    if motion.dim != params.dim_motion:
-        raise ValueError(
-            f"motional input dim {motion.dim} does not match n_max={params.n_max}"
-        )
+    _require_motion(motion, params)
     if u is None:
         u = _propagator_for(params, model)
     dims = params.dim_internal, params.dim_motion
@@ -274,8 +277,7 @@ def truth_table_check(
     # the only finiteness check: every state below is built from u and motion
     if not np.isfinite(u.mat).all():
         raise ValueError("propagator must be finite")
-    rho_m = motion.density()
-    sqrt_rho = _sqrt_psd(rho_m)
+    sqrt_rho = _sqrt_psd(motion.density())
     eye_m = np.eye(dims[1])
     # column block i of u is U (|i> x I_m); the reshape is a view, not a copy
     columns = u.mat.reshape(params.dim, *dims)
@@ -297,17 +299,19 @@ def truth_table_check(
         x = w @ sqrt_rho
         red_m = _reduced(x, dims, "motion")
         f_int.append(_fidelity(_reduced(x, dims, "internal"), image))
-        f_res.append(_fidelity(red_m, motion.data))
+        # F(red_m, rho) = F(rho, red_m), so the one sqrt(rho) serves here too
+        f_res.append(_unit(_uhlmann(sqrt_rho, red_m)))
         # composite fidelity against |g><g| x rho, g = Gv: sqrt(W rho W+) is
         # X W+, so the Uhlmann matrix of W rho W+ and |g><g| x rho is W S W+
-        # with S = sqrt(rho) Y+ rho Y sqrt(rho) and Y = (<g| x I) W
+        # with S = B+B, B = sqrt(rho) Y sqrt(rho) and Y = (<g| x I) W; then
+        # W S W+ = Z Z+ with Z = W B+ = X Y+ sqrt(rho), of size d x (n_max+1)
         y = (image.conj() @ w.reshape(dims[0], -1)).reshape(dims[1], dims[1])
-        s = _conjugate(sqrt_rho @ y.conj().T, rho_m)
-        # the d x d W S W+ is built only for its eigvalsh: it has the nonzero
-        # spectrum of S, but perfbench/refs.json records the roundoff noise
-        # of its d - (n_max+1) null eigenvalues; once the references are
-        # re-derived, eigvalsh(S) of size n_max+1 replaces it
-        f_comp.append(_unit(_trace_sqrt_squared(_conjugate(w, s))))
+        z = x @ (y.conj().T @ sqrt_rho)
+        # the d x d Z Z+ is built only for its eigvalsh, which reads one
+        # triangle: it has the nonzero spectrum of S, but perfbench/refs.json
+        # records the roundoff noise of its d - (n_max+1) null eigenvalues;
+        # once the references are re-derived, eigvalsh(S) replaces it
+        f_comp.append(_unit(_trace_sqrt_squared(z @ z.conj().T)))
         leak = max(leak, float(_weight_above(red_m.diagonal().real, params.n_max // 2)))
     return TruthTableReport(
         model=model,
@@ -358,16 +362,18 @@ def ghz_check(
         rho_EE = sum (-1)^(a+b) c_a c_b M_ab,
 
     and the leakage is sum_k c_k times the weight of U_k rho U_k+ above
-    n_max/2. Nothing of size 2^N is built.
+    n_max/2. Nothing of size 2^N is built. A non-motional `motion` raises.
     """
     recipe = ghz_recipe(n_ions, eta, n_max=n_max, n_pad=n_pad)
-    params = recipe.params
-    if motion.dim != params.dim_motion:
-        raise ValueError(
-            f"motional input dim {motion.dim} does not match n_max={n_max}"
-        )
-    u = sector_propagators(params, params.tau, model)
-    moved = u @ motion.density()
+    _require_motion(motion, recipe.params)
+    u = sector_propagators(recipe.params, recipe.params.tau, model)
+    return _ghz_report(recipe, u, motion.density(), model)
+
+
+def _ghz_report(recipe: GhzRecipe, u: np.ndarray, rho: np.ndarray, model: str) -> GhzReport:
+    # `ghz_check` from the recipe, its sector propagators and the motional rho
+    n_ions = recipe.params.n_ions
+    moved = u @ rho
     # tr(U_a rho U_b+) = sum_ij (U_a rho)_ij conj(U_b)_ij, O(d^2) per pair
     overlaps = np.einsum("aij,bij->ab", moved, u.conj())
     weights = np.array([math.comb(n_ions, k) for k in range(n_ions + 1)]) / 2.0**n_ions
@@ -378,7 +384,7 @@ def ghz_check(
         signed @ overlaps @ weights,
     )
     populations = np.einsum("kij,kij->ki", moved, u.conj()).real
-    leak = float(weights @ _weight_above(populations, n_max // 2))
+    leak = float(weights @ _weight_above(populations, recipe.params.n_max // 2))
     deviation = None
     if recipe.expected_rel_phase is not None:
         deviation = abs(_wrap_angle(phase - recipe.expected_rel_phase))
@@ -433,11 +439,11 @@ def lamb_dicke_error_sweep(
 ) -> SweepResult:
     """Gate and GHZ infidelity over an (eta, nbar) grid.
 
-    For each eta the gate parameters are solved and the one-period
-    propagator under the chosen Hamiltonian is built once. At each (eta,
-    nbar) point every |+/-> input is evolved with thermal(nbar) motion, and
-    the composite gate infidelity is recorded together with the GHZ
-    infidelity of the matching recipe, the leakage above n_max/2, and a
+    For each eta the gate parameters are solved, the GHZ recipe is built, and
+    the one-period propagators of both are built once. At each (eta, nbar)
+    point every |+/-> input is evolved with thermal(nbar) motion, and the
+    composite gate infidelity is recorded together with the GHZ infidelity
+    of the recipe (as in `ghz_check`), the leakage above n_max/2, and a
     truncation flag when the leakage exceeds 1e-6. Solver failures are
     recorded per point, the same for every nbar of that eta, and the sweep
     continues.
@@ -450,9 +456,9 @@ def lamb_dicke_error_sweep(
         raise ValueError("sweep grids must be nonempty")
     records = []
     for eta in eta_values:
-        # neither the solved gate nor its propagator depends on nbar, so both
-        # are built once per eta, at its first point; a failure leaves `gate`
-        # unset, so every point of that eta fails the same way
+        # no pulse or propagator depends on nbar, so all are built once per
+        # eta, at its first point; a failure leaves `gate` unset, so every
+        # point of that eta fails the same way
         gate = None
         for nbar in nbar_values:
             t0 = time.perf_counter()
@@ -461,13 +467,13 @@ def lamb_dicke_error_sweep(
                     params = solve_gate_params(eta).model_params(
                         n_ions=n_ions, n_max=n_max, n_pad=n_pad
                     )
-                    gate = params, _propagator_for(params, model)
-                params, u = gate
+                    recipe = ghz_recipe(n_ions, eta, n_max=n_max, n_pad=n_pad)
+                    ghz_u = sector_propagators(recipe.params, recipe.params.tau, model)
+                    gate = params, _propagator_for(params, model), recipe, ghz_u
+                params, u, recipe, ghz_u = gate
                 motion = thermal_state(ThermalSpec(nbar=nbar, n_max=n_max))
                 table = truth_table_check(params, motion, model=model, u=u)
-                ghz = ghz_check(
-                    n_ions, eta, motion, n_max=n_max, n_pad=n_pad, model=model
-                )
+                ghz = _ghz_report(recipe, ghz_u, motion.density(), model)
                 leak = max(table.leakage, ghz.leakage)
                 outcome = dict(
                     infidelity_gate=table.gate_infidelity,

@@ -76,8 +76,9 @@ def _require_keys(section: dict, allowed: set[str], where: str) -> None:
         raise ConfigError(f"unknown {where} keys: {sorted(unknown)}")
 
 
-#: the smallest accepted value of each integer model setting
-_MINIMA = {"n_ions": 1, "n_max": 1, "n_pad": 0}
+#: the smallest accepted value of each integer model setting; every sweep row
+#: runs the GHZ recipe, which needs two ions
+_MINIMA = {"n_ions": 2, "n_max": 1, "n_pad": 0}
 
 
 def _check_minimum(name: str, key: str, value: int) -> None:

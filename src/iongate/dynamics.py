@@ -303,13 +303,5 @@ def evolve(state: QuantumState, u: OperatorMatrix) -> QuantumState:
     _require_same_space(state, u)
     if state.kind == "pure":
         return QuantumState("pure", u.mat @ state.data, state.layout, state.dims)
-    rho = _conjugate(u.mat, state.data)
+    rho = u.mat @ state.data @ u.mat.conj().T
     return QuantumState("mixed", rho, state.layout, state.dims)
-
-
-def _conjugate(w: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    # w rho w+ (w may be rectangular), re-Hermitized in place: no second copy
-    out = w @ rho @ w.conj().T
-    out += out.conj().T
-    out /= 2.0
-    return out

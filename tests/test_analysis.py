@@ -304,6 +304,12 @@ class TestTruthTable:
         with pytest.raises(ValueError):
             truth_table_check(p, fock_state(0, 30))
 
+    def test_motional_input_layout_guard(self):
+        # |gg> has the dimension of a Fock space at n_max = 3, but no motion
+        p = gate_params(0.1, 3)
+        with pytest.raises(ValueError, match="motional state"):
+            truth_table_check(p, internal_product_state("gg"))
+
     def test_propagator_guards(self):
         p = gate_params(0.1, 8)
         u = sector_sum(2, sector_propagators(p, p.tau, "ld")).mat.copy()
@@ -343,25 +349,22 @@ class TestTruthTable:
             raise AssertionError("the truth table evolved a composite state")
 
         shapes = {"eigh": [], "eigvalsh": []}
-        eigvalsh_args = []
+        # per d-sized eigvalsh: the traced peak since the previous one, and
+        # the traced memory held while it runs, its argument included
+        windows = []
 
         def shape_recording(name):
             solver = getattr(np.linalg, name)
 
             def solve(a, *args, **kwargs):
                 shapes[name].append(np.shape(a))
-                if name == "eigvalsh":
-                    eigvalsh_args.append(a)
+                if p.dim in np.shape(a):
+                    current, peak = tracemalloc.get_traced_memory()
+                    windows.append((peak, current))
+                    tracemalloc.reset_peak()
                 return solver(a, *args, **kwargs)
 
             return solve
-
-        conjugated = []
-        conjugate = analysis._conjugate
-
-        def conjugate_recording(w, rho):
-            conjugated.append(conjugate(w, rho))
-            return conjugated[-1]
 
         kron_shapes = []
         kron = np.kron
@@ -375,26 +378,32 @@ class TestTruthTable:
         monkeypatch.setattr(QuantumState, "__post_init__", recording)
         monkeypatch.setattr(dynamics, "evolve", forbidden)
         monkeypatch.setattr(analysis, "evolve", forbidden, raising=False)
-        monkeypatch.setattr(analysis, "_conjugate", conjugate_recording)
         monkeypatch.setattr(np, "kron", kron_recording)
         for name in shapes:
             monkeypatch.setattr(np.linalg, name, shape_recording(name))
-        report = truth_table_check(p, motion, model="full", u=u)
+        # u is allocated before tracing starts, so only the arrays that the
+        # truth table makes are counted
+        tracemalloc.start()
+        try:
+            report = truth_table_check(p, motion, model="full", u=u)
+        finally:
+            tracemalloc.stop()
         assert len(report.composite_fidelities) == 8
         assert dims and p.dim not in dims
         # the square root of each output state comes from sqrt(rho): no
-        # d-sized eigh, and one d-sized eigvalsh per input
+        # d-sized eigh, and one d-sized eigvalsh per input, of a d x d array
         assert shapes["eigh"] and all(p.dim not in s for s in shapes["eigh"])
-        assert sum(p.dim in s for s in shapes["eigvalsh"]) == 8
-        # the one d x d array per input is W S W+, made for that eigvalsh;
-        # the output state W rho W+ is never formed
-        square = [m for m in conjugated if m.shape == (p.dim, p.dim)]
-        assert len(square) == 8
-        assert all(any(a is m for m in square) for a in eigvalsh_args if p.dim in a.shape)
+        assert [s for s in shapes["eigvalsh"] if p.dim in s] == [(p.dim, p.dim)] * 8
+        # exactly one d x d array per input, the argument of that eigvalsh: it
+        # is alive when the eigvalsh runs, and up to it no second d x d array
+        # was ever alive at once; the output state W rho W+ is never formed
+        square = p.dim**2 * 16
+        assert len(windows) == 8
+        assert all(square <= current and peak < 2 * square for peak, current in windows)
         # np.kron builds the 2^N-sized gate and inputs only; W comes from u
         assert kron_shapes and max(max(s) for s in kron_shapes) <= p.dim_internal
-        # with u given, the peak stays below three d x d complex arrays: W S W+,
-        # the temporary of its Hermitization and the d x (n_max+1) arrays
+        # unhooked, the whole call peaks below two d x d complex arrays: the
+        # one Z Z+ and the d x (n_max+1) arrays
         monkeypatch.undo()
         tracemalloc.start()
         try:
@@ -402,7 +411,7 @@ class TestTruthTable:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 3 * p.dim**2 * 16
+        assert peak < 2 * square
 
 
 class TestTruthTableAgainstDense:
@@ -485,6 +494,13 @@ class TestGhzCheck:
     def test_thermal_input(self):
         report = ghz_check(2, 0.1, quiet_thermal(0.5, 30), n_max=30)
         assert report.fidelity > 1 - 1e-8
+
+    def test_motional_input_guards(self):
+        with pytest.raises(ValueError, match="motional state"):
+            ghz_check(2, 0.1, fock_state(0, 30), n_max=20)
+        # |gg> has the dimension of a Fock space at n_max = 3, but no motion
+        with pytest.raises(ValueError, match="motional state"):
+            ghz_check(2, 0.1, internal_product_state("gg"), n_max=3)
 
     @pytest.mark.parametrize(
         "n_ions, model, motion",
@@ -569,13 +585,33 @@ class TestSweep:
             assert rec.infidelity_gate == single.infidelity_gate
             assert rec.leakage == single.leakage
 
+    def test_ghz_blocks_built_once_per_eta(self, monkeypatch):
+        calls = []
+        build = analysis.sector_propagators
+
+        def counted(params, t, model):
+            calls.append(params.eta)
+            return build(params, t, model)
+
+        monkeypatch.setattr(analysis, "sector_propagators", counted)
+        result = lamb_dicke_error_sweep((0.1, 0.2), (0.0, 0.5), n_ions=3, n_max=12)
+        # per eta, one set of blocks for the gate and one for the GHZ recipe
+        assert calls == [0.1, 0.1, 0.2, 0.2]
+        monkeypatch.undo()
+        for rec in result.records:
+            motion = thermal_state(ThermalSpec(nbar=rec.nbar, n_max=12))
+            ghz = ghz_check(3, rec.eta, motion, n_max=12, model="full")
+            assert rec.infidelity_ghz == 1.0 - ghz.fidelity
+
     def test_nan_ghz_fidelity_is_not_a_perfect_gate(self, monkeypatch):
-        check = analysis.ghz_check
+        # the sweep evaluates the GHZ recipe without calling ghz_check, so
+        # the NaN goes in where both take the phase-maximized fidelity
+        maximum = analysis._ghz_maximum
 
-        def nan_fidelity(*args, **kwargs):
-            return dataclasses.replace(check(*args, **kwargs), fidelity=float("nan"))
+        def nan_fidelity(*args):
+            return float("nan"), maximum(*args)[1]
 
-        monkeypatch.setattr(analysis, "ghz_check", nan_fidelity)
+        monkeypatch.setattr(analysis, "_ghz_maximum", nan_fidelity)
         result = lamb_dicke_error_sweep((0.1,), (0.0,), n_max=12, model="ld")
         assert math.isnan(result.records[0].infidelity_ghz)
 

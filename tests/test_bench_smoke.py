@@ -76,3 +76,20 @@ def test_full_size_gate_checks_match_the_references(tmp_path):
         with contextlib.redirect_stdout(io.StringIO()):
             rc = main(job.args)
         assert workloads.check_job(job, rc, refs) == []
+
+
+@pytest.mark.filterwarnings("ignore:thermal tail weight")
+def test_full_size_convergences_match_the_references(tmp_path):
+    # a smoke run checks one drawn convergence job; its gate_infidelity and
+    # diff_infidelity carry the dense composite-fidelity noise, so every
+    # convergence job of the reference grid (6 eta x 3 nbar) is checked at
+    # REF_TOL as well
+    workloads = _perfbench_workloads()
+    refs = workloads.load_refs()
+    grid = list(itertools.product(workloads.CLI_ETAS, workloads.CLI_NBARS))
+    assert len(grid) == 18
+    for i, (eta, nbar) in enumerate(grid):
+        job = workloads.convergence_job(eta, nbar, tmp_path / f"{i}.json")
+        with contextlib.redirect_stdout(io.StringIO()):
+            rc = main(job.args)
+        assert workloads.check_job(job, rc, refs) == []

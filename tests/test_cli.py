@@ -350,8 +350,17 @@ class TestSweepCommand:
             ({"n_pad": -3}, [], "model.n_pad"),
             ({}, ["--n-max", "0"], "--n-max"),
             ({}, ["--n-pad=-3"], "--n-pad"),
+            # every row runs the GHZ recipe, which needs two ions
+            ({"n_ions": 1}, [], "model.n_ions"),
         ],
-        ids=["model0-n_ions", "model1-n_max", "model2-n_pad", "n-max-flag", "n-pad-flag"],
+        ids=[
+            "model0-n_ions",
+            "model1-n_max",
+            "model2-n_pad",
+            "n-max-flag",
+            "n-pad-flag",
+            "one-ion",
+        ],
     )
     def test_out_of_range_model_values_exit_2(self, tmp_path, capsys, model, flags, name):
         base = {"n_ions": 2, "n_max": 12, "hamiltonian": "ld"}
