@@ -11,10 +11,12 @@ Definition used for state-level gate infidelity: for each |+/-> product input
 v with motional input rho_mot, the per-input fidelity is the composite-state
 fidelity F(U (|v><v| x rho_mot) U+, |Gv><Gv| x rho_mot) against the truth-table
 image Gv with the motional state restored, and the gate infidelity is one
-minus the mean over the 2^N inputs. The composite form is essential: these
-inputs are J_x eigenstates, so their traced internal state is exactly the
-input under both Hamiltonians and a purely internal fidelity would be
-identically 1 regardless of parameters (see README).
+minus the mean over the 2^N inputs. G is diagonal in the |+/-> products:
+the image of an input v in J_x sector k is g_k v, with no gate matrix built.
+The composite form is essential: these inputs are J_x eigenstates, so their
+traced internal state is exactly the input under both Hamiltonians and a
+purely internal fidelity would be identically 1 regardless of parameters
+(see README).
 
 Each state quantity has one array kernel, shared by the public function and
 the harnesses: `_reduced` (partial trace of X X+ from X; `partial_trace` of
@@ -36,17 +38,18 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dynamics import sector_propagators, sector_sum
+from .dynamics import _require_model, sector_propagators, sector_sum
 from .hilbert import (
     ModelParams,
     OperatorMatrix,
     QuantumState,
     ThermalSpec,
+    _pm_products,
     _require_same_space,
     pm_product_states,
     thermal_state,
 )
-from .synthesis import GhzRecipe, ghz_recipe, ideal_gate_unitary, solve_gate_params
+from .synthesis import GhzRecipe, _gate_phases, ghz_recipe, solve_gate_params
 
 #: leakage above this level marks a result as truncation-unreliable
 LEAKAGE_THRESHOLD = 1e-6
@@ -264,10 +267,12 @@ def truth_table_check(
     finite unitary composite `u` with the model's dims is accepted, a detuned
     one from the dense oracle included. Unitarity is checked per input as
     W+W = I to 1e-10, on the (n_max+1)-sized block that the composite
-    fidelity relies on; a `u` that fails it raises `ValueError`, and so
-    does a non-motional `motion`. One sqrt(rho) serves the restoration
-    fidelity F(rho, red_m) and the composite one, of Z Z+ (module docstring).
+    fidelity relies on; a `u` that fails it raises `ValueError`, and so do
+    a non-motional `motion` and an unknown `model`, also with `u` given. One
+    sqrt(rho) serves the restoration fidelity F(rho, red_m) and the
+    composite one, of Z Z+ (module docstring).
     """
+    _require_model(model)
     _require_motion(motion, params)
     if u is None:
         u = _propagator_for(params, model)
@@ -281,14 +286,14 @@ def truth_table_check(
     eye_m = np.eye(dims[1])
     # column block i of u is U (|i> x I_m); the reshape is a view, not a copy
     columns = u.mat.reshape(params.dim, *dims)
-    ideal = ideal_gate_unitary(params.n_ions)
+    # the image of an input v in sector k is g_k v
+    phases = _gate_phases(params.n_ions)[_pm_products(params.n_ions)[2]]
     inputs = pm_product_states(params.n_ions)
-    labels, f_int, f_res, f_comp = sorted(inputs), [], [], []
+    f_int, f_res, f_comp = [], [], []
     leak = 0.0
-    for label in labels:
-        vec = inputs[label].data
-        image = ideal.mat @ vec
-        image /= np.linalg.norm(image)
+    for state, phase in zip(inputs.values(), phases):
+        vec = state.data
+        image = phase * vec
         # U (|v><v| x rho) U+ = W rho W+ with the isometry W = U (|v> x I_m)
         w = np.einsum("xim,i->xm", columns, vec)
         # W+W = I_m holds for a unitary u, and the square root below needs it;
@@ -315,7 +320,7 @@ def truth_table_check(
         leak = max(leak, float(_weight_above(red_m.diagonal().real, params.n_max // 2)))
     return TruthTableReport(
         model=model,
-        input_labels=tuple(labels),
+        input_labels=tuple(inputs),
         internal_fidelities=tuple(f_int),
         restoration_fidelities=tuple(f_res),
         composite_fidelities=tuple(f_comp),
@@ -335,10 +340,6 @@ class GhzReport:
     phase_deviation: float | None
     leakage: float
     flags: tuple[str, ...]
-
-
-def _wrap_angle(x: float) -> float:
-    return float(np.angle(np.exp(1j * x)))
 
 
 def ghz_check(
@@ -387,7 +388,8 @@ def _ghz_report(recipe: GhzRecipe, u: np.ndarray, rho: np.ndarray, model: str) -
     leak = float(weights @ _weight_above(populations, recipe.params.n_max // 2))
     deviation = None
     if recipe.expected_rel_phase is not None:
-        deviation = abs(_wrap_angle(phase - recipe.expected_rel_phase))
+        # wrapped into [0, pi]
+        deviation = abs(float(np.angle(np.exp(1j * (phase - recipe.expected_rel_phase)))))
     return GhzReport(
         model=model,
         fidelity=fid,

@@ -3,9 +3,10 @@ structured output.
 
 Human-readable text always goes to standard output; machine-readable output
 (JSON, or CSV for tabular commands) is written only to an explicit --out
-path. Every command is deterministic given its configuration: reruns produce
-byte-identical files. Wall-clock runtimes appear in the text rendering only,
-never in machine output.
+path, opened before the command computes (`_opened`). Every command is
+deterministic given its configuration: reruns produce byte-identical files.
+Wall-clock runtimes appear in the text rendering only, never in machine
+output.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import functools
 import io
 import json
 import os
+import stat
 import sys
 from dataclasses import asdict, dataclass, fields
 
@@ -182,30 +184,41 @@ def _json_bytes(payload: dict) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def _write_out(path: str | None, text: str) -> None:
-    if path:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-
-
 @contextlib.contextmanager
 def _opened(paths):
-    """Every path opened for writing, all or none: when one cannot be opened,
-    the files opened before it are removed again."""
-    with contextlib.ExitStack() as files:
-        with contextlib.ExitStack() as undo:
+    """Every nonempty path opened for writing, all or none: when one cannot
+    be opened, or the block raises, the regular files opened are removed
+    again (never a device or a symbolic link)."""
+    with contextlib.ExitStack() as undo:
+        with contextlib.ExitStack() as files:
             handles = {}
-            for path in paths:
+            for path in filter(None, paths):
                 handles[path] = files.enter_context(
                     open(path, "w", encoding="utf-8", newline="")
                 )
-                undo.callback(os.remove, path)
-            # every path is open: nothing to undo
-            undo.pop_all()
-        yield handles
+                if stat.S_ISREG(os.lstat(path).st_mode):
+                    undo.callback(os.remove, path)
+            yield handles
+        # every file is written and closed: nothing to undo
+        undo.pop_all()
 
 
-def cmd_solve(args) -> int:
+def _writes_out(command):
+    """A command that returns its --out text, run with --out opened before
+    it computes, so that a path that cannot be written fails it at once."""
+    @functools.wraps(command)
+    def run(args) -> int:
+        with _opened([args.out]) as files:
+            text = command(args)
+            for fh in files.values():
+                fh.write(text)
+        return 0
+
+    return run
+
+
+@_writes_out
+def cmd_solve(args) -> str:
     sol = solve_gate_params(args.eta)
     payload = {"command": "solve", "seed": args.seed, "solution": asdict(sol)}
     print(f"gate parameters for eta = {sol.eta:g}")
@@ -225,11 +238,11 @@ def cmd_solve(args) -> int:
         print(f"  residuals    = ({lit.residual_c:.3e}, {lit.residual_d:.3e})")
         print("  (off the target by a factor of pi in both coefficients;")
         print("   reported for cross-checking, see README)")
-    _write_out(args.out, _json_bytes(payload))
-    return 0
+    return _json_bytes(payload)
 
 
-def cmd_gate_check(args) -> int:
+@_writes_out
+def cmd_gate_check(args) -> str:
     params = solve_gate_params(args.eta).model_params(
         n_ions=2, n_max=args.n_max, n_pad=args.n_pad
     )
@@ -241,15 +254,10 @@ def cmd_gate_check(args) -> int:
         "eta": args.eta,
         "nbar": args.nbar,
         "n_max": args.n_max,
-        "model": report.model,
-        "inputs": list(report.input_labels),
-        "internal_fidelities": list(report.internal_fidelities),
-        "restoration_fidelities": list(report.restoration_fidelities),
-        "composite_fidelities": list(report.composite_fidelities),
+        **asdict(report),
         "gate_infidelity": report.gate_infidelity,
-        "leakage": report.leakage,
-        "flags": list(report.flags),
     }
+    payload["inputs"] = payload.pop("input_labels")
     print(
         f"truth-table check: eta={args.eta:g} nbar={args.nbar:g} "
         f"n_max={args.n_max} model={report.model}"
@@ -268,11 +276,11 @@ def cmd_gate_check(args) -> int:
     print(f"  leakage above n_max/2: {report.leakage:.6e}")
     if report.flags:
         print(f"  flags: {', '.join(report.flags)}")
-    _write_out(args.out, _json_bytes(payload))
-    return 0
+    return _json_bytes(payload)
 
 
-def cmd_ghz(args) -> int:
+@_writes_out
+def cmd_ghz(args) -> str:
     if not 2 <= args.n_ions <= 6 and not args.force:
         raise ConfigError(
             f"n_ions={args.n_ions} outside the desk-scale guard [2, 6]; "
@@ -289,15 +297,9 @@ def cmd_ghz(args) -> int:
         "eta": args.eta,
         "nbar": args.nbar,
         "n_max": args.n_max,
-        "model": report.model,
-        "fidelity": report.fidelity,
-        "rel_phase": report.rel_phase,
+        **asdict(report),
         "phi_g": 0.0,
         "phi_e": report.rel_phase,
-        "expected_rel_phase": report.expected_rel_phase,
-        "phase_deviation": report.phase_deviation,
-        "leakage": report.leakage,
-        "flags": list(report.flags),
     }
     recipe_kind = "even" if args.n_ions % 2 == 0 else "odd"
     print(
@@ -318,8 +320,7 @@ def cmd_ghz(args) -> int:
     print(f"  leakage above n_max/2: {report.leakage:.6e}")
     if report.flags:
         print(f"  flags: {', '.join(report.flags)}")
-    _write_out(args.out, _json_bytes(payload))
-    return 0
+    return _json_bytes(payload)
 
 
 def _scipy_version() -> str | None:
@@ -367,7 +368,6 @@ def cmd_sweep(args) -> int:
     seed = args.seed if args.seed is not None else config.seed
     # the format of each output path; a path named twice takes the last one
     formats = {config.csv_path: "csv", config.json_path: "json", args.out: args.format}
-    formats.pop(None, None)
     # opened before the sweep runs, so that a path that cannot be written
     # fails the command before any row is computed
     with _opened(formats) as handles:
@@ -406,7 +406,8 @@ def cmd_sweep(args) -> int:
     return 1 if any(rec.error for rec in result.records) else 0
 
 
-def cmd_convergence(args) -> int:
+@_writes_out
+def cmd_convergence(args) -> str:
     try:
         n_list = [int(x) for x in args.n_max_list.split(",")]
     except ValueError:
@@ -432,9 +433,9 @@ def cmd_convergence(args) -> int:
             f"  {row.n_max:5d}  {row.gate_infidelity:15.6e}  {row.metric:19.6e}"
             f"  {di:>10s}  {dm:>11s}"
         )
-    csv_text = _csv_text([f.name for f in fields(ConvergenceRow)], rows)
-    _write_out(args.out, csv_text if args.format == "csv" else _json_bytes(payload))
-    return 0
+    if args.format == "csv":
+        return _csv_text([f.name for f in fields(ConvergenceRow)], rows)
+    return _json_bytes(payload)
 
 
 _MODEL_FLAG = dict(action="store_const", const="full", default="ld", dest="model")

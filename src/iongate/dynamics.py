@@ -40,7 +40,9 @@ from .hilbert import (
     ModelParams,
     OperatorMatrix,
     QuantumState,
+    _pm_products,
     _require_same_space,
+    _sector_m,
     collective_spin,
     ladder_operators,
     position_sine_operator,
@@ -68,45 +70,37 @@ class PropagatorFactors:
     def _assemble(self, blocks: np.ndarray) -> OperatorMatrix:
         return sector_sum(len(blocks) - 1, blocks)
 
-    @cached_property
-    def f_twist(self) -> OperatorMatrix:
-        return self._assemble(self.twist)
+    f_twist = cached_property(lambda self: self._assemble(self.twist))
+    f_rot = cached_property(lambda self: self._assemble(self.rot))
+    f_disp = cached_property(lambda self: self._assemble(self.disp))
+    f_carrier = cached_property(lambda self: self._assemble(self.carrier))
+    product = cached_property(
+        lambda self: self._assemble(self.twist @ self.rot @ self.disp @ self.carrier)
+    )
 
-    @cached_property
-    def f_rot(self) -> OperatorMatrix:
-        return self._assemble(self.rot)
 
-    @cached_property
-    def f_disp(self) -> OperatorMatrix:
-        return self._assemble(self.disp)
-
-    @cached_property
-    def f_carrier(self) -> OperatorMatrix:
-        return self._assemble(self.carrier)
-
-    @cached_property
-    def product(self) -> OperatorMatrix:
-        return self._assemble(self.twist @ self.rot @ self.disp @ self.carrier)
+def _require_model(model: str) -> None:
+    if model not in ("ld", "full"):
+        raise ValueError(f"model must be 'ld' or 'full', got {model!r}")
 
 
 def _coupling(params: ModelParams, model: str) -> OperatorMatrix:
     """The motional factor f of the drive Omega f J_x: eta (a + a+) cos(theta)
     + sin(theta) for the Lamb-Dicke model ("ld"), the operator sine
     sin(eta (a + a+) + theta) for the full model ("full")."""
+    _require_model(model)
     if model == "ld":
         a, ad = ladder_operators(params.n_max)
         coupling = params.eta * (a.mat + ad.mat) * np.cos(params.theta) + np.sin(
             params.theta
         ) * np.eye(params.dim_motion)
         return OperatorMatrix(coupling, "motion")
-    if model == "full":
-        return position_sine_operator(params)
-    raise ValueError(f"model must be 'ld' or 'full', got {model!r}")
+    return position_sine_operator(params)
 
 
 def _composite_hamiltonian(params: ModelParams, coupling: OperatorMatrix) -> OperatorMatrix:
-    # a+a + (Delta/2) J_z + Omega f J_x; the spin operators are complex for
-    # `ideal_gate_unitary`, and taking their real parts keeps H real
+    # a+a + (Delta/2) J_z + Omega f J_x; `collective_spin` returns complex
+    # matrices, and taking the real parts of J_x and J_z keeps H real
     number = np.diag(np.arange(params.dim_motion, dtype=float))
     jx = collective_spin(params.n_ions, "x").mat.real
 
@@ -161,25 +155,14 @@ def expm_propagator(h: OperatorMatrix, t: float) -> OperatorMatrix:
     return OperatorMatrix(u, h.layout, h.dims)
 
 
-def _sector_m(n_ions: int) -> np.ndarray:
-    """J_x eigenvalue m = N - 2k of each sector k = 0..N."""
-    return n_ions - 2 * np.arange(n_ions + 1)
-
-
 def sector_sum(n_ions: int, blocks: np.ndarray) -> OperatorMatrix:
     """sum_k P_k x blocks[k] on the composite space, for blocks of shape
-    (N+1, n_max+1, n_max+1) indexed like `sector_propagators`.
-
-    P_k projects onto the |+/-> products with k minus signs (m = N - 2k).
-    With those products unnormalized, as the +/-1 columns S_k, P_k is
-    S_k S_k^T / 2^N, exact in floating point.
+    (N+1, n_max+1, n_max+1) indexed like `sector_propagators`. The projector
+    P_k is S_k S_k^T / 2^N, exact in floating point, with S_k the +/-1 columns
+    of the |+/-> products in sector k from `hilbert._pm_products`.
     """
-    signs = np.ones((1, 1))
-    for _ in range(n_ions):
-        # columns |+> = (1, 1), |-> = (-1, 1) in (g, e) ordering, unnormalized
-        signs = np.kron(signs, [[1.0, -1.0], [1.0, 1.0]])
-    minus = np.array([bin(s).count("1") for s in range(2**n_ions)])
-    in_sector = minus == np.arange(n_ions + 1)[:, None]
+    signs, _, sector = _pm_products(n_ions)
+    in_sector = sector == np.arange(n_ions + 1)[:, None]
     projectors = (signs * in_sector[:, None, :]) @ signs.T / 2.0**n_ions
     d_i, d_m = 2**n_ions, blocks.shape[-1]
     flat = blocks.reshape(n_ions + 1, d_m * d_m)

@@ -12,6 +12,9 @@ Conventions (normative for every module in this package):
 - The trap frequency omega_a is the unit: times are in units of 1/omega_a,
   so one trap period is 2 pi, and every other rate is stored as a ratio to
   omega_a.
+- The J_x sector basis is owned here: `_pm_products` gives the 2^N |+/->
+  products as +/-1 columns with their sector k (m = N - 2k), and every
+  sector-resolved quantity reads it.
 """
 
 from __future__ import annotations
@@ -30,6 +33,9 @@ PAULI = {
     "y": np.array([[0, 1j], [-1j, 0]], dtype=complex),
     "z": np.array([[-1, 0], [0, 1]], dtype=complex),
 }
+
+#: columns |+> = (1, 1) and |-> = (-1, 1) in (g, e) ordering, unnormalized
+_PM_COLUMNS = np.array([[1.0, -1.0], [1.0, 1.0]])
 
 
 @dataclass(frozen=True)
@@ -335,16 +341,29 @@ def fock_state(n: int, n_max: int) -> QuantumState:
 
 
 def _single_ion_vector(symbol: str) -> np.ndarray:
-    # (g, e) ordering; |+-> = (|e> +- |g>)/sqrt(2)
-    if symbol == "g":
-        return np.array([1, 0], dtype=complex)
-    if symbol == "e":
-        return np.array([0, 1], dtype=complex)
-    if symbol == "+":
-        return np.array([1, 1], dtype=complex) / np.sqrt(2)
-    if symbol == "-":
-        return np.array([-1, 1], dtype=complex) / np.sqrt(2)
-    raise ValueError(f"unknown ion state symbol {symbol!r}")
+    # (g, e) ordering: the columns |g>, |e>, then |+-> = (|e> +- |g>)/sqrt(2)
+    if len(symbol) != 1 or symbol not in "ge+-":
+        raise ValueError(f"unknown ion state symbol {symbol!r}")
+    columns = np.hstack([np.eye(2), _PM_COLUMNS / np.sqrt(2)])
+    return columns[:, "ge+-".index(symbol)].astype(complex)
+
+
+def _sector_m(n_ions: int) -> np.ndarray:
+    """J_x eigenvalue m = N - 2k of each sector k = 0..N."""
+    return n_ions - 2 * np.arange(n_ions + 1)
+
+
+def _pm_products(n_ions: int) -> tuple[np.ndarray, tuple[str, ...], np.ndarray]:
+    """The 2^N |+/-> products as the +/-1 columns of S (S S^T = 2^N I), in
+    kron order with ion 1 first, with their sign strings (so in sorted order)
+    and their sector k, the number of minus signs."""
+    if n_ions < 1:
+        raise ValueError(f"n_ions must be >= 1, got {n_ions}")
+    signs, labels = np.ones((1, 1)), [""]
+    for _ in range(n_ions):
+        signs = np.kron(signs, _PM_COLUMNS)
+        labels = [label + sign for label in labels for sign in "+-"]
+    return signs, tuple(labels), np.array([label.count("-") for label in labels])
 
 
 def internal_product_state(symbols: str) -> QuantumState:
@@ -360,28 +379,17 @@ def internal_product_state(symbols: str) -> QuantumState:
 def standard_states(n_ions: int) -> dict[str, QuantumState]:
     """The reference internal states: all-ground, all-excited, and every
     |+/-> product, keyed by their symbol strings (e.g. 'ground', '+-')."""
-    if n_ions < 1:
-        raise ValueError(f"n_ions must be >= 1, got {n_ions}")
-    states = {
-        "ground": internal_product_state("g" * n_ions),
-        "excited": internal_product_state("e" * n_ions),
-    }
-    for bits in range(2 ** n_ions):
-        signs = "".join(
-            "+" if (bits >> (n_ions - 1 - i)) & 1 == 0 else "-"
-            for i in range(n_ions)
-        )
-        states[signs] = internal_product_state(signs)
-    return states
+    products = pm_product_states(n_ions)
+    ends = {"ground": "g" * n_ions, "excited": "e" * n_ions}
+    return {key: internal_product_state(sym) for key, sym in ends.items()} | products
 
 
 def pm_product_states(n_ions: int) -> dict[str, QuantumState]:
-    """Just the 2^N |+/-> product states, keyed by sign strings."""
-    return {
-        key: state
-        for key, state in standard_states(n_ions).items()
-        if key not in ("ground", "excited")
-    }
+    """Just the 2^N |+/-> product states, keyed by sign strings in the
+    sorted order of `_pm_products`."""
+    signs, labels, _ = _pm_products(n_ions)
+    vecs = signs.T.astype(complex) / np.sqrt(2.0**n_ions)
+    return {label: QuantumState("pure", v, "internal") for label, v in zip(labels, vecs)}
 
 
 def composite_pure(internal: QuantumState, motion: QuantumState) -> QuantumState:

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import propagator_at_tau, pulse_period_coefficients
-from .hilbert import ModelParams, OperatorMatrix, QuantumState, collective_spin
+from .hilbert import ModelParams, OperatorMatrix, QuantumState, _pm_products, _sector_m
 
 GATE_C = np.pi / 8.0
 GATE_MINUS_D = np.pi / 4.0
@@ -177,17 +177,23 @@ def literal_params(eta: float) -> GateSolution:
     )
 
 
+def _gate_phases(n_ions: int) -> np.ndarray:
+    """g_k = e^{i pi/8 (m^2 + 2m)}, the ideal gate on J_x sector k, m = N - 2k."""
+    m = _sector_m(n_ions)
+    return np.exp(1j * np.pi / 8.0 * (m**2 + 2 * m))
+
+
 def ideal_gate_unitary(n_ions: int = 2) -> OperatorMatrix:
-    """The target internal unitary exp[i pi/8 (J_x^2 + 2 J_x)].
+    """The target internal unitary exp[i pi/8 (J_x^2 + 2 J_x)], built as
+    sum_k g_k P_k with P_k = S_k S_k^T / 2^N (`hilbert._pm_products`).
 
     For two ions this is the conditional phase gate that is diagonal in the
     |+/-> product basis with truth table |++> -> -|++> and identity on the
     other three inputs; the phase is fixed, with no global-phase freedom,
     because the m = -2 and m = 0 sectors both acquire phase 1.
     """
-    jx = collective_spin(n_ions, "x")
-    vals, vecs = np.linalg.eigh(jx.mat)
-    u = (vecs * np.exp(1j * np.pi / 8.0 * (vals**2 + 2.0 * vals))) @ vecs.conj().T
+    signs, _, sector = _pm_products(n_ions)
+    u = (signs * _gate_phases(n_ions)[sector]) @ signs.T / 2.0**n_ions
     return OperatorMatrix(u, "internal")
 
 

@@ -327,6 +327,13 @@ class TestTruthTable:
         with pytest.raises(ValueError, match="finite"):
             truth_table_check(p, motion, u=OperatorMatrix(u, "composite", dims=(4, 9)))
 
+    def test_unknown_model_rejected_with_u(self):
+        # with u given no coupling is built, so the model is checked on its own
+        p = gate_params(0.1, 8)
+        u = sector_sum(2, sector_propagators(p, p.tau, "ld"))
+        with pytest.raises(ValueError, match="model"):
+            truth_table_check(p, fock_state(0, 8), model="bogus", u=u)
+
     def test_nan_fidelity_is_not_a_perfect_gate(self):
         def report(fid):
             return TruthTableReport("ld", ("++",), (1.0,), (1.0,), (fid,), 0.0, ())
@@ -400,7 +407,7 @@ class TestTruthTable:
         square = p.dim**2 * 16
         assert len(windows) == 8
         assert all(square <= current and peak < 2 * square for peak, current in windows)
-        # np.kron builds the 2^N-sized gate and inputs only; W comes from u
+        # np.kron builds the 2^N-sized |+/-> sign matrix only; W comes from u
         assert kron_shapes and max(max(s) for s in kron_shapes) <= p.dim_internal
         # unhooked, the whole call peaks below two d x d complex arrays: the
         # one Z Z+ and the d x (n_max+1) arrays

@@ -511,6 +511,36 @@ class TestOutputContract:
         assert run_cli("solve", "--eta", "0.1", "--out", str(tmp_path)) == 2
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize("command", ["gate-check", "ghz"])
+    def test_unwritable_out_refused_before_computing(self, tmp_path, capsys, command):
+        # --out is opened before the command computes, so nothing is printed
+        assert run_cli(command, "--out", str(tmp_path)) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (["solve", "--eta", "1e5"], 1),
+            (["ghz", "--n-ions", "9"], 2),
+            (["convergence", "--n-max-list", "20,10"], 2),
+        ],
+    )
+    def test_failed_command_leaves_no_output(self, tmp_path, argv, code):
+        out = tmp_path / "out.json"
+        assert run_cli(*argv, "--out", str(out)) == code
+        assert not out.exists()
+
+    def test_failed_command_keeps_a_symbolic_link(self, tmp_path):
+        # only regular files are removed, never what a link points through
+        target = tmp_path / "target.json"
+        target.write_text("{}")
+        link = tmp_path / "link.json"
+        link.symlink_to(target)
+        assert run_cli("solve", "--eta", "1e5", "--out", str(link)) == 1
+        assert link.is_symlink() and target.exists()
+
     @pytest.mark.parametrize(
         "argv",
         [

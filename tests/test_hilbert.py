@@ -27,6 +27,7 @@ from iongate import (
     standard_states,
     thermal_state,
 )
+from iongate.hilbert import _pm_products, _sector_m
 
 
 class TestModelParams:
@@ -310,6 +311,26 @@ class TestStates:
         assert np.array_equal(states["ground"].data, [1, 0, 0, 0])
         assert np.array_equal(states["excited"].data, [0, 0, 0, 1])
         assert set(pm_product_states(2)) == {"++", "+-", "-+", "--"}
+
+    @pytest.mark.parametrize("build", [pm_product_states, standard_states])
+    def test_rejects_no_ions(self, build):
+        with pytest.raises(ValueError, match="n_ions"):
+            build(0)
+
+    @pytest.mark.parametrize("n_ions", [1, 2, 3, 4])
+    def test_sector_basis_owner(self, n_ions):
+        # the +/-1 columns are the unnormalized |+/-> products, in sorted label
+        # order, and the column with k minus signs has J_x eigenvalue N - 2k
+        signs, labels, sector = _pm_products(n_ions)
+        dim = 2**n_ions
+        assert np.array_equal(signs @ signs.T, dim * np.eye(dim))
+        assert list(labels) == sorted(labels) == list(pm_product_states(n_ions))
+        jx = collective_spin(n_ions, "x").mat.real
+        m = _sector_m(n_ions)
+        for column, label, k in zip(signs.T, labels, sector):
+            assert k == label.count("-") and m[k] == n_ions - 2 * k
+            assert np.abs(column / np.sqrt(dim) - internal_product_state(label).data).max() < 1e-15
+            assert np.array_equal(jx @ column, m[k] * column)
 
     def test_fock_state(self):
         f = fock_state(3, 6)

@@ -195,12 +195,18 @@ class TestIdealGateUnitary:
             psi = internal_product_state(label).data
             assert np.abs(u @ psi - sign * psi).max() < 1e-12
 
-    def test_matches_generator_exponential(self):
-        jx = collective_spin(2, "x").mat
+    @pytest.mark.parametrize("n_ions", range(1, 7))
+    def test_matches_generator_exponential(self, n_ions):
+        # the closed form sum_k g_k P_k against an eigh of the generator
+        jx = collective_spin(n_ions, "x").mat
         gen = jx @ jx + 2 * jx
         w, v = np.linalg.eigh(gen)
         expected = (v * np.exp(1j * np.pi / 8 * w)) @ v.conj().T
-        assert np.abs(ideal_gate_unitary(2).mat - expected).max() < 1e-12
+        assert np.abs(ideal_gate_unitary(n_ions).mat - expected).max() < 1e-12
+
+    def test_rejects_no_ions(self):
+        with pytest.raises(ValueError, match="n_ions"):
+            ideal_gate_unitary(0)
 
     def test_no_global_phase_freedom(self):
         # the m = -2 and m = 0 spin-x sectors both acquire phase exactly 1
