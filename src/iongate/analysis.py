@@ -2,10 +2,11 @@
 independence, truth-table and GHZ checks, Lamb-Dicke error sweeps, truncation
 convergence.
 
-The one-period propagator of the truth table, the sweep and the convergence
-study is assembled from the N+1 J_x sector propagators (`sector_sum` of
-`sector_propagators`), so these harnesses are resonant only; a detuned
-truth table takes its `u` from the dense oracle of `dynamics`.
+The truth table, the sweep and the convergence study read the N+1 J_x sector
+propagators U_k (`sector_propagators`) directly, so these harnesses are
+resonant only; a detuned truth table takes its `u` from the dense oracle of
+`dynamics`. Only the convergence metric assembles a composite propagator
+(`sector_sum`).
 
 Definition used for state-level gate infidelity: for each |+/-> product input
 v with motional input rho_mot, the per-input fidelity is the composite-state
@@ -20,14 +21,27 @@ purely internal fidelity would be identically 1 regardless of parameters
 
 Each state quantity has one array kernel, shared by the public function and
 the harnesses: `_reduced` (partial trace of X X+ from X; `partial_trace` of
-a pure state), `_fidelity` (`fidelity`) and `_weight_above`
-(`leakage_population`, `ghz_check`). Per input, the truth table sums u's
-column blocks into W = U (|v> x I_m); X = W sqrt(rho) has X X+ = W rho W+,
-which gives the reduced states and the leakage, and sqrt(W rho W+) = X W+
-makes the composite Uhlmann fidelity the spectrum of Z Z+ with the
-d x (n_max+1) factor Z = X Y+ sqrt(rho), Y = (<Gv| x I) W: Z Z+ is the one
-d x d array built per input (d = 2^N (n_max+1)). No `QuantumState` is
+a pure state), `_fidelity` (`fidelity`), `_trace_norm_squared` (the
+restoration fidelity F(rho, M M+) as (sum of the singular values of
+sqrt(rho) M)^2, with no square root of the restored motion) and
+`_weight_above` (`leakage_population`, `ghz_check`). No `QuantumState` is
 built and no per-state validation runs.
+
+On sectors (`_sector_truth_table`, modelled on `_ghz_report`), an input in
+sector k leaves as |v><v| x U_k rho U_k+. With X_k = U_k sqrt(rho), every
+quantity but the composite fidelity is computed once per sector: the
+restored motion X_k X_k+, its leakage, the internal fidelity tr(X_k X_k+)
+and the restoration fidelity from sqrt(rho) X_k. The composite Uhlmann
+matrix of input v is |v><v| x A_k A_k+ with A_k = U_k sqrt(rho) U_k+
+sqrt(rho); it is the one d x d array per input (d = 2^N (n_max+1)), built
+for an `eigvalsh`.
+
+With a given `u`, the truth table sums u's column blocks into
+W = U (|v> x I_m) per input; X = W sqrt(rho) has X X+ = W rho W+, which gives
+the reduced states and the leakage, and sqrt(W rho W+) = X W+ makes the
+composite Uhlmann fidelity the spectrum of Z Z+ with the d x (n_max+1)
+factor Z = X Y+ sqrt(rho), Y = (<Gv| x I) W. For a resonant `u`, Z Z+ is the
+sector route's |v><v| x A_k A_k+.
 """
 
 from __future__ import annotations
@@ -72,9 +86,15 @@ def partial_trace(state: QuantumState, keep: str) -> QuantumState:
 
 def _reduced(x: np.ndarray, dims: tuple[int, int], keep: str) -> np.ndarray:
     # the partial trace of X X+ (X is d x r; r = 1 for a state vector) from X
-    axis = 0 if keep == "internal" else 1
-    m = np.moveaxis(x.reshape(*dims, -1), axis, 0).reshape(dims[axis], -1)
+    m = _kept_factor(x, dims, keep)
     return _hermitian_part(m @ m.conj().T)
+
+
+def _kept_factor(x: np.ndarray, dims: tuple[int, int], keep: str) -> np.ndarray:
+    # M with M M+ the partial trace of X X+: X with the traced factor moved
+    # into the columns
+    axis = 0 if keep == "internal" else 1
+    return np.moveaxis(x.reshape(*dims, -1), axis, 0).reshape(dims[axis], -1)
 
 
 def _hermitian_part(m: np.ndarray) -> np.ndarray:
@@ -109,19 +129,21 @@ def _fidelity(a: np.ndarray, b: np.ndarray) -> float:
     elif b.ndim == 1:
         val = np.vdot(b, a @ b).real
     else:
-        val = _uhlmann(_sqrt_psd(a), b)
+        sqrt_a = _sqrt_psd(a)
+        val = _trace_sqrt_squared(sqrt_a @ b @ sqrt_a)
     return _unit(val)
-
-
-def _uhlmann(sqrt_a: np.ndarray, b: np.ndarray) -> float:
-    # (tr sqrt(sqrt(a) b sqrt(a)))^2 of two density matrices, unclipped
-    return _trace_sqrt_squared(sqrt_a @ b @ sqrt_a)
 
 
 def _trace_sqrt_squared(m: np.ndarray) -> float:
     # (tr sqrt(m))^2 of a Hermitian PSD m; roundoff negatives count as 0
     inner = np.clip(np.linalg.eigvalsh(m), 0.0, None)
     return float(np.sqrt(inner).sum() ** 2)
+
+
+def _trace_norm_squared(m: np.ndarray) -> np.ndarray:
+    # (sum of singular values)^2 per matrix in m: F(rho, M M+) for
+    # m = sqrt(rho) M, with no square root of rho's tiny eigenvalues
+    return np.linalg.svd(m, compute_uv=False).sum(-1) ** 2
 
 
 def _unit(val: float) -> float:
@@ -227,11 +249,6 @@ def _require_motion(motion: QuantumState, params: ModelParams) -> None:
         raise ValueError(f"motion must be a motional state of n_max={params.n_max}")
 
 
-def _propagator_for(params: ModelParams, model: str) -> OperatorMatrix:
-    # resonant only: sector_propagators rejects detuning and unknown models
-    return sector_sum(params.n_ions, sector_propagators(params, params.tau, model))
-
-
 @dataclass(frozen=True)
 class TruthTableReport:
     """Per-input truth-table results for one parameter point."""
@@ -262,20 +279,26 @@ def truth_table_check(
     Reports, per input: the internal fidelity after tracing out motion, the
     motional restoration fidelity after tracing out the ions, and the
     composite fidelity against image x restored motion (the phase-sensitive
-    quantity used as the gate infidelity). `u` defaults to the resonant
-    one-period propagator of the model, assembled from J_x sectors; any
-    finite unitary composite `u` with the model's dims is accepted, a detuned
-    one from the dense oracle included. Unitarity is checked per input as
-    W+W = I to 1e-10, on the (n_max+1)-sized block that the composite
-    fidelity relies on; a `u` that fails it raises `ValueError`, and so do
-    a non-motional `motion` and an unknown `model`, also with `u` given. One
-    sqrt(rho) serves the restoration fidelity F(rho, red_m) and the
-    composite one, of Z Z+ (module docstring).
+    quantity used as the gate infidelity). Without `u`, the resonant
+    one-period sector propagators U_k of the model are used directly: an
+    input in sector k leaves as |v><v| x U_k rho U_k+, so every quantity is
+    computed once per sector, and no composite propagator is built.
+
+    Any finite unitary composite `u` with the model's dims is accepted
+    instead, a detuned one from the dense oracle included. Unitarity is then
+    checked per input as W+W = I to 1e-10, on the (n_max+1)-sized block that
+    the composite fidelity relies on; a `u` that fails it raises
+    `ValueError`, and so do a non-motional `motion` and an unknown `model`,
+    also with `u` given. On both routes the restoration fidelity
+    F(rho, M M+) is (sum of singular values of sqrt(rho) M)^2, for the
+    restored motion M M+, and the composite fidelity is the spectrum of one
+    d x d matrix per input (module docstring).
     """
     _require_model(model)
     _require_motion(motion, params)
     if u is None:
-        u = _propagator_for(params, model)
+        blocks = sector_propagators(params, params.tau, model)
+        return _sector_truth_table(params, blocks, motion.density(), model)
     dims = params.dim_internal, params.dim_motion
     if u.dims != dims:
         raise ValueError(f"propagator dims {u.dims} do not match the model dims {dims}")
@@ -302,10 +325,11 @@ def truth_table_check(
             raise ValueError("propagator must be unitary")
         # W rho W+ = X X+ with X = W sqrt(rho): the reduced states come from X
         x = w @ sqrt_rho
-        red_m = _reduced(x, dims, "motion")
         f_int.append(_fidelity(_reduced(x, dims, "internal"), image))
-        # F(red_m, rho) = F(rho, red_m), so the one sqrt(rho) serves here too
-        f_res.append(_unit(_uhlmann(sqrt_rho, red_m)))
+        # the restored motion is M M+, so F(rho, M M+) needs no square root
+        # of it, and its diagonal is the row norms of M
+        m = _kept_factor(x, dims, "motion")
+        f_res.append(_unit(_trace_norm_squared(sqrt_rho @ m)))
         # composite fidelity against |g><g| x rho, g = Gv: sqrt(W rho W+) is
         # X W+, so the Uhlmann matrix of W rho W+ and |g><g| x rho is W S W+
         # with S = B+B, B = sqrt(rho) Y sqrt(rho) and Y = (<g| x I) W; then
@@ -317,12 +341,49 @@ def truth_table_check(
         # records the roundoff noise of its d - (n_max+1) null eigenvalues;
         # once the references are re-derived, eigvalsh(S) replaces it
         f_comp.append(_unit(_trace_sqrt_squared(z @ z.conj().T)))
-        leak = max(leak, float(_weight_above(red_m.diagonal().real, params.n_max // 2)))
+        populations = np.einsum("ij,ij->i", m, m.conj()).real
+        leak = max(leak, float(_weight_above(populations, params.n_max // 2)))
     return TruthTableReport(
         model=model,
         input_labels=tuple(inputs),
         internal_fidelities=tuple(f_int),
         restoration_fidelities=tuple(f_res),
+        composite_fidelities=tuple(f_comp),
+        leakage=leak,
+        flags=_flags(leak),
+    )
+
+
+def _sector_truth_table(
+    params: ModelParams, u: np.ndarray, rho: np.ndarray, model: str
+) -> TruthTableReport:
+    # `truth_table_check` from the sector propagators and the motional rho:
+    # an input v in sector k leaves as |v><v| x U_k rho U_k+, whose reduced
+    # states are |v><v| tr(U_k rho U_k+) and U_k rho U_k+ = X_k X_k+ with
+    # X_k = U_k sqrt(rho), so all but the composite spectrum is per sector
+    sqrt_rho = _sqrt_psd(rho)
+    x = u @ sqrt_rho
+    populations = np.einsum("kij,kij->ki", x, x.conj()).real
+    internal = populations.sum(-1)
+    restoration = _trace_norm_squared(sqrt_rho @ x)
+    leak = float(_weight_above(populations, params.n_max // 2).max())
+    # the composite Uhlmann matrix of input v is Z Z+ = |v><v| x A_k A_k+
+    # with A_k = U_k sqrt(rho) U_k+ sqrt(rho) (Z is the image phase times
+    # |v> x A_k; see truth_table_check), so A_k A_k+ is formed per sector
+    a = x @ (u.conj().transpose(0, 2, 1) @ sqrt_rho)
+    gram = a @ a.conj().transpose(0, 2, 1)
+    signs, labels, sector = _pm_products(params.n_ions)
+    f_comp = []
+    for column, k in zip(signs.T, sector):
+        # |v><v| = s s^T / 2^N is exact; the d x d matrix is kept for the
+        # eigvalsh whose null-eigenvalue roundoff perfbench/refs.json records
+        outer = np.outer(column, column) / 2.0**params.n_ions
+        f_comp.append(_unit(_trace_sqrt_squared(np.kron(outer, gram[k]))))
+    return TruthTableReport(
+        model=model,
+        input_labels=labels,
+        internal_fidelities=tuple(_unit(f) for f in internal[sector]),
+        restoration_fidelities=tuple(_unit(f) for f in restoration[sector]),
         composite_fidelities=tuple(f_comp),
         leakage=leak,
         flags=_flags(leak),
@@ -469,13 +530,17 @@ def lamb_dicke_error_sweep(
                     params = solve_gate_params(eta).model_params(
                         n_ions=n_ions, n_max=n_max, n_pad=n_pad
                     )
+                    u = sector_propagators(params, params.tau, model)
                     recipe = ghz_recipe(n_ions, eta, n_max=n_max, n_pad=n_pad)
-                    ghz_u = sector_propagators(recipe.params, recipe.params.tau, model)
-                    gate = params, _propagator_for(params, model), recipe, ghz_u
+                    # the odd-N recipe is the gate itself
+                    ghz_u = u
+                    if recipe.params != params:
+                        ghz_u = sector_propagators(recipe.params, recipe.params.tau, model)
+                    gate = params, u, recipe, ghz_u
                 params, u, recipe, ghz_u = gate
-                motion = thermal_state(ThermalSpec(nbar=nbar, n_max=n_max))
-                table = truth_table_check(params, motion, model=model, u=u)
-                ghz = _ghz_report(recipe, ghz_u, motion.density(), model)
+                rho = thermal_state(ThermalSpec(nbar=nbar, n_max=n_max)).density()
+                table = _sector_truth_table(params, u, rho, model)
+                ghz = _ghz_report(recipe, ghz_u, rho, model)
                 leak = max(table.leakage, ghz.leakage)
                 outcome = dict(
                     infidelity_gate=table.gate_infidelity,
@@ -540,10 +605,10 @@ def truncation_convergence(
     rows: list[ConvergenceRow] = []
     for n in n_list:
         point = replace(params, n_max=n)
-        u = _propagator_for(point, model)
-        motion = thermal_state(ThermalSpec(nbar=nbar, n_max=n))
-        table = truth_table_check(point, motion, model=model, u=u)
-        metric = motional_independence_metric(u, n // 2)
+        blocks = sector_propagators(point, point.tau, model)
+        rho = thermal_state(ThermalSpec(nbar=nbar, n_max=n)).density()
+        table = _sector_truth_table(point, blocks, rho, model)
+        metric = motional_independence_metric(sector_sum(point.n_ions, blocks), n // 2)
         prev = rows[-1] if rows else None
         rows.append(
             ConvergenceRow(

@@ -6,8 +6,10 @@ Runs every reference-checked job that any benchmark seed can draw
 (`perfbench/workloads.reference_plan`), at the full and the smoke size,
 through `iongate.cli.main` in this process with BLAS pinned to one thread. It
 compares each output with `perfbench/refs.json` and prints, per command and
-field, the worst |value - reference| (angles modulo 2 pi), then the number of
-jobs with any value outside `REF_TOL`. It exits 1 if there is such a job.
+field, the worst |value - reference| (angles modulo 2 pi) and that drift as a
+share of `REF_TOL`, then the number of jobs with any value above `REF_TOL/2`
+and outside `REF_TOL`, so that every change shows how close the pinned
+noise runs to the tolerance. It exits 1 if a job is outside `REF_TOL`.
 `perfbench/` is read, never written. The file name does not match pytest's
 `test_*.py`, so the suite does not collect it.
 """
@@ -54,7 +56,7 @@ def drifts(actual, ref, field: str, worst: dict) -> None:
 def main() -> int:
     refs = workloads.load_refs()
     worst: dict[tuple[str, str], float] = {}
-    jobs = outside = 0
+    jobs = outside = near = 0
     with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
         warnings.simplefilter("ignore")
         for name, size in (("full", workloads.FULL), ("smoke", workloads.SMOKE)):
@@ -68,15 +70,19 @@ def main() -> int:
                     print(f"outside: {error}")
                 if rc != 0:
                     continue
+                job_worst = 0.0
                 for key, value in job.outputs().items():
                     per_field: dict = {}
                     drifts(value, refs.get(key, {}), "", per_field)
                     command = key.split(":", 1)[0]
                     for field, diff in per_field.items():
                         worst[command, field] = max(worst.get((command, field), 0.0), diff)
-    print(f"{'command':<12} {'field':<24} worst |value - ref|")
+                        job_worst = max(job_worst, diff)
+                near += job_worst > workloads.REF_TOL / 2
+    print(f"{'command':<12} {'field':<24} {'worst |value - ref|':<20} share of REF_TOL")
     for (command, field), diff in sorted(worst.items()):
-        print(f"{command:<12} {field:<24} {diff:.3g}")
+        print(f"{command:<12} {field:<24} {diff:<20.3g} {diff / workloads.REF_TOL:.3f}")
+    print(f"{near} of {jobs} jobs above REF_TOL/2 = {workloads.REF_TOL / 2:g}")
     print(f"{outside} of {jobs} jobs outside REF_TOL = {workloads.REF_TOL:g}")
     return 1 if outside else 0
 

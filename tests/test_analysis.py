@@ -55,6 +55,31 @@ RESTORATION_TOL = 1e-7
 COMPOSITE_TOL = 5e-7
 
 
+def record_solvers(monkeypatch, dim: int) -> tuple[dict, list]:
+    """Record the shape of every `eigh` and `eigvalsh` argument and, at each
+    call on a dim-sized array, the traced peak since the previous such call
+    and the traced memory held while it runs, its argument included."""
+    shapes = {"eigh": [], "eigvalsh": []}
+    windows = []
+
+    def shape_recording(name):
+        solver = getattr(np.linalg, name)
+
+        def solve(a, *args, **kwargs):
+            shapes[name].append(np.shape(a))
+            if dim in np.shape(a):
+                current, peak = tracemalloc.get_traced_memory()
+                windows.append((peak, current))
+                tracemalloc.reset_peak()
+            return solver(a, *args, **kwargs)
+
+        return solve
+
+    for name in shapes:
+        monkeypatch.setattr(np.linalg, name, shape_recording(name))
+    return shapes, windows
+
+
 class TestPartialTrace:
     def test_product_state_factors(self):
         internal = internal_product_state("ge")
@@ -355,24 +380,6 @@ class TestTruthTable:
         def forbidden(*args, **kwargs):
             raise AssertionError("the truth table evolved a composite state")
 
-        shapes = {"eigh": [], "eigvalsh": []}
-        # per d-sized eigvalsh: the traced peak since the previous one, and
-        # the traced memory held while it runs, its argument included
-        windows = []
-
-        def shape_recording(name):
-            solver = getattr(np.linalg, name)
-
-            def solve(a, *args, **kwargs):
-                shapes[name].append(np.shape(a))
-                if p.dim in np.shape(a):
-                    current, peak = tracemalloc.get_traced_memory()
-                    windows.append((peak, current))
-                    tracemalloc.reset_peak()
-                return solver(a, *args, **kwargs)
-
-            return solve
-
         kron_shapes = []
         kron = np.kron
 
@@ -386,8 +393,7 @@ class TestTruthTable:
         monkeypatch.setattr(dynamics, "evolve", forbidden)
         monkeypatch.setattr(analysis, "evolve", forbidden, raising=False)
         monkeypatch.setattr(np, "kron", kron_recording)
-        for name in shapes:
-            monkeypatch.setattr(np.linalg, name, shape_recording(name))
+        shapes, windows = record_solvers(monkeypatch, p.dim)
         # u is allocated before tracing starts, so only the arrays that the
         # truth table makes are counted
         tracemalloc.start()
@@ -420,6 +426,43 @@ class TestTruthTable:
             tracemalloc.stop()
         assert peak < 2 * square
 
+    def test_sector_route_builds_no_composite_propagator(self, monkeypatch):
+        p = gate_params(0.1, 40, n_ions=3)
+        motion = quiet_thermal(0.5, 40)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the truth table built or evolved a composite object")
+
+        monkeypatch.setattr(analysis, "sector_sum", forbidden)
+        monkeypatch.setattr(dynamics, "sector_sum", forbidden)
+        monkeypatch.setattr(dynamics, "evolve", forbidden)
+        monkeypatch.setattr(analysis, "evolve", forbidden, raising=False)
+        shapes, windows = record_solvers(monkeypatch, p.dim)
+        tracemalloc.start()
+        try:
+            report = truth_table_check(p, motion, model="full")
+        finally:
+            tracemalloc.stop()
+        assert len(report.composite_fidelities) == 8
+        # every square root and propagator is (n_max+1)-sized; the only d x d
+        # arrays are the arguments of one eigvalsh per input
+        assert shapes["eigh"] and all(p.dim not in s for s in shapes["eigh"])
+        assert [s for s in shapes["eigvalsh"] if p.dim in s] == [(p.dim, p.dim)] * 8
+        # each is alive when its eigvalsh runs, and up to it no second d x d
+        # array was ever alive at once
+        square = p.dim**2 * 16
+        assert len(windows) == 8
+        assert all(square <= current and peak < 2 * square for peak, current in windows)
+
+    def test_inputs_of_one_sector_report_equal_restoration(self):
+        p = gate_params(0.1, 40, n_ions=3)
+        report = truth_table_check(p, quiet_thermal(0.5, 40), model="full")
+        by_sector = {}
+        for label, fid in zip(report.input_labels, report.restoration_fidelities):
+            by_sector.setdefault(label.count("-"), set()).add(fid)
+        assert sorted(by_sector) == [0, 1, 2, 3]
+        assert all(len(fids) == 1 for fids in by_sector.values())
+
 
 class TestTruthTableAgainstDense:
     @settings(max_examples=25, deadline=None)
@@ -433,8 +476,11 @@ class TestTruthTableAgainstDense:
             st.tuples(st.just("fock"), st.integers(0, 3)),
         ),
         delta=st.one_of(st.none(), st.floats(-0.5, 0.5)),
+        route=st.sampled_from(["blocks", "sum"]),
     )
-    def test_matches_dense_evolution(self, n_ions, model, eta, n_max, motion, delta):
+    def test_matches_dense_evolution(self, n_ions, model, eta, n_max, motion, delta, route):
+        # resonant draws run either on the sector blocks (no u) or on their
+        # assembled sum as u; detuned draws take u from the dense oracle
         p = gate_params(eta, n_max, n_ions=n_ions)
         if delta is None:
             u = sector_sum(n_ions, sector_propagators(p, p.tau, model))
@@ -444,7 +490,8 @@ class TestTruthTableAgainstDense:
             u = expm_propagator(h, p.tau)
         kind, value = motion
         state = quiet_thermal(value, n_max) if kind == "thermal" else fock_state(value, n_max)
-        report = truth_table_check(p, state, model=model, u=u)
+        given_u = None if delta is None and route == "blocks" else u
+        report = truth_table_check(p, state, model=model, u=given_u)
         dense = dense_truth_table(p, state, u, model)
         assert report.input_labels == dense.input_labels
         assert report.flags == dense.flags
@@ -573,17 +620,29 @@ class TestSweep:
             assert rec.infidelity_gate is None
         assert all(rec.error is None for rec in good)
 
-    def test_propagator_built_once_per_eta(self, monkeypatch):
+    @staticmethod
+    def _count_sector_propagators(monkeypatch) -> list[float]:
         calls = []
-        build = analysis._propagator_for
+        build = analysis.sector_propagators
 
-        def counted(params, model):
+        def counted(params, t, model):
             calls.append(params.eta)
-            return build(params, model)
+            return build(params, t, model)
 
-        monkeypatch.setattr(analysis, "_propagator_for", counted)
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the sweep assembled a composite propagator")
+
+        monkeypatch.setattr(analysis, "sector_propagators", counted)
+        monkeypatch.setattr(analysis, "sector_sum", forbidden)
+        return calls
+
+    def test_propagator_built_once_per_eta(self, monkeypatch):
+        calls = self._count_sector_propagators(monkeypatch)
         result = lamb_dicke_error_sweep((0.1, 0.2), (0.0, 0.25, 0.5), n_max=12, model="ld")
-        assert calls == [0.1, 0.2]
+        # per eta, one set of blocks for the gate and one for the even-N
+        # GHZ recipe, and no composite propagator
+        assert calls == [0.1, 0.1, 0.2, 0.2]
+        monkeypatch.undo()
         singles = [
             lamb_dicke_error_sweep((rec.eta,), (rec.nbar,), n_max=12, model="ld").records[0]
             for rec in result.records
@@ -593,22 +652,17 @@ class TestSweep:
             assert rec.leakage == single.leakage
 
     def test_ghz_blocks_built_once_per_eta(self, monkeypatch):
-        calls = []
-        build = analysis.sector_propagators
-
-        def counted(params, t, model):
-            calls.append(params.eta)
-            return build(params, t, model)
-
-        monkeypatch.setattr(analysis, "sector_propagators", counted)
+        calls = self._count_sector_propagators(monkeypatch)
         result = lamb_dicke_error_sweep((0.1, 0.2), (0.0, 0.5), n_ions=3, n_max=12)
-        # per eta, one set of blocks for the gate and one for the GHZ recipe
-        assert calls == [0.1, 0.1, 0.2, 0.2]
+        # the odd-N GHZ recipe is the gate, so its blocks serve both
+        assert calls == [0.1, 0.2]
         monkeypatch.undo()
         for rec in result.records:
             motion = thermal_state(ThermalSpec(nbar=rec.nbar, n_max=12))
             ghz = ghz_check(3, rec.eta, motion, n_max=12, model="full")
             assert rec.infidelity_ghz == 1.0 - ghz.fidelity
+            table = truth_table_check(gate_params(rec.eta, 12, n_ions=3), motion, model="full")
+            assert rec.infidelity_gate == table.gate_infidelity
 
     def test_nan_ghz_fidelity_is_not_a_perfect_gate(self, monkeypatch):
         # the sweep evaluates the GHZ recipe without calling ghz_check, so
