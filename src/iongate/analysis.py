@@ -2,11 +2,12 @@
 independence, truth-table and GHZ checks, Lamb-Dicke error sweeps, truncation
 convergence.
 
-The truth table, the sweep and the convergence study read the N+1 J_x sector
-propagators U_k (`sector_propagators`) directly, so these harnesses are
-resonant only; a detuned truth table takes its `u` from the dense oracle of
-`dynamics`. Only the convergence metric assembles a composite propagator
-(`sector_sum`).
+The truth table reads the N+1 J_x sector propagators U_k
+(`sector_propagators`) directly, so without a given `u` it is resonant only; a
+detuned truth table takes its `u` from the dense oracle of `dynamics`. The
+sweep and the convergence study call `truth_table_check` (and the sweep
+`ghz_check`) at every point, so each check has one code path. Only the
+convergence metric assembles a composite propagator (`sector_sum`).
 
 Definition used for state-level gate infidelity: for each |+/-> product input
 v with motional input rho_mot, the per-input fidelity is the composite-state
@@ -19,29 +20,20 @@ traced internal state is exactly the input under both Hamiltonians and a
 purely internal fidelity would be identically 1 regardless of parameters
 (see README).
 
-Each state quantity has one array kernel, shared by the public function and
-the harnesses: `_reduced` (partial trace of X X+ from X; `partial_trace` of
-a pure state), `_fidelity` (`fidelity`), `_trace_norm_squared` (the
-restoration fidelity F(rho, M M+) as (sum of the singular values of
-sqrt(rho) M)^2, with no square root of the restored motion) and
-`_weight_above` (`leakage_population`, `ghz_check`). No `QuantumState` is
-built and no per-state validation runs.
-
-On sectors (`_sector_truth_table`, modelled on `_ghz_report`), an input in
-sector k leaves as |v><v| x U_k rho U_k+. With X_k = U_k sqrt(rho), every
-quantity but the composite fidelity is computed once per sector: the
-restored motion X_k X_k+, its leakage, the internal fidelity tr(X_k X_k+)
-and the restoration fidelity from sqrt(rho) X_k. The composite Uhlmann
-matrix of input v is |v><v| x A_k A_k+ with A_k = U_k sqrt(rho) U_k+
-sqrt(rho); it is the one d x d array per input (d = 2^N (n_max+1)), built
-for an `eigvalsh`.
-
-With a given `u`, the truth table sums u's column blocks into
-W = U (|v> x I_m) per input; X = W sqrt(rho) has X X+ = W rho W+, which gives
-the reduced states and the leakage, and sqrt(W rho W+) = X W+ makes the
-composite Uhlmann fidelity the spectrum of Z Z+ with the d x (n_max+1)
-factor Z = X Y+ sqrt(rho), Y = (<Gv| x I) W. For a resonant `u`, Z Z+ is the
-sector route's |v><v| x A_k A_k+.
+Both truth-table routes evaluate each evolution with one kernel,
+`_evolution`, from the blocks w[i] = (<i| x I) U (|v> x I) of the isometry
+W = U (|v> x I_m) and the image coefficients <i|Gv>. The output state is X X+
+with X = W sqrt(rho): the populations and the restoration fidelity
+F(rho, M M+) = (sum of the singular values of sqrt(rho) M)^2, for the
+restored motion M M+, come from X, and the internal fidelity is the squared
+norm of Y sqrt(rho), Y = (<Gv| x I) W. Since sqrt(W rho W+) = X W+, the
+composite fidelity is the spectrum of Z Z+ with Z = X Y+ sqrt(rho). On
+sectors the one block of an input in sector k is U_k, with coefficient 1,
+so all but that spectrum is computed once per sector, and the spectrum is
+the one of |v><v| x Z_k Z_k+; with a given `u`, an input's 2^N blocks are
+read from u's column blocks. That d x d matrix per input
+(d = 2^N (n_max+1)) is built only for an `eigvalsh`; no `QuantumState` is
+built.
 """
 
 from __future__ import annotations
@@ -60,7 +52,6 @@ from .hilbert import (
     ThermalSpec,
     _pm_products,
     _require_same_space,
-    pm_product_states,
     thermal_state,
 )
 from .synthesis import GhzRecipe, _gate_phases, ghz_recipe, solve_gate_params
@@ -78,21 +69,16 @@ def partial_trace(state: QuantumState, keep: str) -> QuantumState:
     if keep not in ("internal", "motion"):
         raise ValueError(f"keep must be 'internal' or 'motion', got {keep!r}")
     if state.kind == "pure":
-        return QuantumState("mixed", _reduced(state.data, state.dims, keep), keep)
+        m = _kept_factor(state.data, state.dims, keep)
+        return QuantumState("mixed", _hermitian_part(m @ m.conj().T), keep)
     subscripts = "anbn->ab" if keep == "internal" else "anam->nm"
     rho = state.data.reshape(*state.dims, *state.dims)
     return QuantumState("mixed", _hermitian_part(np.einsum(subscripts, rho)), keep)
 
 
-def _reduced(x: np.ndarray, dims: tuple[int, int], keep: str) -> np.ndarray:
-    # the partial trace of X X+ (X is d x r; r = 1 for a state vector) from X
-    m = _kept_factor(x, dims, keep)
-    return _hermitian_part(m @ m.conj().T)
-
-
 def _kept_factor(x: np.ndarray, dims: tuple[int, int], keep: str) -> np.ndarray:
-    # M with M M+ the partial trace of X X+: X with the traced factor moved
-    # into the columns
+    # M with M M+ the partial trace of X X+ (X is d x r; r = 1 for a state
+    # vector): X with the traced factor moved into the columns
     axis = 0 if keep == "internal" else 1
     return np.moveaxis(x.reshape(*dims, -1), axis, 0).reshape(dims[axis], -1)
 
@@ -117,11 +103,7 @@ def fidelity(a: QuantumState, b: QuantumState) -> float:
     layout and, if composite, the same dims.
     """
     _require_same_space(a, b)
-    return _fidelity(a.data, b.data)
-
-
-def _fidelity(a: np.ndarray, b: np.ndarray) -> float:
-    # `fidelity` on arrays: a vector is a pure state, a matrix a mixed one
+    a, b = a.data, b.data
     if a.ndim == 1 and b.ndim == 1:
         return float(np.abs(np.vdot(a, b)) ** 2)
     if a.ndim == 1:
@@ -280,72 +262,75 @@ def truth_table_check(
     motional restoration fidelity after tracing out the ions, and the
     composite fidelity against image x restored motion (the phase-sensitive
     quantity used as the gate infidelity). Without `u`, the resonant
-    one-period sector propagators U_k of the model are used directly: an
-    input in sector k leaves as |v><v| x U_k rho U_k+, so every quantity is
-    computed once per sector, and no composite propagator is built.
+    one-period sector propagators U_k of the model are built for this call
+    and read directly: an input in sector k leaves as |v><v| x U_k rho U_k+,
+    so every quantity but the composite spectrum is computed once per
+    sector, and no composite propagator is built.
 
     Any finite unitary composite `u` with the model's dims is accepted
     instead, a detuned one from the dense oracle included. Unitarity is then
     checked per input as W+W = I to 1e-10, on the (n_max+1)-sized block that
     the composite fidelity relies on; a `u` that fails it raises
     `ValueError`, and so do a non-motional `motion` and an unknown `model`,
-    also with `u` given. On both routes the restoration fidelity
-    F(rho, M M+) is (sum of singular values of sqrt(rho) M)^2, for the
-    restored motion M M+, and the composite fidelity is the spectrum of one
-    d x d matrix per input (module docstring).
+    also with `u` given. Both routes evaluate every quantity with one kernel
+    (`_evolution`) and differ only in the blocks they hand it and in the
+    d x d matrix whose spectrum gives each composite fidelity (module
+    docstring).
     """
     _require_model(model)
     _require_motion(motion, params)
-    if u is None:
-        blocks = sector_propagators(params, params.tau, model)
-        return _sector_truth_table(params, blocks, motion.density(), model)
     dims = params.dim_internal, params.dim_motion
-    if u.dims != dims:
-        raise ValueError(f"propagator dims {u.dims} do not match the model dims {dims}")
-    # the only finiteness check: every state below is built from u and motion
-    if not np.isfinite(u.mat).all():
-        raise ValueError("propagator must be finite")
     sqrt_rho = _sqrt_psd(motion.density())
-    eye_m = np.eye(dims[1])
-    # column block i of u is U (|i> x I_m); the reshape is a view, not a copy
-    columns = u.mat.reshape(params.dim, *dims)
-    # the image of an input v in sector k is g_k v
-    phases = _gate_phases(params.n_ions)[_pm_products(params.n_ions)[2]]
-    inputs = pm_product_states(params.n_ions)
+    if u is None:
+        # an input v in sector k leaves as |v><v| x U_k rho U_k+: its one
+        # block is U_k, with coefficient 1, since the image phase g_k drops
+        # out of |Gv><Gv|
+        blocks = sector_propagators(params, params.tau, model)
+        per_sector = [_evolution(block, np.ones(1), sqrt_rho) for block in blocks]
+    else:
+        if u.dims != dims:
+            raise ValueError(f"propagator dims {u.dims} do not match the model dims {dims}")
+        # the only finiteness check: every quantity below is built from u and motion
+        if not np.isfinite(u.mat).all():
+            raise ValueError("propagator must be finite")
+        # column block i of u is U (|i> x I_m); the reshape is a view, not a copy
+        columns = u.mat.reshape(params.dim, *dims)
+        # the image of an input v in sector k is g_k v
+        phases = _gate_phases(params.n_ions)
+    signs, labels, sectors = _pm_products(params.n_ions)
     f_int, f_res, f_comp = [], [], []
     leak = 0.0
-    for state, phase in zip(inputs.values(), phases):
-        vec = state.data
-        image = phase * vec
-        # U (|v><v| x rho) U+ = W rho W+ with the isometry W = U (|v> x I_m)
-        w = np.einsum("xim,i->xm", columns, vec)
-        # W+W = I_m holds for a unitary u, and the square root below needs it;
-        # checking u+u would cost d^3
-        if not np.abs(w.conj().T @ w - eye_m).max() <= 1e-10:
-            raise ValueError("propagator must be unitary")
-        # W rho W+ = X X+ with X = W sqrt(rho): the reduced states come from X
-        x = w @ sqrt_rho
-        f_int.append(_fidelity(_reduced(x, dims, "internal"), image))
-        # the restored motion is M M+, so F(rho, M M+) needs no square root
-        # of it, and its diagonal is the row norms of M
-        m = _kept_factor(x, dims, "motion")
-        f_res.append(_unit(_trace_norm_squared(sqrt_rho @ m)))
-        # composite fidelity against |g><g| x rho, g = Gv: sqrt(W rho W+) is
-        # X W+, so the Uhlmann matrix of W rho W+ and |g><g| x rho is W S W+
-        # with S = B+B, B = sqrt(rho) Y sqrt(rho) and Y = (<g| x I) W; then
-        # W S W+ = Z Z+ with Z = W B+ = X Y+ sqrt(rho), of size d x (n_max+1)
-        y = (image.conj() @ w.reshape(dims[0], -1)).reshape(dims[1], dims[1])
-        z = x @ (y.conj().T @ sqrt_rho)
-        # the d x d Z Z+ is built only for its eigvalsh, which reads one
-        # triangle: it has the nonzero spectrum of S, but perfbench/refs.json
-        # records the roundoff noise of its d - (n_max+1) null eigenvalues;
-        # once the references are re-derived, eigvalsh(S) replaces it
-        f_comp.append(_unit(_trace_sqrt_squared(z @ z.conj().T)))
-        populations = np.einsum("ij,ij->i", m, m.conj()).real
+    for column, k in zip(signs.T, sectors):
+        if u is None:
+            populations, internal, restoration, z = per_sector[k]
+            # the composite Uhlmann matrix is |v><v| x Z_k Z_k+, and
+            # |v><v| = s s^T / 2^N is exact
+            outer = np.outer(column, column) / 2.0**params.n_ions
+            uhlmann = np.kron(outer, z @ z.conj().T)
+        else:
+            vec = column / np.sqrt(2.0**params.n_ions)
+            # U (|v><v| x rho) U+ = W rho W+ with the isometry W = U (|v> x I_m)
+            w = np.einsum("xim,i->xm", columns, vec)
+            # W+W = I_m holds for a unitary u, and sqrt(W rho W+) = X W+ needs
+            # it; checking u+u would cost d^3
+            if not np.abs(w.conj().T @ w - np.eye(dims[1])).max() <= 1e-10:
+                raise ValueError("propagator must be unitary")
+            populations, internal, restoration, z = _evolution(w, phases[k] * vec, sqrt_rho)
+            uhlmann = z @ z.conj().T
+        # the d x d matrix is built only for its eigvalsh, which reads one
+        # triangle: it has the nonzero spectrum of the (n_max+1)-sized
+        # S = B+B of `_evolution`, but perfbench/refs.json records the
+        # roundoff noise of its d - (n_max+1) null eigenvalues; once the
+        # references are re-derived, eigvalsh(S) replaces it
+        f_comp.append(_unit(_trace_sqrt_squared(uhlmann)))
+        # dropped before the next input builds its own
+        del uhlmann
+        f_int.append(_unit(internal))
+        f_res.append(_unit(restoration))
         leak = max(leak, float(_weight_above(populations, params.n_max // 2)))
     return TruthTableReport(
         model=model,
-        input_labels=tuple(inputs),
+        input_labels=labels,
         internal_fidelities=tuple(f_int),
         restoration_fidelities=tuple(f_res),
         composite_fidelities=tuple(f_comp),
@@ -354,40 +339,33 @@ def truth_table_check(
     )
 
 
-def _sector_truth_table(
-    params: ModelParams, u: np.ndarray, rho: np.ndarray, model: str
-) -> TruthTableReport:
-    # `truth_table_check` from the sector propagators and the motional rho:
-    # an input v in sector k leaves as |v><v| x U_k rho U_k+, whose reduced
-    # states are |v><v| tr(U_k rho U_k+) and U_k rho U_k+ = X_k X_k+ with
-    # X_k = U_k sqrt(rho), so all but the composite spectrum is per sector
-    sqrt_rho = _sqrt_psd(rho)
-    x = u @ sqrt_rho
-    populations = np.einsum("kij,kij->ki", x, x.conj()).real
-    internal = populations.sum(-1)
-    restoration = _trace_norm_squared(sqrt_rho @ x)
-    leak = float(_weight_above(populations, params.n_max // 2).max())
-    # the composite Uhlmann matrix of input v is Z Z+ = |v><v| x A_k A_k+
-    # with A_k = U_k sqrt(rho) U_k+ sqrt(rho) (Z is the image phase times
-    # |v> x A_k; see truth_table_check), so A_k A_k+ is formed per sector
-    a = x @ (u.conj().transpose(0, 2, 1) @ sqrt_rho)
-    gram = a @ a.conj().transpose(0, 2, 1)
-    signs, labels, sector = _pm_products(params.n_ions)
-    f_comp = []
-    for column, k in zip(signs.T, sector):
-        # |v><v| = s s^T / 2^N is exact; the d x d matrix is kept for the
-        # eigvalsh whose null-eigenvalue roundoff perfbench/refs.json records
-        outer = np.outer(column, column) / 2.0**params.n_ions
-        f_comp.append(_unit(_trace_sqrt_squared(np.kron(outer, gram[k]))))
-    return TruthTableReport(
-        model=model,
-        input_labels=labels,
-        internal_fidelities=tuple(_unit(f) for f in internal[sector]),
-        restoration_fidelities=tuple(_unit(f) for f in restoration[sector]),
-        composite_fidelities=tuple(f_comp),
-        leakage=leak,
-        flags=_flags(leak),
-    )
+def _evolution(
+    w: np.ndarray, image: np.ndarray, sqrt_rho: np.ndarray
+) -> tuple[np.ndarray, float, float, np.ndarray]:
+    # one truth-table evolution from W = U (|v> x I_m), whose row blocks are
+    # w[i] = (<i| x I) U (|v> x I), and the image coefficients <i|Gv>. The
+    # output state W rho W+ is X X+ with X = W sqrt(rho). Returns the
+    # motional populations of the output, the internal fidelity, the
+    # restoration fidelity and the factor Z of the composite Uhlmann matrix
+    dims = len(image), len(sqrt_rho)
+    x = w @ sqrt_rho
+    # the restored motion is M M+, so F(rho, M M+) needs no square root of
+    # it, and its diagonal is the row norms of M
+    m = _kept_factor(x, dims, "motion")
+    restoration = _trace_norm_squared(sqrt_rho @ m)
+    # Y = (<Gv| x I) W; the internal fidelity <Gv| tr_m(X X+) |Gv> is the
+    # squared norm of Y sqrt(rho)
+    y = (image.conj() @ w.reshape(dims[0], -1)).reshape(dims[1], dims[1])
+    internal = _row_norms(y @ sqrt_rho).sum()
+    # composite fidelity against |Gv><Gv| x rho: sqrt(W rho W+) is X W+, so
+    # the Uhlmann matrix is W S W+ with S = B+B, B = sqrt(rho) Y sqrt(rho);
+    # then W S W+ = Z Z+ with Z = W B+ = X Y+ sqrt(rho)
+    z = x @ (y.conj().T @ sqrt_rho)
+    return _row_norms(m), internal, restoration, z
+
+
+def _row_norms(m: np.ndarray) -> np.ndarray:
+    return np.einsum("ij,ij->i", m, m.conj()).real
 
 
 @dataclass(frozen=True)
@@ -502,14 +480,13 @@ def lamb_dicke_error_sweep(
 ) -> SweepResult:
     """Gate and GHZ infidelity over an (eta, nbar) grid.
 
-    For each eta the gate parameters are solved, the GHZ recipe is built, and
-    the one-period propagators of both are built once. At each (eta, nbar)
-    point every |+/-> input is evolved with thermal(nbar) motion, and the
-    composite gate infidelity is recorded together with the GHZ infidelity
-    of the recipe (as in `ghz_check`), the leakage above n_max/2, and a
-    truncation flag when the leakage exceeds 1e-6. Solver failures are
-    recorded per point, the same for every nbar of that eta, and the sweep
-    continues.
+    At each (eta, nbar) point the gate parameters are solved and
+    `truth_table_check` and `ghz_check` run with thermal(nbar) motion, each
+    building its own one-period sector propagators. The composite gate
+    infidelity is recorded together with the GHZ infidelity of the recipe,
+    the larger leakage above n_max/2 of the two, and a truncation flag when
+    that leakage exceeds 1e-6. Solver failures are recorded per point, the
+    same for every nbar of that eta, and the sweep continues.
 
     The sweep is deterministic; the seed is recorded as provenance only.
     """
@@ -519,28 +496,17 @@ def lamb_dicke_error_sweep(
         raise ValueError("sweep grids must be nonempty")
     records = []
     for eta in eta_values:
-        # no pulse or propagator depends on nbar, so all are built once per
-        # eta, at its first point; a failure leaves `gate` unset, so every
-        # point of that eta fails the same way
-        gate = None
         for nbar in nbar_values:
             t0 = time.perf_counter()
             try:
-                if gate is None:
-                    params = solve_gate_params(eta).model_params(
-                        n_ions=n_ions, n_max=n_max, n_pad=n_pad
-                    )
-                    u = sector_propagators(params, params.tau, model)
-                    recipe = ghz_recipe(n_ions, eta, n_max=n_max, n_pad=n_pad)
-                    # the odd-N recipe is the gate itself
-                    ghz_u = u
-                    if recipe.params != params:
-                        ghz_u = sector_propagators(recipe.params, recipe.params.tau, model)
-                    gate = params, u, recipe, ghz_u
-                params, u, recipe, ghz_u = gate
-                rho = thermal_state(ThermalSpec(nbar=nbar, n_max=n_max)).density()
-                table = _sector_truth_table(params, u, rho, model)
-                ghz = _ghz_report(recipe, ghz_u, rho, model)
+                # solved at every point, so a solver failure fails every nbar
+                # of its eta with the same message
+                params = solve_gate_params(eta).model_params(
+                    n_ions=n_ions, n_max=n_max, n_pad=n_pad
+                )
+                motion = thermal_state(ThermalSpec(nbar=nbar, n_max=n_max))
+                table = truth_table_check(params, motion, model)
+                ghz = ghz_check(n_ions, eta, motion, n_max=n_max, n_pad=n_pad, model=model)
                 leak = max(table.leakage, ghz.leakage)
                 outcome = dict(
                     infidelity_gate=table.gate_infidelity,
@@ -605,10 +571,9 @@ def truncation_convergence(
     rows: list[ConvergenceRow] = []
     for n in n_list:
         point = replace(params, n_max=n)
-        blocks = sector_propagators(point, point.tau, model)
-        rho = thermal_state(ThermalSpec(nbar=nbar, n_max=n)).density()
-        table = _sector_truth_table(point, blocks, rho, model)
-        metric = motional_independence_metric(sector_sum(point.n_ions, blocks), n // 2)
+        table = truth_table_check(point, thermal_state(ThermalSpec(nbar=nbar, n_max=n)), model)
+        u = sector_sum(point.n_ions, sector_propagators(point, point.tau, model))
+        metric = motional_independence_metric(u, n // 2)
         prev = rows[-1] if rows else None
         rows.append(
             ConvergenceRow(

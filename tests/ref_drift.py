@@ -9,7 +9,10 @@ compares each output with `perfbench/refs.json` and prints, per command and
 field, the worst |value - reference| (angles modulo 2 pi) and that drift as a
 share of `REF_TOL`, then the number of jobs with any value above `REF_TOL/2`
 and outside `REF_TOL`, so that every change shows how close the pinned
-noise runs to the tolerance. It exits 1 if a job is outside `REF_TOL`.
+noise runs to the tolerance. Last it prints one SHA-256 over the names and
+bytes of every file the jobs wrote, so that two checkouts whose outputs are
+byte-identical print the same digest. It exits 1 if a job is outside
+`REF_TOL`.
 `perfbench/` is read, never written. The file name does not match pytest's
 `test_*.py`, so the suite does not collect it.
 """
@@ -27,6 +30,7 @@ sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(0, str(ROOT / "perfbench"))
 
 import contextlib  # noqa: E402
+import hashlib  # noqa: E402
 import io  # noqa: E402
 import math  # noqa: E402
 import warnings  # noqa: E402
@@ -53,16 +57,27 @@ def drifts(actual, ref, field: str, worst: dict) -> None:
         worst[field] = max(worst.get(field, 0.0), abs(diff))
 
 
+def files(root: Path) -> set[Path]:
+    return {path for path in root.rglob("*") if path.is_file()}
+
+
 def main() -> int:
     refs = workloads.load_refs()
     worst: dict[tuple[str, str], float] = {}
     jobs = outside = near = 0
+    digest = hashlib.sha256()
     with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
         warnings.simplefilter("ignore")
+        root = Path(tmp)
         for name, size in (("full", workloads.FULL), ("smoke", workloads.SMOKE)):
-            for job in workloads.reference_plan(size, Path(tmp) / name):
+            for job in workloads.reference_plan(size, root / name):
+                before = files(root)
                 with contextlib.redirect_stdout(io.StringIO()):
                     rc = iongate.cli.main(job.args)
+                # the job's outputs, by their path under the temporary root
+                for path in sorted(files(root) - before):
+                    digest.update(str(path.relative_to(root)).encode())
+                    digest.update(path.read_bytes())
                 jobs += 1
                 errors = workloads.check_job(job, rc, refs)
                 outside += bool(errors)
@@ -84,6 +99,7 @@ def main() -> int:
         print(f"{command:<12} {field:<24} {diff:<20.3g} {diff / workloads.REF_TOL:.3f}")
     print(f"{near} of {jobs} jobs above REF_TOL/2 = {workloads.REF_TOL / 2:g}")
     print(f"{outside} of {jobs} jobs outside REF_TOL = {workloads.REF_TOL:g}")
+    print(f"sha256 of every job's output files: {digest.hexdigest()}")
     return 1 if outside else 0
 
 

@@ -402,7 +402,8 @@ class TestTruthTable:
         finally:
             tracemalloc.stop()
         assert len(report.composite_fidelities) == 8
-        assert dims and p.dim not in dims
+        # the inputs are read from the sign matrix, so no state is built
+        assert dims == []
         # the square root of each output state comes from sqrt(rho): no
         # d-sized eigh, and one d-sized eigvalsh per input, of a d x d array
         assert shapes["eigh"] and all(p.dim not in s for s in shapes["eigh"])
@@ -620,53 +621,45 @@ class TestSweep:
             assert rec.infidelity_gate is None
         assert all(rec.error is None for rec in good)
 
-    @staticmethod
-    def _count_sector_propagators(monkeypatch) -> list[float]:
-        calls = []
-        build = analysis.sector_propagators
+    @pytest.mark.parametrize("n_ions, model", [(2, "ld"), (3, "full")])
+    def test_every_point_calls_the_public_checks(self, monkeypatch, n_ions, model):
+        # the calls are counted through the module attributes, the bindings
+        # that a tracer patches
+        tables, ghzs = [], []
+        check_table, check_ghz = analysis.truth_table_check, analysis.ghz_check
 
-        def counted(params, t, model):
-            calls.append(params.eta)
-            return build(params, t, model)
+        def counted_table(*args, **kwargs):
+            tables.append(check_table(*args, **kwargs))
+            return tables[-1]
+
+        def counted_ghz(*args, **kwargs):
+            ghzs.append(check_ghz(*args, **kwargs))
+            return ghzs[-1]
 
         def forbidden(*args, **kwargs):
             raise AssertionError("the sweep assembled a composite propagator")
 
-        monkeypatch.setattr(analysis, "sector_propagators", counted)
+        monkeypatch.setattr(analysis, "truth_table_check", counted_table)
+        monkeypatch.setattr(analysis, "ghz_check", counted_ghz)
         monkeypatch.setattr(analysis, "sector_sum", forbidden)
-        return calls
-
-    def test_propagator_built_once_per_eta(self, monkeypatch):
-        calls = self._count_sector_propagators(monkeypatch)
-        result = lamb_dicke_error_sweep((0.1, 0.2), (0.0, 0.25, 0.5), n_max=12, model="ld")
-        # per eta, one set of blocks for the gate and one for the even-N
-        # GHZ recipe, and no composite propagator
-        assert calls == [0.1, 0.1, 0.2, 0.2]
+        result = lamb_dicke_error_sweep(
+            (0.1, 0.2), (0.0, 0.5), n_ions=n_ions, n_max=12, model=model
+        )
+        assert len(tables) == len(ghzs) == len(result.records) == 4
         monkeypatch.undo()
-        singles = [
-            lamb_dicke_error_sweep((rec.eta,), (rec.nbar,), n_max=12, model="ld").records[0]
-            for rec in result.records
-        ]
-        for rec, single in zip(result.records, singles):
-            assert rec.infidelity_gate == single.infidelity_gate
-            assert rec.leakage == single.leakage
-
-    def test_ghz_blocks_built_once_per_eta(self, monkeypatch):
-        calls = self._count_sector_propagators(monkeypatch)
-        result = lamb_dicke_error_sweep((0.1, 0.2), (0.0, 0.5), n_ions=3, n_max=12)
-        # the odd-N GHZ recipe is the gate, so its blocks serve both
-        assert calls == [0.1, 0.2]
-        monkeypatch.undo()
-        for rec in result.records:
-            motion = thermal_state(ThermalSpec(nbar=rec.nbar, n_max=12))
-            ghz = ghz_check(3, rec.eta, motion, n_max=12, model="full")
-            assert rec.infidelity_ghz == 1.0 - ghz.fidelity
-            table = truth_table_check(gate_params(rec.eta, 12, n_ions=3), motion, model="full")
+        for rec, table, ghz in zip(result.records, tables, ghzs):
+            assert rec.error is None
             assert rec.infidelity_gate == table.gate_infidelity
+            assert rec.infidelity_ghz == 1.0 - ghz.fidelity
+            assert rec.leakage == max(table.leakage, ghz.leakage)
+            # and each call was the one of its grid point
+            motion = thermal_state(ThermalSpec(nbar=rec.nbar, n_max=12))
+            params = gate_params(rec.eta, 12, n_ions=n_ions)
+            assert table == truth_table_check(params, motion, model=model)
+            assert ghz == ghz_check(n_ions, rec.eta, motion, n_max=12, model=model)
 
     def test_nan_ghz_fidelity_is_not_a_perfect_gate(self, monkeypatch):
-        # the sweep evaluates the GHZ recipe without calling ghz_check, so
-        # the NaN goes in where both take the phase-maximized fidelity
+        # the NaN goes in where ghz_check takes the phase-maximized fidelity
         maximum = analysis._ghz_maximum
 
         def nan_fidelity(*args):
