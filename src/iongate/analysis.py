@@ -29,11 +29,16 @@ restored motion M M+, come from X, and the internal fidelity is the squared
 norm of Y sqrt(rho), Y = (<Gv| x I) W. Since sqrt(W rho W+) = X W+, the
 composite fidelity is the spectrum of Z Z+ with Z = X Y+ sqrt(rho). On
 sectors the one block of an input in sector k is U_k, with coefficient 1,
-so all but that spectrum is computed once per sector, and the spectrum is
-the one of |v><v| x Z_k Z_k+; with a given `u`, an input's 2^N blocks are
-read from u's column blocks. That d x d matrix per input
-(d = 2^N (n_max+1)) is built only for an `eigvalsh`; no `QuantumState` is
-built.
+and the composite matrices |v><v| x Z_k Z_k+ of two inputs v, v' of one
+sector differ by the similarity D x I, D = diag(s'/s) with +/-1 entries,
+under which `eigvalsh` returns the same bits (negation is exact; a property
+test checks every input): all is computed once per sector, N+1 spectra for
+2^N inputs. With a given `u`, an input's 2^N blocks are read from u's column
+blocks and its Z Z+ is formed. No `QuantumState` is built, and each d x d
+matrix (d = 2^N (n_max+1)) only for its `eigvalsh`: perfbench/refs.json
+pins the roundoff of its d - (n_max+1) null eigenvalues; once the
+references are re-derived, eigvalsh of the (n_max+1)-sized S = B+B of
+`_evolution` replaces it.
 """
 
 from __future__ import annotations
@@ -264,8 +269,8 @@ def truth_table_check(
     quantity used as the gate infidelity). Without `u`, the resonant
     one-period sector propagators U_k of the model are built for this call
     and read directly: an input in sector k leaves as |v><v| x U_k rho U_k+,
-    so every quantity but the composite spectrum is computed once per
-    sector, and no composite propagator is built.
+    so every quantity, its composite spectrum included (module docstring),
+    is computed once per sector, and no composite propagator is built.
 
     Any finite unitary composite `u` with the model's dims is accepted
     instead, a detuned one from the dense oracle included. Unitarity is then
@@ -274,19 +279,31 @@ def truth_table_check(
     `ValueError`, and so do a non-motional `motion` and an unknown `model`,
     also with `u` given. Both routes evaluate every quantity with one kernel
     (`_evolution`) and differ only in the blocks they hand it and in the
-    d x d matrix whose spectrum gives each composite fidelity (module
-    docstring).
+    d x d matrices whose spectra give the composite fidelities, one per
+    sector or one per input (module docstring).
     """
     _require_model(model)
     _require_motion(motion, params)
     dims = params.dim_internal, params.dim_motion
     sqrt_rho = _sqrt_psd(motion.density())
+    signs, labels, sectors = _pm_products(params.n_ions)
     if u is None:
         # an input v in sector k leaves as |v><v| x U_k rho U_k+: its one
         # block is U_k, with coefficient 1, since the image phase g_k drops
-        # out of |Gv><Gv|
+        # out of |Gv><Gv|. The composite matrices of two inputs of one
+        # sector differ by a +/-1 similarity (module docstring), so the
+        # sector's first input gives the spectrum of all; between sectors
+        # the signed zeros of a pure rho have broken that bitwise equality
         blocks = sector_propagators(params, params.tau, model)
-        per_sector = [_evolution(block, np.ones(1), sqrt_rho) for block in blocks]
+        # list.index: a process's first np.unique call adds 0.4 MB of RSS
+        firsts = signs.T[[list(sectors).index(k) for k in range(len(blocks))]]
+        per_sector = []
+        for block, column in zip(blocks, firsts):
+            *evolution, z = _evolution(block, np.ones(1), sqrt_rho)
+            # |v><v| = s s^T / 2^N is exact
+            outer = np.outer(column, column) / 2.0**params.n_ions
+            per_sector.append((*evolution, _trace_sqrt_squared(np.kron(outer, z @ z.conj().T))))
+        evaluations = [per_sector[k] for k in sectors]
     else:
         if u.dims != dims:
             raise ValueError(f"propagator dims {u.dims} do not match the model dims {dims}")
@@ -297,17 +314,8 @@ def truth_table_check(
         columns = u.mat.reshape(params.dim, *dims)
         # the image of an input v in sector k is g_k v
         phases = _gate_phases(params.n_ions)
-    signs, labels, sectors = _pm_products(params.n_ions)
-    f_int, f_res, f_comp = [], [], []
-    leak = 0.0
-    for column, k in zip(signs.T, sectors):
-        if u is None:
-            populations, internal, restoration, z = per_sector[k]
-            # the composite Uhlmann matrix is |v><v| x Z_k Z_k+, and
-            # |v><v| = s s^T / 2^N is exact
-            outer = np.outer(column, column) / 2.0**params.n_ions
-            uhlmann = np.kron(outer, z @ z.conj().T)
-        else:
+        evaluations = []
+        for column, k in zip(signs.T, sectors):
             vec = column / np.sqrt(2.0**params.n_ions)
             # U (|v><v| x rho) U+ = W rho W+ with the isometry W = U (|v> x I_m)
             w = np.einsum("xim,i->xm", columns, vec)
@@ -315,25 +323,16 @@ def truth_table_check(
             # it; checking u+u would cost d^3
             if not np.abs(w.conj().T @ w - np.eye(dims[1])).max() <= 1e-10:
                 raise ValueError("propagator must be unitary")
-            populations, internal, restoration, z = _evolution(w, phases[k] * vec, sqrt_rho)
-            uhlmann = z @ z.conj().T
-        # the d x d matrix is built only for its eigvalsh, which reads one
-        # triangle: it has the nonzero spectrum of the (n_max+1)-sized
-        # S = B+B of `_evolution`, but perfbench/refs.json records the
-        # roundoff noise of its d - (n_max+1) null eigenvalues; once the
-        # references are re-derived, eigvalsh(S) replaces it
-        f_comp.append(_unit(_trace_sqrt_squared(uhlmann)))
-        # dropped before the next input builds its own
-        del uhlmann
-        f_int.append(_unit(internal))
-        f_res.append(_unit(restoration))
-        leak = max(leak, float(_weight_above(populations, params.n_max // 2)))
+            *evolution, z = _evolution(w, phases[k] * vec, sqrt_rho)
+            evaluations.append((*evolution, _trace_sqrt_squared(z @ z.conj().T)))
+    populations, internal, restoration, composite = zip(*evaluations)
+    leak = max(float(_weight_above(pops, params.n_max // 2)) for pops in populations)
     return TruthTableReport(
         model=model,
         input_labels=labels,
-        internal_fidelities=tuple(f_int),
-        restoration_fidelities=tuple(f_res),
-        composite_fidelities=tuple(f_comp),
+        internal_fidelities=tuple(map(_unit, internal)),
+        restoration_fidelities=tuple(map(_unit, restoration)),
+        composite_fidelities=tuple(map(_unit, composite)),
         leakage=leak,
         flags=_flags(leak),
     )

@@ -18,7 +18,7 @@ from helpers import (
     random_pure,
     solved,
 )
-from iongate import analysis, dynamics
+from iongate import analysis, dynamics, hilbert
 from iongate import (
     ModelParams,
     OperatorMatrix,
@@ -446,23 +446,61 @@ class TestTruthTable:
             tracemalloc.stop()
         assert len(report.composite_fidelities) == 8
         # every square root and propagator is (n_max+1)-sized; the only d x d
-        # arrays are the arguments of one eigvalsh per input
+        # arrays are the arguments of one eigvalsh per sector, N+1 = 4 for
+        # the 2^N = 8 inputs
         assert shapes["eigh"] and all(p.dim not in s for s in shapes["eigh"])
-        assert [s for s in shapes["eigvalsh"] if p.dim in s] == [(p.dim, p.dim)] * 8
+        assert [s for s in shapes["eigvalsh"] if p.dim in s] == [(p.dim, p.dim)] * 4
         # each is alive when its eigvalsh runs, and up to it no second d x d
         # array was ever alive at once
         square = p.dim**2 * 16
-        assert len(windows) == 8
+        assert len(windows) == 4
         assert all(square <= current and peak < 2 * square for peak, current in windows)
 
-    def test_inputs_of_one_sector_report_equal_restoration(self):
+    def test_inputs_of_one_sector_report_equal_fidelities(self):
         p = gate_params(0.1, 40, n_ions=3)
         report = truth_table_check(p, quiet_thermal(0.5, 40), model="full")
-        by_sector = {}
-        for label, fid in zip(report.input_labels, report.restoration_fidelities):
-            by_sector.setdefault(label.count("-"), set()).add(fid)
-        assert sorted(by_sector) == [0, 1, 2, 3]
-        assert all(len(fids) == 1 for fids in by_sector.values())
+        for fids in (
+            report.internal_fidelities,
+            report.restoration_fidelities,
+            report.composite_fidelities,
+        ):
+            by_sector = {}
+            for label, fid in zip(report.input_labels, fids):
+                by_sector.setdefault(label.count("-"), set()).add(fid)
+            assert sorted(by_sector) == [0, 1, 2, 3]
+            assert all(len(values) == 1 for values in by_sector.values())
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        n_ions=st.integers(2, 4),
+        model=st.sampled_from(["ld", "full"]),
+        eta=st.floats(0.03, 0.3),
+        n_max=st.integers(6, 14),
+        motion=st.one_of(
+            st.tuples(st.just("thermal"), st.sampled_from([0.0, 0.5, 2.0])),
+            st.tuples(st.just("fock"), st.integers(0, 3)),
+        ),
+    )
+    def test_one_spectrum_per_sector_is_every_input_spectrum(
+        self, n_ions, model, eta, n_max, motion
+    ):
+        # the composite matrices of two inputs of one sector differ by a
+        # diagonal +/-1 similarity, so eigvalsh gives them the same spectrum
+        # bit for bit: the per-input matrix |v><v| x Z_k Z_k+ of every member
+        # reproduces the one reported value exactly
+        p = gate_params(eta, n_max, n_ions=n_ions)
+        kind, value = motion
+        state = quiet_thermal(value, n_max) if kind == "thermal" else fock_state(value, n_max)
+        report = truth_table_check(p, state, model=model)
+        sqrt_rho = analysis._sqrt_psd(state.density())
+        blocks = sector_propagators(p, p.tau, model)
+        signs, labels, sectors = hilbert._pm_products(n_ions)
+        assert report.input_labels == labels
+        for column, k, reported in zip(signs.T, sectors, report.composite_fidelities):
+            z = analysis._evolution(blocks[k], np.ones(1), sqrt_rho)[3]
+            outer = np.outer(column, column) / 2.0**n_ions
+            member = analysis._trace_sqrt_squared(np.kron(outer, z @ z.conj().T))
+            assert analysis._unit(member) == reported
 
 
 class TestTruthTableAgainstDense:
