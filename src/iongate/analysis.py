@@ -6,8 +6,9 @@ The truth table reads the N+1 J_x sector propagators U_k
 (`sector_propagators`) directly, so without a given `u` it is resonant only; a
 detuned truth table takes its `u` from the dense oracle of `dynamics`. The
 sweep and the convergence study call `truth_table_check` (and the sweep
-`ghz_check`) at every point, so each check has one code path. Only the
-convergence metric assembles a composite propagator (`sector_sum`).
+`ghz_check`) at every point, so each check has one code path. The
+convergence metric, too, reads the sector blocks: no harness assembles a
+composite propagator.
 
 Definition used for state-level gate infidelity: for each |+/-> product input
 v with motional input rho_mot, the per-input fidelity is the composite-state
@@ -49,7 +50,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dynamics import _require_model, sector_propagators, sector_sum
+from .dynamics import _require_model, sector_propagators
 from .hilbert import (
     ModelParams,
     OperatorMatrix,
@@ -57,6 +58,7 @@ from .hilbert import (
     ThermalSpec,
     _pm_products,
     _require_same_space,
+    _sector_projectors,
     thermal_state,
 )
 from .synthesis import GhzRecipe, _gate_phases, ghz_recipe, solve_gate_params
@@ -174,6 +176,16 @@ def motional_independence_metric(u: OperatorMatrix, n_limit: int) -> float:
     diagonal = np.arange(n_limit + 1)
     kept[:, diagonal, :, diagonal] -= blocks[:, 0, :, 0]
     return float(np.abs(kept).max())
+
+
+def _sector_independence_metric(n_ions: int, blocks: np.ndarray, n_limit: int) -> float:
+    """`motional_independence_metric(sector_sum(n_ions, blocks), n_limit)`
+    without the composite operator: its kept block (i, j) is
+    sum_k P_k[i, j] (U_k[n, m] - delta_nm U_k[0, 0]) for n, m <= n_limit."""
+    kept = blocks[:, : n_limit + 1, : n_limit + 1].copy()
+    diagonal = np.arange(n_limit + 1)
+    kept[:, diagonal, diagonal] -= blocks[:, :1, 0]
+    return float(np.abs(np.tensordot(_sector_projectors(n_ions), kept, (0, 0))).max())
 
 
 def leakage_population(state: QuantumState, n_threshold: int | None = None) -> float:
@@ -571,8 +583,8 @@ def truncation_convergence(
     for n in n_list:
         point = replace(params, n_max=n)
         table = truth_table_check(point, thermal_state(ThermalSpec(nbar=nbar, n_max=n)), model)
-        u = sector_sum(point.n_ions, sector_propagators(point, point.tau, model))
-        metric = motional_independence_metric(u, n // 2)
+        blocks = sector_propagators(point, point.tau, model)
+        metric = _sector_independence_metric(point.n_ions, blocks, n // 2)
         prev = rows[-1] if rows else None
         rows.append(
             ConvergenceRow(

@@ -40,9 +40,9 @@ from .hilbert import (
     ModelParams,
     OperatorMatrix,
     QuantumState,
-    _pm_products,
     _require_same_space,
     _sector_m,
+    _sector_projectors,
     collective_spin,
     ladder_operators,
     position_sine_operator,
@@ -157,13 +157,10 @@ def expm_propagator(h: OperatorMatrix, t: float) -> OperatorMatrix:
 
 def sector_sum(n_ions: int, blocks: np.ndarray) -> OperatorMatrix:
     """sum_k P_k x blocks[k] on the composite space, for blocks of shape
-    (N+1, n_max+1, n_max+1) indexed like `sector_propagators`. The projector
-    P_k is S_k S_k^T / 2^N, exact in floating point, with S_k the +/-1 columns
-    of the |+/-> products in sector k from `hilbert._pm_products`.
+    (N+1, n_max+1, n_max+1) indexed like `sector_propagators`, with the
+    projectors P_k of `hilbert._sector_projectors`.
     """
-    signs, _, sector = _pm_products(n_ions)
-    in_sector = sector == np.arange(n_ions + 1)[:, None]
-    projectors = (signs * in_sector[:, None, :]) @ signs.T / 2.0**n_ions
+    projectors = _sector_projectors(n_ions)
     d_i, d_m = 2**n_ions, blocks.shape[-1]
     flat = blocks.reshape(n_ions + 1, d_m * d_m)
     # block (i, j) of the result is sum_k P_k[i, j] blocks[k]; filling the
@@ -275,10 +272,16 @@ def propagator_at_tau(
     """
     _require_resonance(params, "the pulse-period reduction")
     c, d = pulse_period_coefficients(params.eta, params.omega_ratio, params.theta)
-    m = _sector_m(params.n_ions)
-    phases = np.exp(1j * (c * m**2 - d * m))
+    phases = _period_phases(params.n_ions, c, d)
     u = sector_sum(params.n_ions, phases[:, None, None] * np.eye(params.dim_motion))
     return u, c, d
+
+
+def _period_phases(n_ions: int, c: float, d: float) -> np.ndarray:
+    """e^{i (C m^2 - D m)}, the one-period propagator on J_x sector k
+    (m = N - 2k) for the coefficients (C, D)."""
+    m = _sector_m(n_ions)
+    return np.exp(1j * (c * m**2 - d * m))
 
 
 def evolve(state: QuantumState, u: OperatorMatrix) -> QuantumState:

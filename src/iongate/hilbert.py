@@ -366,6 +366,15 @@ def _pm_products(n_ions: int) -> tuple[np.ndarray, tuple[str, ...], np.ndarray]:
     return signs, tuple(labels), np.array([label.count("-") for label in labels])
 
 
+def _sector_projectors(n_ions: int) -> np.ndarray:
+    """The N+1 projectors P_k = S_k S_k^T / 2^N onto the J_x sectors, shape
+    (N+1, 2^N, 2^N), with S_k the +/-1 columns of `_pm_products` in sector k;
+    exact in floating point."""
+    signs, _, sector = _pm_products(n_ions)
+    in_sector = sector == np.arange(n_ions + 1)[:, None]
+    return (signs * in_sector[:, None, :]) @ signs.T / 2.0**n_ions
+
+
 def internal_product_state(symbols: str) -> QuantumState:
     """Product state of per-ion symbols from {g, e, +, -}, ion 1 first."""
     if not symbols:

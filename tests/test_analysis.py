@@ -239,6 +239,21 @@ class TestMotionalIndependenceMetric:
             assert metric(bumped) == loop(bumped)
             assert (metric(bumped) > 49.0) == counts
 
+    @pytest.mark.parametrize("n_ions, n_limit", [(2, 0), (2, 5), (3, 3)])
+    def test_sector_blocks_match_the_composite_operator(self, n_ions, n_limit):
+        # the convergence metric reads the sector blocks; the composite route
+        # sums the same terms in another order, so a few ulp may differ
+        rng = np.random.default_rng(17)
+        shape = (n_ions + 1, 11, 11)
+        blocks = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        for n, m in ((None, None), (n_limit, n_limit), (n_limit + 1, 0)):
+            bumped = blocks.copy()
+            if n is not None:
+                bumped[1, n, m] += 50.0
+            composite = motional_independence_metric(sector_sum(n_ions, bumped), n_limit)
+            sectors = analysis._sector_independence_metric(n_ions, bumped, n_limit)
+            assert abs(sectors - composite) <= 1e-14 * composite
+
 
 class TestLeakage:
     def test_low_fock_state_has_none(self):
@@ -434,7 +449,7 @@ class TestTruthTable:
         def forbidden(*args, **kwargs):
             raise AssertionError("the truth table built or evolved a composite object")
 
-        monkeypatch.setattr(analysis, "sector_sum", forbidden)
+        monkeypatch.setattr(analysis, "sector_sum", forbidden, raising=False)
         monkeypatch.setattr(dynamics, "sector_sum", forbidden)
         monkeypatch.setattr(dynamics, "evolve", forbidden)
         monkeypatch.setattr(analysis, "evolve", forbidden, raising=False)
@@ -679,7 +694,8 @@ class TestSweep:
 
         monkeypatch.setattr(analysis, "truth_table_check", counted_table)
         monkeypatch.setattr(analysis, "ghz_check", counted_ghz)
-        monkeypatch.setattr(analysis, "sector_sum", forbidden)
+        monkeypatch.setattr(analysis, "sector_sum", forbidden, raising=False)
+        monkeypatch.setattr(dynamics, "sector_sum", forbidden)
         result = lamb_dicke_error_sweep(
             (0.1, 0.2), (0.0, 0.5), n_ions=n_ions, n_max=12, model=model
         )

@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from iongate import analysis, cli, dynamics, synthesis
 from iongate.cli import ConfigError, load_run_config, main
 
 SCHEMA = json.loads(
@@ -342,6 +343,17 @@ class TestSweepCommand:
         assert f"grids.{key} must be a JSON array of numbers" in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("key", ["eta", "nbar"])
+    def test_grid_integer_past_the_float_range_exits_2(self, tmp_path, capsys, key):
+        # json.load reads a 401-digit integer exactly; float() of it overflows
+        grids = {"eta": [0.1], "nbar": [0.0]}
+        grids[key] = [10**400]
+        cfg = write_config(tmp_path, grids=grids)
+        assert run_cli("sweep", "--config", str(cfg)) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: grids.{key} holds an integer too large for a float\n"
+        assert captured.out == ""
+
     @pytest.mark.parametrize(
         "model, flags, name",
         [
@@ -542,6 +554,39 @@ class TestOutputContract:
         assert link.is_symlink() and target.exists()
 
     @pytest.mark.parametrize(
+        "argv, name",
+        [
+            (["ghz", "--n-ions", "3"], "ghz_check"),
+            (["convergence", "--n-max-list", "10,20"], "truncation_convergence"),
+        ],
+    )
+    @pytest.mark.parametrize(
+        "error, message",
+        [
+            # what numpy raises for an array past the memory it can get
+            (
+                MemoryError("Unable to allocate 1.42 EiB for an array with shape (2, 2)"),
+                "Unable to allocate 1.42 EiB for an array with shape (2, 2)",
+            ),
+            (MemoryError(), "MemoryError"),
+        ],
+        ids=["numpy", "bare"],
+    )
+    def test_out_of_memory_exits_1(
+        self, tmp_path, capsys, monkeypatch, argv, name, error, message
+    ):
+        # the command is made to raise: a real allocation of that size may
+        # fail at once or be granted, depending on the host's overcommit
+        def exhausted(*args, **kwargs):
+            raise error
+
+        monkeypatch.setattr(cli, name, exhausted)
+        out = tmp_path / "out.json"
+        assert run_cli(*argv, "--out", str(out)) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
         "argv",
         [
             ["solve", "--eta", "0.1", "--n-max", "5"],
@@ -554,6 +599,60 @@ class TestOutputContract:
         with pytest.raises(SystemExit) as exc:
             run_cli(*argv)
         assert exc.value.code == 2
+
+
+def test_commands_assemble_no_composite_propagator(tmp_path, monkeypatch):
+    # every command runs on the J_x sector blocks: the solve verifies its
+    # parameters on the sector phases, and the convergence metric reads the
+    # blocks, so neither assembler may run, wherever it is bound
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a command assembled a composite propagator")
+
+    for module in (dynamics, synthesis, analysis, cli):
+        for name in ("sector_sum", "propagator_at_tau"):
+            monkeypatch.setattr(module, name, forbidden, raising=module is dynamics)
+    cfg = write_config(tmp_path, grids={"eta": [0.1], "nbar": [0.0, 0.5]})
+    for argv in (
+        ["solve", "--eta", "0.1", "--literal-params"],
+        ["gate-check", "--nbar", "0.5", "--n-max", "12"],
+        ["gate-check", "--nbar", "0.5", "--n-max", "12", "--full-hamiltonian"],
+        ["ghz", "--n-ions", "3", "--nbar", "0.5", "--n-max", "12"],
+        ["convergence", "--nbar", "0", "--n-max-list", "6,8"],
+        ["sweep", "--config", str(cfg), "--out", str(tmp_path / "sweep.json")],
+    ):
+        assert run_cli(*argv) == 0, argv
+
+
+def run_python(script: str) -> None:
+    """Run `script` in a fresh interpreter and require it to succeed."""
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
+class TestCollector:
+    """`iongate.cli` moves the import-time heap out of the cyclic collector's
+    reach; a library import of `iongate` leaves the collector as it found
+    it. Each test imports in a fresh interpreter."""
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_library_import_leaves_the_collector_alone(self, enabled):
+        run_python(f"""
+import gc
+{"gc.enable()" if enabled else "gc.disable()"}
+import iongate
+assert gc.isenabled() is {enabled}, gc.isenabled()
+assert gc.get_freeze_count() == 0, gc.get_freeze_count()
+""")
+
+    def test_cli_import_freezes_the_import_heap(self):
+        run_python("""
+import gc
+import iongate.cli
+assert gc.isenabled()
+assert gc.get_freeze_count() > 0, gc.get_freeze_count()
+""")
 
 
 class TestEntryPoint:

@@ -6,7 +6,6 @@ import pytest
 from helpers import gate_params, quiet_thermal, solved
 from iongate import (
     ModelParams,
-    OperatorMatrix,
     collective_spin,
     evolve,
     expm_propagator,
@@ -104,11 +103,12 @@ class TestSolveGateParams:
             solve_gate_params(0.1, k1, 0)
 
     def test_nan_gate_distance_fails_verification(self, monkeypatch):
-        def nan_propagator(params):
-            u, c, d = propagator_at_tau(params)
-            return OperatorMatrix(np.full_like(u.mat, np.nan), u.layout, u.dims), c, d
+        # the verification compares the one-period sector phases with the
+        # ideal gate's; NaN phases must fail it, not pass as distance 0
+        def nan_phases(n_ions, c, d):
+            return np.full(n_ions + 1, np.nan, dtype=complex)
 
-        monkeypatch.setattr(synthesis, "propagator_at_tau", nan_propagator)
+        monkeypatch.setattr(synthesis, "_period_phases", nan_phases)
         with pytest.raises(RuntimeError, match="verification"):
             solve_gate_params(0.1)
 
