@@ -5,9 +5,10 @@ convergence.
 The truth table reads the N+1 J_x sector propagators U_k
 (`sector_propagators`) directly, so without a given `u` it is resonant only; a
 detuned truth table takes its `u` from the dense oracle of `dynamics`. The
-sweep and the convergence study call `truth_table_check` (and the sweep
-`ghz_check`) at every point, so each check has one code path. The
-convergence metric, too, reads the sector blocks: no harness assembles a
+sweep calls `truth_table_check` and `ghz_check` at every point. The
+convergence study builds each cutoff's sector blocks once and hands them to
+`_sector_table`, the body of the truth table's sector route, and to its
+metric, so each check still has one code path and no harness assembles a
 composite propagator.
 
 Definition used for state-level gate infidelity: for each |+/-> product input
@@ -296,47 +297,62 @@ def truth_table_check(
     """
     _require_model(model)
     _require_motion(motion, params)
+    if u is None:
+        return _sector_table(params, sector_propagators(params, params.tau, model), motion, model)
     dims = params.dim_internal, params.dim_motion
+    if u.dims != dims:
+        raise ValueError(f"propagator dims {u.dims} do not match the model dims {dims}")
+    # the only finiteness check: every quantity below is built from u and motion
+    if not np.isfinite(u.mat).all():
+        raise ValueError("propagator must be finite")
     sqrt_rho = _sqrt_psd(motion.density())
     signs, labels, sectors = _pm_products(params.n_ions)
-    if u is None:
-        # an input v in sector k leaves as |v><v| x U_k rho U_k+: its one
-        # block is U_k, with coefficient 1, since the image phase g_k drops
-        # out of |Gv><Gv|. The composite matrices of two inputs of one
-        # sector differ by a +/-1 similarity (module docstring), so the
-        # sector's first input gives the spectrum of all; between sectors
-        # the signed zeros of a pure rho have broken that bitwise equality
-        blocks = sector_propagators(params, params.tau, model)
-        # list.index: a process's first np.unique call adds 0.4 MB of RSS
-        firsts = signs.T[[list(sectors).index(k) for k in range(len(blocks))]]
-        per_sector = []
-        for block, column in zip(blocks, firsts):
-            *evolution, z = _evolution(block, np.ones(1), sqrt_rho)
-            # |v><v| = s s^T / 2^N is exact
-            outer = np.outer(column, column) / 2.0**params.n_ions
-            per_sector.append((*evolution, _trace_sqrt_squared(np.kron(outer, z @ z.conj().T))))
-        evaluations = [per_sector[k] for k in sectors]
-    else:
-        if u.dims != dims:
-            raise ValueError(f"propagator dims {u.dims} do not match the model dims {dims}")
-        # the only finiteness check: every quantity below is built from u and motion
-        if not np.isfinite(u.mat).all():
-            raise ValueError("propagator must be finite")
-        # column block i of u is U (|i> x I_m); the reshape is a view, not a copy
-        columns = u.mat.reshape(params.dim, *dims)
-        # the image of an input v in sector k is g_k v
-        phases = _gate_phases(params.n_ions)
-        evaluations = []
-        for column, k in zip(signs.T, sectors):
-            vec = column / np.sqrt(2.0**params.n_ions)
-            # U (|v><v| x rho) U+ = W rho W+ with the isometry W = U (|v> x I_m)
-            w = np.einsum("xim,i->xm", columns, vec)
-            # W+W = I_m holds for a unitary u, and sqrt(W rho W+) = X W+ needs
-            # it; checking u+u would cost d^3
-            if not np.abs(w.conj().T @ w - np.eye(dims[1])).max() <= 1e-10:
-                raise ValueError("propagator must be unitary")
-            *evolution, z = _evolution(w, phases[k] * vec, sqrt_rho)
-            evaluations.append((*evolution, _trace_sqrt_squared(z @ z.conj().T)))
+    # column block i of u is U (|i> x I_m); the reshape is a view, not a copy
+    columns = u.mat.reshape(params.dim, *dims)
+    # the image of an input v in sector k is g_k v
+    phases = _gate_phases(params.n_ions)
+    evaluations = []
+    for column, k in zip(signs.T, sectors):
+        vec = column / np.sqrt(2.0**params.n_ions)
+        # U (|v><v| x rho) U+ = W rho W+ with the isometry W = U (|v> x I_m)
+        w = np.einsum("xim,i->xm", columns, vec)
+        # W+W = I_m holds for a unitary u, and sqrt(W rho W+) = X W+ needs
+        # it; checking u+u would cost d^3
+        if not np.abs(w.conj().T @ w - np.eye(dims[1])).max() <= 1e-10:
+            raise ValueError("propagator must be unitary")
+        *evolution, z = _evolution(w, phases[k] * vec, sqrt_rho)
+        evaluations.append((*evolution, _trace_sqrt_squared(z @ z.conj().T)))
+    return _report(params, model, labels, evaluations)
+
+
+def _sector_table(
+    params: ModelParams, blocks: np.ndarray, motion: QuantumState, model: str
+) -> TruthTableReport:
+    # the truth table from the one-period sector propagators U_k. An input v
+    # in sector k leaves as |v><v| x U_k rho U_k+: its one block is U_k, with
+    # coefficient 1, since the image phase g_k drops out of |Gv><Gv|. The
+    # composite matrices of two inputs of one sector differ by a +/-1
+    # similarity (module docstring), so the sector's first input gives the
+    # spectrum of all; between sectors the signed zeros of a pure rho have
+    # broken that bitwise equality
+    sqrt_rho = _sqrt_psd(motion.density())
+    signs, labels, sectors = _pm_products(params.n_ions)
+    # list.index: a process's first np.unique call adds 0.4 MB of RSS
+    firsts = signs.T[[list(sectors).index(k) for k in range(len(blocks))]]
+    per_sector = []
+    for block, column in zip(blocks, firsts):
+        *evolution, z = _evolution(block, np.ones(1), sqrt_rho)
+        # |v><v| = s s^T / 2^N is exact
+        outer = np.outer(column, column) / 2.0**params.n_ions
+        per_sector.append((*evolution, _trace_sqrt_squared(np.kron(outer, z @ z.conj().T))))
+    return _report(params, model, labels, [per_sector[k] for k in sectors])
+
+
+def _report(
+    params: ModelParams, model: str, labels: tuple[str, ...], evaluations: list
+) -> TruthTableReport:
+    # the report of per-input (populations, internal, restoration,
+    # composite) evaluations, with the leakage of the worst input
     populations, internal, restoration, composite = zip(*evaluations)
     leak = max(float(_weight_above(pops, params.n_max // 2)) for pops in populations)
     return TruthTableReport(
@@ -582,8 +598,10 @@ def truncation_convergence(
     rows: list[ConvergenceRow] = []
     for n in n_list:
         point = replace(params, n_max=n)
-        table = truth_table_check(point, thermal_state(ThermalSpec(nbar=nbar, n_max=n)), model)
+        motion = thermal_state(ThermalSpec(nbar=nbar, n_max=n))
+        # one build of the sector blocks serves the table and the metric
         blocks = sector_propagators(point, point.tau, model)
+        table = _sector_table(point, blocks, motion, model)
         metric = _sector_independence_metric(point.n_ions, blocks, n // 2)
         prev = rows[-1] if rows else None
         rows.append(

@@ -18,6 +18,7 @@ import functools
 import gc
 import io
 import json
+import math
 import os
 import stat
 import sys
@@ -89,6 +90,30 @@ def _check_minimum(name: str, key: str, value: int) -> None:
         raise ConfigError(f"{name} must be >= {_MINIMA[key]}, got {value}")
 
 
+#: the largest side of a square complex array whose size in bytes numpy can
+#: index (np.intp); past it, numpy raises ValueError before allocating
+_MAX_SIDE = math.isqrt(np.iinfo(np.intp).max // np.dtype(complex).itemsize)
+
+
+def _check_cutoffs(n_ions: int, n_max: int, n_pad: int, names: dict[str, str]) -> None:
+    """Reject cutoffs whose matrices numpy cannot index: the composite ones of
+    side 2^N (n_max + 1) and the padded sine operator of side
+    n_max + n_pad + 1. `names` gives the key or flag of each setting."""
+    # the bit-length test first, so that a huge n_ions never forms 2^n_ions
+    if n_ions >= _MAX_SIDE.bit_length() or (n_max + 1) << n_ions > _MAX_SIDE:
+        raise ConfigError(
+            f"{names['n_ions']}={n_ions} and {names['n_max']}={n_max} give composite "
+            "matrices of side 2^n_ions (n_max + 1), past numpy's array size limit "
+            f"{_MAX_SIDE}"
+        )
+    if n_max + n_pad + 1 > _MAX_SIDE:
+        raise ConfigError(
+            f"{names['n_max']}={n_max} and {names['n_pad']}={n_pad} give a padded sine "
+            "operator of side n_max + n_pad + 1, past numpy's array size limit "
+            f"{_MAX_SIDE}"
+        )
+
+
 def _is_int(value) -> bool:
     # JSON true/false arrive as bool, a subclass of int
     return isinstance(value, int) and not isinstance(value, bool)
@@ -156,12 +181,16 @@ def load_run_config(path: str) -> RunConfig:
         if not isinstance(path, str):
             raise ConfigError(f"output.{key} must be a path string, got {path!r}")
     # the model keys are RunConfig field names; absent ones take its defaults
-    return RunConfig(
+    config = RunConfig(
         eta_grid=eta_grid,
         nbar_grid=nbar_grid,
         **model,
         **{f"{key}_path": path for key, path in output.items()},
     )
+    _check_cutoffs(
+        config.n_ions, config.n_max, config.n_pad, {key: f"model.{key}" for key in _MINIMA}
+    )
+    return config
 
 
 def _cell(value) -> str:
@@ -370,6 +399,12 @@ def cmd_sweep(args) -> int:
     # the flags override the config file, so they take its range checks too
     _check_minimum("--n-max", "n_max", n_max)
     _check_minimum("--n-pad", "n_pad", n_pad)
+    names = {
+        "n_ions": "model.n_ions",
+        "n_max": "model.n_max" if args.n_max is None else "--n-max",
+        "n_pad": "model.n_pad" if args.n_pad is None else "--n-pad",
+    }
+    _check_cutoffs(config.n_ions, n_max, n_pad, names)
     seed = args.seed if args.seed is not None else config.seed
     # the format of each output path; a path named twice takes the last one
     formats = {config.csv_path: "csv", config.json_path: "json", args.out: args.format}

@@ -4,26 +4,31 @@ On resonance both Hamiltonians commute with J_x, so every propagator is
 sum_k P_k x U_k over the N+1 J_x sectors: P_k projects onto the |+/->
 products with k minus signs (m = N - 2k), and U_k acts on the n_max + 1 Fock
 states. Every resonant propagator is built from such blocks and assembled by
-`sector_sum`. `sector_propagators` exponentiates the motional blocks of the
-Hamiltonian. With times in units of 1/omega_a and rates as ratios to it
-(see `hilbert`), `closed_form_propagator` returns the sector blocks of the
-factorized form
+`sector_sum`, which forms the N+1 distinct composite blocks once (P_k[i, j]
+depends only on the Hamming distance of i and j). `sector_propagators`
+exponentiates the motional blocks of the Hamiltonian. With times in units of
+1/omega_a and rates as ratios to it (see `hilbert`), `closed_form_propagator`
+returns the sector factors of the factorized form
 
     U(t) = exp[i Phi(t) J_x^2] * exp(-i a+a t) * f_disp(t)
            * exp(-i Omega sin(theta) t J_x)
 
 with lambda = eta Omega cos(theta), Phi(t) = lambda^2 (t - sin t), and f_disp
 a coherent displacement of amplitude beta(t) m in sector m,
-beta(t) = -lambda (e^{i t} - 1). Each factor, and their ordered product, is
-assembled into a composite matrix only when it is read (see
-`PropagatorFactors`). At t = tau = 2 pi the rotation and the displacement
-are the identity, and `propagator_at_tau` gives exp[i C J_x^2] exp[-i D J_x]
-x I, with (C, D) from `pulse_period_coefficients`.
+beta(t) = -lambda (e^{i t} - 1). The twist and the carrier are phases per
+sector and the rotation a phase per Fock state; the displacement blocks of
+all sectors come from one eigendecomposition of the generator
+i (beta a+ - beta* a). Each factor, and their ordered product, is assembled
+into a composite matrix only when it is read (see `PropagatorFactors`). At
+t = tau = 2 pi the rotation and the displacement are the identity, and
+`propagator_at_tau` gives exp[i C J_x^2] exp[-i D J_x] x I, with (C, D) from
+`pulse_period_coefficients`.
 
 The dense `expm_propagator` of `hamiltonian_ld` or `hamiltonian_full`
-diagonalizes the whole 2^N (n_max + 1) Hamiltonian. It is the independent
-oracle for the tests and the closed-form cross-check, and the route for
-detuned evolution, where J_x is not conserved.
+diagonalizes the whole 2^N (n_max + 1) Hamiltonian, built from dense kron
+products (a+a and (Delta/2) J_z added on the diagonal in place). It is the
+independent oracle for the tests and the closed-form cross-check, and the
+route for detuned evolution, where J_x is not conserved.
 
 Both Hamiltonians are real symmetric in the Fock x computational basis, so
 numpy's eigh diagonalizes them with its real solver.
@@ -54,12 +59,16 @@ class PropagatorFactors:
     """The four factors of the analytic propagator, kept separately so each
     one can be inspected, plus their ordered product.
 
-    Each factor is held as its N+1 motional sector blocks, arrays of shape
-    (N+1, n_max+1, n_max+1) indexed like `sector_propagators`. The
-    composite matrices `f_twist`, `f_rot`, `f_disp`, `f_carrier` and
-    `product` are assembled by `sector_sum` on first access and cached, so
-    a caller that reads only `product` pays for one composite matrix.
-    `product` is the ordered product taken per sector.
+    Three factors are phases: `twist` and `carrier` hold one phase per J_x
+    sector, shape (N+1,), indexed like `sector_propagators`, and `rot` one
+    phase per Fock state, shape (n_max+1,). `disp` holds the N+1
+    displacement blocks, shape (N+1, n_max+1, n_max+1). The composite
+    matrices `f_twist`, `f_rot`, `f_disp`, `f_carrier` and `product` are
+    assembled by `sector_sum` on first access and cached, so a caller that
+    reads only `product` pays for one composite matrix. `product` is taken
+    per sector, with no matrix product: the block of sector k is the
+    displacement block with row n scaled by the rotation phase of n, times
+    the twist and carrier phases of k.
     """
 
     twist: np.ndarray
@@ -68,14 +77,20 @@ class PropagatorFactors:
     carrier: np.ndarray
 
     def _assemble(self, blocks: np.ndarray) -> OperatorMatrix:
-        return sector_sum(len(blocks) - 1, blocks)
+        # blocks broadcast to the (N+1, n_max+1, n_max+1) sector blocks
+        return sector_sum(len(self.twist) - 1, np.broadcast_to(blocks, self.disp.shape))
 
-    f_twist = cached_property(lambda self: self._assemble(self.twist))
-    f_rot = cached_property(lambda self: self._assemble(self.rot))
+    def _sector_phases(self, phases: np.ndarray) -> np.ndarray:
+        return phases[:, None, None] * np.eye(len(self.rot))
+
+    f_twist = cached_property(lambda self: self._assemble(self._sector_phases(self.twist)))
+    f_rot = cached_property(lambda self: self._assemble(np.diag(self.rot)))
     f_disp = cached_property(lambda self: self._assemble(self.disp))
-    f_carrier = cached_property(lambda self: self._assemble(self.carrier))
+    f_carrier = cached_property(lambda self: self._assemble(self._sector_phases(self.carrier)))
     product = cached_property(
-        lambda self: self._assemble(self.twist @ self.rot @ self.disp @ self.carrier)
+        lambda self: self._assemble(
+            (self.twist * self.carrier)[:, None, None] * (self.rot[:, None] * self.disp)
+        )
     )
 
 
@@ -100,15 +115,19 @@ def _coupling(params: ModelParams, model: str) -> OperatorMatrix:
 
 def _composite_hamiltonian(params: ModelParams, coupling: OperatorMatrix) -> OperatorMatrix:
     # a+a + (Delta/2) J_z + Omega f J_x; `collective_spin` returns complex
-    # matrices, and taking the real parts of J_x and J_z keeps H real
-    number = np.diag(np.arange(params.dim_motion, dtype=float))
+    # matrices, and taking the real parts of J_x and J_z keeps H real. a+a
+    # and J_z are diagonal, so they are added on the diagonal in place
     jx = collective_spin(params.n_ions, "x").mat.real
-
-    h = np.kron(np.eye(params.dim_internal), number)
-    h += params.omega_ratio * np.kron(jx, coupling.mat)
+    h = np.kron(jx, coupling.mat)
+    h *= params.omega_ratio
+    # adding 0.0 turns every -0.0 of the product into +0.0, so H has the bits
+    # of the sum of the three dense kron products, signed zeros included
+    h += 0.0
+    diagonal = h.reshape(-1)[:: params.dim + 1]
+    diagonal += np.tile(np.arange(params.dim_motion, dtype=float), params.dim_internal)
     if params.delta != 0.0:
         jz = collective_spin(params.n_ions, "z").mat.real
-        h += (params.delta / 2.0) * np.kron(jz, np.eye(params.dim_motion))
+        diagonal += np.repeat((params.delta / 2.0) * np.diag(jz), params.dim_motion)
     return OperatorMatrix(h, "composite", dims=(params.dim_internal, params.dim_motion))
 
 
@@ -159,15 +178,23 @@ def sector_sum(n_ions: int, blocks: np.ndarray) -> OperatorMatrix:
     """sum_k P_k x blocks[k] on the composite space, for blocks of shape
     (N+1, n_max+1, n_max+1) indexed like `sector_propagators`, with the
     projectors P_k of `hilbert._sector_projectors`.
+
+    Block (i, j) of the result is sum_k P_k[i, j] blocks[k], and P_k[i, j]
+    depends on i and j only through their Hamming distance
+    w = popcount(i ^ j) (it is a Krawtchouk coefficient). So the result has
+    N+1 distinct blocks, one per w, each formed once from the pair
+    (0, 2^w - 1) and copied to every (i, j) at distance w.
     """
     projectors = _sector_projectors(n_ions)
     d_i, d_m = 2**n_ions, blocks.shape[-1]
     flat = blocks.reshape(n_ions + 1, d_m * d_m)
-    # block (i, j) of the result is sum_k P_k[i, j] blocks[k]; filling the
-    # blocks in place keeps a single composite-sized array alive
+    bits = (np.arange(d_i)[:, None] >> np.arange(n_ions)) & 1
+    distance = (bits[:, None, :] != bits[None, :, :]).sum(-1)
+    # filling the blocks in place keeps a single composite-sized array alive
     mat = np.empty((d_i, d_m, d_i, d_m), dtype=complex)
-    for i, j in np.ndindex(d_i, d_i):
-        mat[i, :, j, :] = (projectors[:, i, j] @ flat).reshape(d_m, d_m)
+    for w in range(n_ions + 1):
+        i, j = np.nonzero(distance == w)
+        mat[i, :, j, :] = (projectors[:, 0, 2**w - 1] @ flat).reshape(d_m, d_m)
     return OperatorMatrix(mat.reshape(d_i * d_m, d_i * d_m), "composite", (d_i, d_m))
 
 
@@ -187,33 +214,28 @@ def closed_form_propagator(params: ModelParams, t: float) -> PropagatorFactors:
     their ordered product, is formed per sector on the n_max + 1 Fock states;
     no composite matrix is built here. The returned `PropagatorFactors`
     assembles a factor by `sector_sum` only when it is read. In sector m the
-    blocks are
-    e^{i Phi m^2} I (twist), diag(e^{-i n t}) (rotation), D(beta m)
-    (displacement) and e^{-i Omega sin(theta) t m} I (carrier). Each
-    D(alpha) = exp(alpha a+ - alpha* a) is the exponential of the truncated
-    generator: V e^{-i lambda} V+ from one batched eigendecomposition of the
-    Hermitian H_g = i (alpha a+ - alpha* a) over the N+1 sectors.
+    twist is the phase e^{i Phi m^2}, the rotation diag(e^{-i n t}), the
+    displacement D(beta m) and the carrier the phase
+    e^{-i Omega sin(theta) t m}. Each D(beta m) = exp[m (beta a+ - beta* a)]
+    is the exponential of the truncated generator: with the one Hermitian
+    H_g = i (beta a+ - beta* a) = V Lambda V+, it is V e^{-i m Lambda} V+,
+    so one eigendecomposition serves all N+1 sectors.
     """
     _require_resonance(params, "the closed form")
-    n = params.n_ions
     lam = params.eta * params.omega_ratio * np.cos(params.theta)
-    m = _sector_m(n)
-    eye = np.eye(params.dim_motion)
+    m = _sector_m(params.n_ions)
 
     phi = lam**2 * t - lam**2 * np.sin(t)
-    twist = np.exp(1j * phi * m**2)[:, None, None] * eye
-
-    rot_phases = np.exp(-1j * np.arange(params.dim_motion) * t)
-    rot = np.tile(np.diag(rot_phases), (n + 1, 1, 1))
+    twist = np.exp(1j * phi * m**2)
+    rot = np.exp(-1j * np.arange(params.dim_motion) * t)
 
     a, ad = ladder_operators(params.n_max)
     beta = -lam * (np.exp(1j * t) - 1.0)
-    alpha = (beta * m)[:, None, None]
-    vals, vecs = np.linalg.eigh(1j * (alpha * ad.mat - np.conj(alpha) * a.mat))
-    disp = (vecs * np.exp(-1j * vals)[:, None, :]) @ vecs.conj().transpose(0, 2, 1)
+    vals, vecs = np.linalg.eigh(1j * (beta * ad.mat - np.conj(beta) * a.mat))
+    disp = (vecs * np.exp(-1j * m[:, None, None] * vals)) @ vecs.conj().T
 
     carrier_phase = params.omega_ratio * np.sin(params.theta) * t
-    carrier = np.exp(-1j * carrier_phase * m)[:, None, None] * eye
+    carrier = np.exp(-1j * carrier_phase * m)
 
     return PropagatorFactors(twist=twist, rot=rot, disp=disp, carrier=carrier)
 

@@ -758,6 +758,31 @@ class TestTruncationConvergence:
         assert len(rows) == 1
         assert rows[0].diff_infidelity is None
 
+    @pytest.mark.parametrize("model", ["ld", "full"])
+    def test_one_block_build_per_cutoff(self, monkeypatch, model):
+        # counted through the module attribute, the binding a tracer patches
+        built = []
+        build = analysis.sector_propagators
+
+        def counted(params, t, model):
+            built.append(params.n_max)
+            return build(params, t, model)
+
+        monkeypatch.setattr(analysis, "sector_propagators", counted)
+        p = gate_params(0.1, 20)
+        rows = truncation_convergence(p, [8, 12, 20], nbar=0.5, model=model)
+        assert built == [8, 12, 20]
+        monkeypatch.undo()
+        # the rows are those of the public truth table and the sector metric
+        for row in rows:
+            point = dataclasses.replace(p, n_max=row.n_max)
+            motion = thermal_state(ThermalSpec(nbar=0.5, n_max=row.n_max))
+            table = truth_table_check(point, motion, model)
+            assert row.gate_infidelity == table.gate_infidelity
+            blocks = sector_propagators(point, point.tau, model)
+            metric = analysis._sector_independence_metric(2, blocks, row.n_max // 2)
+            assert row.metric == metric
+
     def test_rejects_nonincreasing_list(self):
         p = gate_params(0.1, 30)
         with pytest.raises(ValueError):

@@ -384,6 +384,57 @@ class TestSweepCommand:
         assert captured.out == ""
 
     @pytest.mark.parametrize(
+        "model, flags, name",
+        [
+            ({"n_max": 10**40}, [], "model.n_max"),
+            ({"n_max": 2**28}, [], "model.n_max"),
+            ({"n_ions": 10**12}, [], "model.n_ions"),
+            ({"n_pad": 10**19}, [], "model.n_pad"),
+            ({}, ["--n-max", str(10**40)], "--n-max"),
+            ({}, [f"--n-pad={10**19}"], "--n-pad"),
+        ],
+        ids=["n_max", "n_max-n_ions", "n_ions", "n_pad", "n-max-flag", "n-pad-flag"],
+    )
+    def test_cutoff_past_numpy_size_limit_exits_2(
+        self, tmp_path, capsys, monkeypatch, model, flags, name
+    ):
+        # 2^n_ions (n_max + 1), or n_max + n_pad + 1 for the padded sine
+        # operator, past the side of the largest complex matrix numpy can
+        # index; today's rows would each record numpy's ValueError
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a sweep row was computed")
+
+        monkeypatch.setattr(cli, "lamb_dicke_error_sweep", forbidden)
+        paths = {key: tmp_path / f"sw.{key}" for key in ("csv", "json", "out")}
+        base = {"n_ions": 2, "n_max": 12, "hamiltonian": "ld"}
+        cfg = write_config(
+            tmp_path,
+            model={**base, **model},
+            output={"csv": str(paths["csv"]), "json": str(paths["json"])},
+        )
+        code = run_cli("sweep", "--config", str(cfg), "--out", str(paths["out"]), *flags)
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and f"{name}=" in captured.err
+        assert "numpy's array size limit" in captured.err
+        assert captured.out == ""
+        assert not any(path.exists() for path in paths.values())
+
+    def test_cutoff_at_numpy_size_limit_is_accepted(self, tmp_path):
+        side = cli._MAX_SIDE
+        # the largest accepted cutoffs build nothing in load_run_config
+        cfg = write_config(tmp_path, model={"n_ions": 2, "n_max": side // 4 - 1, "n_pad": 0})
+        assert load_run_config(str(cfg)).n_max == side // 4 - 1
+        cfg = write_config(tmp_path, model={"n_ions": 2, "n_max": 1, "n_pad": side - 2})
+        assert load_run_config(str(cfg)).n_pad == side - 2
+        cfg = write_config(tmp_path, model={"n_ions": 2, "n_max": 1, "n_pad": side - 1})
+        with pytest.raises(ConfigError, match="model.n_pad"):
+            load_run_config(str(cfg))
+        # numpy itself refuses the first rejected side, without allocating
+        with pytest.raises(ValueError, match="too big"):
+            np.empty((side + 1, side + 1), dtype=complex)
+
+    @pytest.mark.parametrize(
         "flags, n_max, n_pad",
         [
             ([], 12, 10),

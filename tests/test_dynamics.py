@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from helpers import gate_params, quiet_thermal
@@ -29,6 +29,7 @@ from iongate import (
     sector_propagators,
     sector_sum,
 )
+from iongate.hilbert import _sector_projectors
 
 
 def _restricted_max_diff(a: np.ndarray, b: np.ndarray, params: ModelParams, n_keep: int) -> float:
@@ -95,6 +96,43 @@ class TestHamiltonianLD:
     def test_hermitian(self):
         p = ModelParams(eta=0.17, omega_ratio=2.1, theta=0.9, delta=0.3, n_ions=3, n_max=6)
         assert hamiltonian_ld(p).is_hermitian()
+
+
+class TestDenseKronConstruction:
+    @staticmethod
+    def dense_kron(p: ModelParams, coupling: np.ndarray) -> np.ndarray:
+        # a+a + Omega f J_x + (Delta/2) J_z as the sum of three dense krons
+        number = np.diag(np.arange(p.dim_motion, dtype=float))
+        h = np.kron(np.eye(p.dim_internal), number)
+        h += p.omega_ratio * np.kron(collective_spin(p.n_ions, "x").mat.real, coupling)
+        if p.delta != 0.0:
+            jz = collective_spin(p.n_ions, "z").mat.real
+            h += (p.delta / 2.0) * np.kron(jz, np.eye(p.dim_motion))
+        return h
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.floats(0.01, 0.5),
+        st.floats(0.05, 3.0),
+        st.floats(-np.pi, np.pi),
+        st.sampled_from([0.0, 0.8, -1.3]),
+        st.integers(1, 4),
+        st.integers(1, 12),
+    )
+    def test_hamiltonians_equal_the_dense_kron_sum_bit_for_bit(
+        self, eta, ratio, theta, delta, n_ions, n_max
+    ):
+        # signed zeros included: theta past pi/2 gives the coupling -0.0 entries
+        p = ModelParams(
+            eta=eta, omega_ratio=ratio, theta=theta, delta=delta, n_ions=n_ions, n_max=n_max
+        )
+        a, ad = ladder_operators(n_max)
+        ld = eta * (a.mat + ad.mat) * np.cos(theta) + np.sin(theta) * np.eye(n_max + 1)
+        full = position_sine_operator(p).mat
+        for build, coupling in ((hamiltonian_ld, ld), (hamiltonian_full, full)):
+            h = build(p).mat
+            assert h.dtype == np.float64
+            assert h.tobytes() == self.dense_kron(p, coupling).tobytes()
 
 
 class TestHamiltonianFull:
@@ -308,6 +346,16 @@ class TestClosedForm:
             getattr(f, name)
         assert calls == [p.n_ions] * 5
 
+    def test_phase_factors_are_stored_as_phases(self):
+        p = gate_params(0.1, 12)
+        f = closed_form_propagator(p, 0.37 * p.tau)
+        sectors, fock = p.n_ions + 1, p.n_max + 1
+        assert f.twist.shape == f.carrier.shape == (sectors,)
+        assert f.rot.shape == (fock,)
+        assert f.disp.shape == (sectors, fock, fock)
+        for phases in (f.twist, f.rot, f.carrier):
+            assert np.abs(np.abs(phases) - 1.0).max() < 1e-15
+
     def test_right_angle_disables_twist_and_displacement(self):
         p = ModelParams(eta=0.1, omega_ratio=0.8, theta=np.pi / 2, n_ions=2, n_max=8)
         f = closed_form_propagator(p, 1.3)
@@ -334,14 +382,27 @@ class TestClosedForm:
         assert np.isclose(abs(amp), np.exp(-0.02), atol=1e-9)
         assert np.isclose(abs(amp), 0.98020, atol=1e-5)
 
-    def test_displacement_is_exponential_of_truncated_generator(self):
-        # |beta m| reaches 2.4 at n_max=16, so the top Fock rows differ from
-        # the exact D(beta m); every entry must still equal the exponential
-        # of the truncated generator, with scipy's expm as the reference
-        p = ModelParams(eta=0.2, omega_ratio=2.0, theta=0.1, n_ions=3, n_max=16)
-        t = 0.5 * p.tau
+    @settings(max_examples=30, deadline=None)
+    @given(
+        st.integers(1, 4),
+        st.floats(0.01, 0.3),
+        st.floats(0.1, 2.0),
+        st.floats(-np.pi / 2, np.pi / 2),
+        st.floats(0.0, 2.0),
+    )
+    # |beta m| reaches 2.4 at n_max=16 here
+    @example(n_ions=3, eta=0.2, ratio=2.0, theta=0.1, t_frac=0.5)
+    def test_displacement_is_exponential_of_truncated_generator(
+        self, n_ions, eta, ratio, theta, t_frac
+    ):
+        # up to |beta N| = 2.4 at n_max=16 the top Fock rows differ from the
+        # exact D(beta m); every entry must still equal the exponential of
+        # the truncated generator, with scipy's expm as the reference
+        p = ModelParams(eta=eta, omega_ratio=ratio, theta=theta, n_ions=n_ions, n_max=16)
+        t = t_frac * p.tau
         lam = p.eta * p.omega_ratio * np.cos(p.theta)
         beta = -lam * (np.exp(1j * t) - 1.0)
+        assume(abs(beta) * n_ions <= 2.4)
         a, ad = ladder_operators(p.n_max)
         vals, vecs = np.linalg.eigh(collective_spin(p.n_ions, "x").mat)
         sectors = np.rint(vals)
@@ -425,6 +486,25 @@ class TestSectorPropagators:
         p = ModelParams(eta=0.1, omega_ratio=1.0, theta=0.0, delta=0.5, n_max=6)
         with pytest.raises(ValueError):
             sector_propagators(p, 1.0, "ld")
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(1, 5), st.integers(0, 6), st.integers(0, 2**32 - 1))
+    def test_sector_sum_is_the_per_block_formula_bit_for_bit(self, n_ions, n_max, seed):
+        rng = np.random.default_rng(seed)
+        shape = (n_ions + 1, n_max + 1, n_max + 1)
+        blocks = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        projectors = _sector_projectors(n_ions)
+        d_i, d_m = 2**n_ions, n_max + 1
+        flat = blocks.reshape(n_ions + 1, d_m * d_m)
+        expected = np.empty((d_i, d_m, d_i, d_m), dtype=complex)
+        for i, j in np.ndindex(d_i, d_i):
+            # P_k[i, j] is a function of the Hamming distance of i and j
+            distance = bin(i ^ j).count("1")
+            assert np.array_equal(projectors[:, i, j], projectors[:, 0, 2**distance - 1])
+            expected[i, :, j, :] = (projectors[:, i, j] @ flat).reshape(d_m, d_m)
+        u = sector_sum(n_ions, blocks)
+        assert u.dims == (d_i, d_m)
+        assert u.mat.tobytes() == expected.reshape(d_i * d_m, -1).tobytes()
 
     def test_rejects_unknown_model(self):
         p = ModelParams(eta=0.1, omega_ratio=1.0, theta=0.0, n_max=6)
