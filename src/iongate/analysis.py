@@ -9,7 +9,7 @@ sweep calls `truth_table_check` and `ghz_check` at every point. The
 convergence study builds each cutoff's sector blocks once and hands them to
 `_sector_table`, the body of the truth table's sector route, and to its
 metric, so each check still has one code path and no harness assembles a
-composite propagator.
+composite propagator. `hilbert._hermitian_function` forms sqrt(rho).
 
 Definition used for state-level gate infidelity: for each |+/-> product input
 v with motional input rho_mot, the per-input fidelity is the composite-state
@@ -57,6 +57,7 @@ from .hilbert import (
     OperatorMatrix,
     QuantumState,
     ThermalSpec,
+    _hermitian_function,
     _pm_products,
     _require_same_space,
     _sector_projectors,
@@ -98,9 +99,7 @@ def _hermitian_part(m: np.ndarray) -> np.ndarray:
 def _sqrt_psd(rho: np.ndarray) -> np.ndarray:
     # Hermitian square root with eigenvalue clamping: 1e-14-level negatives
     # from roundoff must not turn into NaNs
-    vals, vecs = np.linalg.eigh(rho)
-    vals = np.clip(vals, 0.0, None)
-    return (vecs * np.sqrt(vals)) @ vecs.conj().T
+    return _hermitian_function(rho, lambda vals: np.sqrt(np.clip(vals, 0.0, None)))
 
 
 def fidelity(a: QuantumState, b: QuantumState) -> float:
@@ -337,8 +336,7 @@ def _sector_table(
     # broken that bitwise equality
     sqrt_rho = _sqrt_psd(motion.density())
     signs, labels, sectors = _pm_products(params.n_ions)
-    # list.index: a process's first np.unique call adds 0.4 MB of RSS
-    firsts = signs.T[[list(sectors).index(k) for k in range(len(blocks))]]
+    firsts = signs.T[2 ** np.arange(params.n_ions + 1) - 1]
     per_sector = []
     for block, column in zip(blocks, firsts):
         *evolution, z = _evolution(block, np.ones(1), sqrt_rho)
@@ -440,9 +438,9 @@ def ghz_check(
 def _ghz_report(recipe: GhzRecipe, u: np.ndarray, rho: np.ndarray, model: str) -> GhzReport:
     # `ghz_check` from the recipe, its sector propagators and the motional rho
     n_ions = recipe.params.n_ions
-    moved = u @ rho
-    # tr(U_a rho U_b+) = sum_ij (U_a rho)_ij conj(U_b)_ij, O(d^2) per pair
-    overlaps = np.einsum("aij,bij->ab", moved, u.conj())
+    moved, u_conj = u @ rho, u.conj()
+    # tr(U_a rho U_b+) = sum_ij (U_a rho)_ij conj(U_b)_ij, all pairs in one product
+    overlaps = moved.reshape(n_ions + 1, -1) @ u_conj.reshape(n_ions + 1, -1).T
     weights = np.array([math.comb(n_ions, k) for k in range(n_ions + 1)]) / 2.0**n_ions
     signed = weights * (-1.0) ** np.arange(n_ions + 1)
     fid, phase = _ghz_maximum(
@@ -450,7 +448,7 @@ def _ghz_report(recipe: GhzRecipe, u: np.ndarray, rho: np.ndarray, model: str) -
         (signed @ overlaps @ signed).real,
         signed @ overlaps @ weights,
     )
-    populations = np.einsum("kij,kij->ki", moved, u.conj()).real
+    populations = np.einsum("kij,kij->ki", moved, u_conj).real
     leak = float(weights @ _weight_above(populations, recipe.params.n_max // 2))
     deviation = None
     if recipe.expected_rel_phase is not None:

@@ -31,7 +31,8 @@ independent oracle for the tests and the closed-form cross-check, and the
 route for detuned evolution, where J_x is not conserved.
 
 Both Hamiltonians are real symmetric in the Fock x computational basis, so
-numpy's eigh diagonalizes them with its real solver.
+numpy's eigh diagonalizes them with its real solver; every exponential here
+is formed by `hilbert._hermitian_function`.
 """
 
 from __future__ import annotations
@@ -45,6 +46,7 @@ from .hilbert import (
     ModelParams,
     OperatorMatrix,
     QuantumState,
+    _hermitian_function,
     _require_same_space,
     _sector_m,
     _sector_projectors,
@@ -157,20 +159,12 @@ def hamiltonian_full(params: ModelParams) -> OperatorMatrix:
 def expm_propagator(h: OperatorMatrix, t: float) -> OperatorMatrix:
     """U = exp(-i H t) by Hermitian eigendecomposition.
 
-    This is the oracle route: V diag(e^{-i lambda_k t}) V+ from numpy's eigh,
-    independent of any series or scaling-squaring expansion. A real symmetric
-    H is diagonalized in real arithmetic, and U is assembled from two real
-    products, (V cos(lambda t)) V^T - i (V sin(lambda t)) V^T.
+    This is the oracle route, `hilbert._hermitian_function` of H, independent
+    of any series or scaling-squaring expansion.
     """
     if not h.is_hermitian(tol=1e-10):
         raise ValueError("expm_propagator requires a Hermitian matrix")
-    vals, vecs = np.linalg.eigh(h.mat)
-    if np.iscomplexobj(vecs):
-        u = (vecs * np.exp(-1j * vals * t)) @ vecs.conj().T
-    else:
-        u = np.empty(vecs.shape, dtype=complex)
-        u.real = (vecs * np.cos(vals * t)) @ vecs.T
-        u.imag = (vecs * -np.sin(vals * t)) @ vecs.T
+    u = _hermitian_function(h.mat, lambda vals: np.exp(-1j * vals * t))
     return OperatorMatrix(u, h.layout, h.dims)
 
 
@@ -231,8 +225,8 @@ def closed_form_propagator(params: ModelParams, t: float) -> PropagatorFactors:
 
     a, ad = ladder_operators(params.n_max)
     beta = -lam * (np.exp(1j * t) - 1.0)
-    vals, vecs = np.linalg.eigh(1j * (beta * ad.mat - np.conj(beta) * a.mat))
-    disp = (vecs * np.exp(-1j * m[:, None, None] * vals)) @ vecs.conj().T
+    generator = 1j * (beta * ad.mat - np.conj(beta) * a.mat)
+    disp = _hermitian_function(generator, lambda vals: np.exp(-1j * m[:, None] * vals))
 
     carrier_phase = params.omega_ratio * np.sin(params.theta) * t
     carrier = np.exp(-1j * carrier_phase * m)
@@ -249,7 +243,7 @@ def sector_propagators(params: ModelParams, t: float, model: str) -> np.ndarray:
     `hamiltonian_ld` and `hamiltonian_full`), so exp(-i H t) is
     sum_m P_m x U_m with U_m = exp(-i H_m t) (`sector_sum` assembles it).
     Each U_m comes from one real symmetric eigendecomposition of size
-    n_max + 1.
+    n_max + 1 and two real products.
 
     Returns an array of shape (N+1, n_max+1, n_max+1) whose entry k is U_m
     for m = N - 2k, the sector of the |+/-> products with k minus signs.
@@ -259,8 +253,7 @@ def sector_propagators(params: ModelParams, t: float, model: str) -> np.ndarray:
     a, ad = ladder_operators(params.n_max)
     m = _sector_m(params.n_ions)
     h = ad.mat @ a.mat + params.omega_ratio * m[:, None, None] * coupling
-    vals, vecs = np.linalg.eigh(h)
-    return (vecs * np.exp(-1j * vals * t)[:, None, :]) @ vecs.transpose(0, 2, 1)
+    return _hermitian_function(h, lambda vals: np.exp(-1j * vals * t))
 
 
 def pulse_period_coefficients(

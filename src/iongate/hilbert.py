@@ -15,6 +15,8 @@ Conventions (normative for every module in this package):
 - The J_x sector basis is owned here: `_pm_products` gives the 2^N |+/->
   products as +/-1 columns with their sector k (m = N - 2k), and every
   sector-resolved quantity reads it.
+- Every function of a Hermitian matrix (sine, exponential, square root) is
+  formed by `_hermitian_function`, the package's one call of numpy's eigh.
 """
 
 from __future__ import annotations
@@ -231,10 +233,6 @@ class ThermalSpec:
     @property
     def populations(self) -> np.ndarray:
         """Renormalized populations on |0>..|n_max>."""
-        if self.nbar == 0:
-            p = np.zeros(self.n_max + 1)
-            p[0] = 1.0
-            return p
         q = self.nbar / (1.0 + self.nbar)
         if 1.0 - q == 0.0:
             # from nbar ~ 1e16 on, q rounds to 1 and the formula below is 0/0;
@@ -246,8 +244,6 @@ class ThermalSpec:
     @property
     def tail_weight(self) -> float:
         """Probability mass above the cutoff before renormalization."""
-        if self.nbar == 0:
-            return 0.0
         q = self.nbar / (1.0 + self.nbar)
         return float(q ** (self.n_max + 1))
 
@@ -299,21 +295,33 @@ def embed(internal_op: OperatorMatrix, motion_op: OperatorMatrix) -> OperatorMat
     return OperatorMatrix(mat, "composite", dims=(internal_op.dim, motion_op.dim))
 
 
+def _hermitian_function(mat: np.ndarray, f) -> np.ndarray:
+    """V f(Lambda) V+ from one eigh of a Hermitian matrix or a stack of them;
+    f(Lambda) may add leading axes. A real V (whose conj() is V itself) with a
+    complex f(Lambda) gives two real products, with no complex copy of V."""
+    vals, vecs = np.linalg.eigh(mat)
+    fvals = f(vals)[..., None, :]
+    vecs_h = vecs.conj().swapaxes(-1, -2)
+    if np.iscomplexobj(vecs) or not np.iscomplexobj(fvals):
+        return (vecs * fvals) @ vecs_h
+    out = ((vecs * fvals.real) @ vecs_h).astype(complex)
+    out.imag = (vecs * fvals.imag) @ vecs_h
+    return out
+
+
 def position_sine_operator(params: ModelParams) -> OperatorMatrix:
     """Operator sine of the ion position phase, sin(eta (a + a+) + theta).
 
     The argument mixes Fock levels, so the operator is built at the padded
-    cutoff n_max + n_pad by Hermitian eigendecomposition, the sine applied to
-    the eigenvalues, and the result truncated back to n_max + 1 dimensions.
+    cutoff n_max + n_pad as a function of a Hermitian matrix
+    (`_hermitian_function`), and truncated back to n_max + 1 dimensions.
     Padding keeps the truncated block accurate; the n_pad-doubling check in
     the tests bounds the residual.
     The operator is real symmetric in the Fock basis.
     """
     a, ad = ladder_operators(params.n_max + params.n_pad)
     x = params.eta * (a.mat + ad.mat) + params.theta * np.eye(a.dim)
-    vals, vecs = np.linalg.eigh(x)
-    s = (vecs * np.sin(vals)) @ vecs.T
-    s = s[: params.n_max + 1, : params.n_max + 1]
+    s = _hermitian_function(x, np.sin)[: params.n_max + 1, : params.n_max + 1]
     # symmetrize away the 1e-16 asymmetry left by the matrix products
     s = (s + s.T) / 2.0
     return OperatorMatrix(s, "motion")

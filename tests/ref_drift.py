@@ -11,8 +11,13 @@ share of `REF_TOL`, then the number of jobs with any value above `REF_TOL/2`
 and outside `REF_TOL`, so that every change shows how close the pinned
 noise runs to the tolerance. Last it prints one SHA-256 over the names and
 bytes of every file the jobs wrote, so that two checkouts whose outputs are
-byte-identical print the same digest. It exits 1 if a job is outside
-`REF_TOL`.
+byte-identical print the same digest, and one SHA-256 per command over the
+files of its jobs, so that a change which moves one command's outputs can
+show that the others' are byte-identical. The reference plan has no `solve`
+job; the `solve` digest covers one run of `cli-short`'s solve job per eta
+of `CLI_ETAS`, with and without `--literal-params`, which are checked by
+their own closed-form checks and kept out of the overall digest. It exits 1
+if a job is outside `REF_TOL` or a solve job fails its checks.
 `perfbench/` is read, never written. The file name does not match pytest's
 `test_*.py`, so the suite does not collect it.
 """
@@ -61,23 +66,33 @@ def files(root: Path) -> set[Path]:
     return {path for path in root.rglob("*") if path.is_file()}
 
 
+def run(job, root: Path, digests: list) -> int:
+    """Run one job in this process and feed the names and bytes of the files
+    it wrote under ``root`` to every hash in ``digests``; return its exit
+    code."""
+    before = files(root)
+    with contextlib.redirect_stdout(io.StringIO()):
+        rc = iongate.cli.main(job.args)
+    for path in sorted(files(root) - before):
+        for digest in digests:
+            digest.update(str(path.relative_to(root)).encode())
+            digest.update(path.read_bytes())
+    return rc
+
+
 def main() -> int:
     refs = workloads.load_refs()
     worst: dict[tuple[str, str], float] = {}
     jobs = outside = near = 0
     digest = hashlib.sha256()
+    per_command: dict = {}
     with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
         warnings.simplefilter("ignore")
         root = Path(tmp)
         for name, size in (("full", workloads.FULL), ("smoke", workloads.SMOKE)):
             for job in workloads.reference_plan(size, root / name):
-                before = files(root)
-                with contextlib.redirect_stdout(io.StringIO()):
-                    rc = iongate.cli.main(job.args)
-                # the job's outputs, by their path under the temporary root
-                for path in sorted(files(root) - before):
-                    digest.update(str(path.relative_to(root)).encode())
-                    digest.update(path.read_bytes())
+                command_digest = per_command.setdefault(job.name, hashlib.sha256())
+                rc = run(job, root, [digest, command_digest])
                 jobs += 1
                 errors = workloads.check_job(job, rc, refs)
                 outside += bool(errors)
@@ -94,13 +109,26 @@ def main() -> int:
                         worst[command, field] = max(worst.get((command, field), 0.0), diff)
                         job_worst = max(job_worst, diff)
                 near += job_worst > workloads.REF_TOL / 2
+        (root / "solve").mkdir()
+        solve_digest = per_command["solve"] = hashlib.sha256()
+        solves = [(eta, literal) for eta in workloads.CLI_ETAS for literal in (False, True)]
+        failed_solves = 0
+        for i, (eta, literal) in enumerate(solves):
+            job = workloads.solve_job(eta, literal, root / "solve" / f"{i}.json")
+            errors = workloads.check_job(job, run(job, root, [solve_digest]), refs)
+            failed_solves += bool(errors)
+            for error in errors[:3]:
+                print(f"failed: {error}")
     print(f"{'command':<12} {'field':<24} {'worst |value - ref|':<20} share of REF_TOL")
     for (command, field), diff in sorted(worst.items()):
         print(f"{command:<12} {field:<24} {diff:<20.3g} {diff / workloads.REF_TOL:.3f}")
     print(f"{near} of {jobs} jobs above REF_TOL/2 = {workloads.REF_TOL / 2:g}")
     print(f"{outside} of {jobs} jobs outside REF_TOL = {workloads.REF_TOL:g}")
+    print(f"{failed_solves} of {len(solves)} solve jobs fail their closed-form checks")
     print(f"sha256 of every job's output files: {digest.hexdigest()}")
-    return 1 if outside else 0
+    for command, command_digest in sorted(per_command.items()):
+        print(f"sha256 of {command + ' outputs:':<24} {command_digest.hexdigest()}")
+    return 1 if outside or failed_solves else 0
 
 
 if __name__ == "__main__":

@@ -93,3 +93,20 @@ def test_full_size_convergences_match_the_references(tmp_path):
         with contextlib.redirect_stdout(io.StringIO()):
             rc = main(job.args)
         assert workloads.check_job(job, rc, refs) == []
+
+
+def test_full_size_ghz_runs_match_the_references(tmp_path):
+    # a smoke run checks one drawn ghz job at N=3; the GHZ overlaps of every
+    # full-size ghz-n5 job of the reference grid (4 eta x 2 nbar, N=5,
+    # n_max=40, full model) are checked at REF_TOL as well
+    workloads = _perfbench_workloads()
+    refs = workloads.load_refs()
+    grid = list(itertools.product(workloads.GHZ_ETAS, workloads.GHZ_NBARS))
+    assert len(grid) == 8
+    size = workloads.FULL
+    for i, (eta, nbar) in enumerate(grid):
+        out = tmp_path / f"{i}.json"
+        job = workloads.ghz_job(size.ghz_n_ions, size.ghz_n_max, eta, nbar, out)
+        with contextlib.redirect_stdout(io.StringIO()):
+            rc = main(job.args)
+        assert workloads.check_job(job, rc, refs) == []

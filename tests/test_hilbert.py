@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -27,7 +28,7 @@ from iongate import (
     standard_states,
     thermal_state,
 )
-from iongate.hilbert import _pm_products, _sector_m
+from iongate.hilbert import _hermitian_function, _pm_products, _sector_m
 
 
 class TestModelParams:
@@ -228,7 +229,58 @@ class TestPositionSine:
         assert np.linalg.norm(s.mat, 2) <= 1 + 1e-6
 
 
+class TestHermitianFunction:
+    FUNCTIONS = {
+        "sin": np.sin,
+        "exp": lambda vals: np.exp(-1j * vals * 0.7),
+        "sqrt": lambda vals: np.sqrt(np.clip(vals, 0.0, None)),
+    }
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        dim=st.integers(1, 12),
+        batch=st.sampled_from([(), (1,), (3,)]),
+        is_complex=st.booleans(),
+        name=st.sampled_from(sorted(FUNCTIONS)),
+    )
+    def test_property_matches_direct_form(self, seed, dim, batch, is_complex, name):
+        # real-symmetric or complex-Hermitian, with or without a batch axis
+        rng = np.random.default_rng(seed)
+        z = rng.normal(size=(*batch, dim, dim))
+        if is_complex:
+            z = z + 1j * rng.normal(size=z.shape)
+        mat = (z + z.conj().swapaxes(-1, -2)) / 2.0
+        f = self.FUNCTIONS[name]
+        result = _hermitian_function(mat, f)
+        vals, vecs = np.linalg.eigh(mat)
+        direct = np.einsum("...ik,...k,...jk->...ij", vecs, f(vals), vecs.conj())
+        assert result.shape == mat.shape
+        assert np.abs(result - direct).max() <= 1e-13
+        if name == "exp":
+            expm = np.array([scipy.linalg.expm(-0.7j * h) for h in mat.reshape(-1, dim, dim)])
+            assert np.abs(result - expm.reshape(mat.shape)).max() <= 1e-12
+
+    def test_leading_axes_of_f_broadcast(self):
+        # one eigendecomposition serves several functions, as for the
+        # closed form's displacement blocks
+        mat = np.array([[0.0, 1j], [-1j, 0.5]])
+        ms = np.array([2.0, 0.0, -2.0])
+        stack = _hermitian_function(mat, lambda vals: np.exp(-1j * ms[:, None] * vals))
+        assert stack.shape == (3, 2, 2)
+        for block, m in zip(stack, ms):
+            one = _hermitian_function(mat, lambda vals: np.exp(-1j * m * vals))
+            assert np.abs(block - one).max() <= 1e-15
+
+
 class TestThermal:
+    @pytest.mark.parametrize("n_max", [1, 6, 40, 400])
+    def test_vacuum_from_the_geometric_formula(self, n_max):
+        # q = 0 at nbar = 0, so the formula itself gives the vacuum exactly
+        spec = ThermalSpec(nbar=0.0, n_max=n_max)
+        assert np.array_equal(spec.populations, np.eye(n_max + 1)[0])
+        assert spec.tail_weight == 0.0
+
     def test_vacuum_limit(self):
         state = thermal_state(ThermalSpec(nbar=0.0, n_max=6))
         expected = np.zeros((7, 7))
@@ -331,6 +383,9 @@ class TestStates:
             assert k == label.count("-") and m[k] == n_ions - 2 * k
             assert np.abs(column / np.sqrt(dim) - internal_product_state(label).data).max() < 1e-15
             assert np.array_equal(jx @ column, m[k] * column)
+        # the first product of sector k has its k lowest bits set
+        firsts = [list(sector).index(k) for k in range(n_ions + 1)]
+        assert firsts == list(2 ** np.arange(n_ions + 1) - 1)
 
     def test_fock_state(self):
         f = fock_state(3, 6)
