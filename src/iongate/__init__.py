@@ -4,7 +4,8 @@ gate on trapped ions in thermal motion.
 The package is organized as: `hilbert` (spaces, operators, states),
 `dynamics` (Hamiltonians and propagators), `synthesis` (gate parameter
 solving and GHZ recipes), `analysis` (fidelities, sweeps, convergence), and
-`cli` (command-line front end).
+`cli` (command-line front end). The layers bind numpy through `_numpy`,
+which imports it on first use, so importing the package loads no numpy.
 """
 
 __version__ = "0.1.0"
@@ -38,7 +39,6 @@ from .dynamics import (
     sector_sum,
 )
 from .hilbert import (
-    PAULI,
     ModelParams,
     OperatorMatrix,
     QuantumState,
@@ -115,3 +115,11 @@ __all__ = [
     "truth_table_check",
     "unitary_gate_fidelity",
 ]
+
+
+def __getattr__(name: str):
+    # PAULI is built on first use (see `hilbert`), so that importing the
+    # package loads no numpy
+    if name == "PAULI":
+        return hilbert.PAULI
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -49,8 +49,7 @@ import math
 import time
 from dataclasses import dataclass, replace
 
-import numpy as np
-
+from ._numpy import np
 from .dynamics import _require_model, sector_propagators
 from .hilbert import (
     ModelParams,
@@ -441,7 +440,10 @@ def _ghz_report(recipe: GhzRecipe, u: np.ndarray, rho: np.ndarray, model: str) -
     moved, u_conj = u @ rho, u.conj()
     # tr(U_a rho U_b+) = sum_ij (U_a rho)_ij conj(U_b)_ij, all pairs in one product
     overlaps = moved.reshape(n_ions + 1, -1) @ u_conj.reshape(n_ions + 1, -1).T
-    weights = np.array([math.comb(n_ions, k) for k in range(n_ions + 1)]) / 2.0**n_ions
+    # exact integer ratios, float64 at every N: C(N, k) leaves int64 from
+    # N = 67 on, and 2.0**N overflows from N = 1024 on
+    total = 2**n_ions
+    weights = np.array([math.comb(n_ions, k) / total for k in range(n_ions + 1)])
     signed = weights * (-1.0) ** np.arange(n_ions + 1)
     fid, phase = _ghz_maximum(
         (weights @ overlaps @ weights).real,

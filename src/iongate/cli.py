@@ -24,8 +24,6 @@ import stat
 import sys
 from dataclasses import asdict, dataclass, fields
 
-import numpy as np
-
 from . import __version__
 from .analysis import (
     ConvergenceRow,
@@ -90,9 +88,10 @@ def _check_minimum(name: str, key: str, value: int) -> None:
         raise ConfigError(f"{name} must be >= {_MINIMA[key]}, got {value}")
 
 
-#: the largest side of a square complex array whose size in bytes numpy can
-#: index (np.intp); past it, numpy raises ValueError before allocating
-_MAX_SIDE = math.isqrt(np.iinfo(np.intp).max // np.dtype(complex).itemsize)
+#: the largest side of a square complex array (16 bytes per entry) whose size
+#: in bytes numpy can index (np.intp, as wide as sys.maxsize); past it, numpy
+#: raises ValueError before allocating
+_MAX_SIDE = math.isqrt(sys.maxsize // 16)
 
 
 def _check_cutoffs(n_ions: int, n_max: int, n_pad: int, names: dict[str, str]) -> None:
@@ -160,9 +159,9 @@ def load_run_config(path: str) -> RunConfig:
     if not eta_grid or not nbar_grid:
         raise ConfigError("grids must be nonempty")
     # json.load accepts NaN and Infinity, so check finiteness explicitly
-    if not all(np.isfinite(x) and x > 0 for x in eta_grid):
+    if not all(math.isfinite(x) and x > 0 for x in eta_grid):
         raise ConfigError("eta grid values must be finite and > 0")
-    if not all(np.isfinite(x) and x >= 0 for x in nbar_grid):
+    if not all(math.isfinite(x) and x >= 0 for x in nbar_grid):
         raise ConfigError("nbar grid values must be finite and >= 0")
     for key in _MINIMA:
         if key not in model:
@@ -258,8 +257,8 @@ def cmd_solve(args) -> str:
     print(f"gate parameters for eta = {sol.eta:g}")
     print(f"  theta        = {sol.theta:.12g} rad")
     print(f"  Omega/omega_a= {sol.omega_ratio:.12g}")
-    print(f"  achieved C   = {sol.achieved_c:.12g}  (target pi/8 = {np.pi/8:.12g})")
-    print(f"  achieved -D  = {-sol.achieved_d:.12g}  (target pi/4 = {np.pi/4:.12g})")
+    print(f"  achieved C   = {sol.achieved_c:.12g}  (target pi/8 = {math.pi/8:.12g})")
+    print(f"  achieved -D  = {-sol.achieved_d:.12g}  (target pi/4 = {math.pi/4:.12g})")
     print(f"  residuals    = ({sol.residual_c:.3e}, {sol.residual_d:.3e})")
     if args.literal_params:
         lit = literal_params(args.eta)
@@ -267,8 +266,8 @@ def cmd_solve(args) -> str:
         print("literal published formulas for the same target:")
         print(f"  theta        = {lit.theta:.12g} rad")
         print(f"  Omega/omega_a= {lit.omega_ratio:.12g}")
-        print(f"  achieved C   = {lit.achieved_c:.12g}  (pi^2/8 = {np.pi**2/8:.12g})")
-        print(f"  achieved -D  = {-lit.achieved_d:.12g}  (pi^2/4 = {np.pi**2/4:.12g})")
+        print(f"  achieved C   = {lit.achieved_c:.12g}  (pi^2/8 = {math.pi**2/8:.12g})")
+        print(f"  achieved -D  = {-lit.achieved_d:.12g}  (pi^2/4 = {math.pi**2/4:.12g})")
         print(f"  residuals    = ({lit.residual_c:.3e}, {lit.residual_d:.3e})")
         print("  (off the target by a factor of pi in both coefficients;")
         print("   reported for cross-checking, see README)")
@@ -342,7 +341,7 @@ def cmd_ghz(args) -> str:
     )
     print(f"  fidelity (phase-maximized): {report.fidelity:.12f}")
     print(f"  relative phase phi_e - phi_g: {report.rel_phase:.9f} rad "
-          f"({report.rel_phase/np.pi:+.6f} pi)")
+          f"({report.rel_phase/math.pi:+.6f} pi)")
     print("  extracted phases mod global phase: phi_g = 0, "
           f"phi_e = {report.rel_phase:.9f}")
     if report.expected_rel_phase is not None:
@@ -370,6 +369,8 @@ def _scipy_version() -> str | None:
 
 
 def _sweep_json(result: SweepResult) -> dict:
+    import numpy
+
     return {
         "command": "sweep",
         "model": {
@@ -382,7 +383,7 @@ def _sweep_json(result: SweepResult) -> dict:
         "seed": result.seed,
         "versions": {
             "iongate": __version__,
-            "numpy": np.__version__,
+            "numpy": numpy.__version__,
             "scipy": _scipy_version(),
         },
         "records": [
@@ -564,9 +565,37 @@ def make_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _import_numpy() -> None:
+    """Import numpy for a command that computes with arrays. When this is
+    the process's first import of numpy, the heap it built is frozen like the
+    package's (see the end of this module): a CLI process then skips it in
+    every later collection, the one at exit included. A process that already
+    had numpy, such as a caller of `main` in a test, freezes nothing here.
+
+    The collector is paused for the import: it would run some 25 young
+    collections over objects that nearly all live until exit; the import took
+    46 ms paused against 53 ms with it running (medians of 30 processes
+    after `import iongate.cli`, 2-core x86-64 host). Whatever the import
+    leaves is frozen right after anyway."""
+    if "numpy" in sys.modules:
+        return
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        import numpy  # noqa: F401
+    finally:
+        if enabled:
+            gc.enable()
+    gc.freeze()
+
+
 def main(argv=None) -> int:
     parser = make_parser()
     args = parser.parse_args(argv)
+    # the closed-form solve runs on `math` alone; every other command loads
+    # numpy here, before it computes, rather than on its first array
+    if args.command != "solve":
+        _import_numpy()
     # bad input (ConfigError is a ValueError) and an output path that cannot
     # be written exit 2, a failed computation, out of memory too, 1
     try:
@@ -580,10 +609,11 @@ def main(argv=None) -> int:
         return 1
 
 
-# Everything the imports built (numpy's and this package's modules, types and
-# tables) lives until the process exits. Moved into the permanent generation,
-# it is no longer walked by any later collection, the one at interpreter exit
-# included: that walk was about two thirds of a command process's 24 ms from
+# Everything the imports built (this package's modules, types and tables, and
+# numpy's, which `main` freezes when it first imports numpy) lives until the
+# process exits. Moved into the permanent generation, it is no longer walked
+# by any later collection, the one at interpreter exit included: with numpy's
+# heap, that walk was about two thirds of a command process's 24 ms from
 # `main` returning to exit (2-core x86-64 host). A library import of iongate
 # freezes nothing.
 gc.freeze()

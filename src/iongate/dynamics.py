@@ -37,11 +37,11 @@ is formed by `hilbert._hermitian_function`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
-import numpy as np
-
+from ._numpy import np
 from .hilbert import (
     ModelParams,
     OperatorMatrix,
@@ -267,10 +267,12 @@ def pulse_period_coefficients(
     squares leave the float range long before C does (eta = 1e-200 at the
     gate point has lambda = 1/4). The products are Python floats, so a C
     beyond the float range is inf, never an exception or a numpy warning.
+    They use `math` alone, so the `solve` command never loads numpy; its
+    cos and sin give the bits of numpy's.
     """
-    lam = float(eta) * float(omega_ratio) * float(np.cos(theta))
-    c = 2.0 * np.pi * (lam * lam)
-    d = 2.0 * np.pi * float(omega_ratio) * float(np.sin(theta))
+    lam = float(eta) * float(omega_ratio) * math.cos(theta)
+    c = 2.0 * math.pi * (lam * lam)
+    d = 2.0 * math.pi * float(omega_ratio) * math.sin(theta)
     return c, d
 
 

@@ -21,23 +21,38 @@ Conventions (normative for every module in this package):
 
 from __future__ import annotations
 
+import functools
+import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Literal
 
-import numpy as np
+from ._numpy import np
 
 Layout = Literal["internal", "motion", "composite"]
 
-#: single-ion Pauli matrices in (g, e) ordering, eigenvalues +/-1
-PAULI = {
-    "x": np.array([[0, 1], [1, 0]], dtype=complex),
-    "y": np.array([[0, 1j], [-1j, 0]], dtype=complex),
-    "z": np.array([[-1, 0], [0, 1]], dtype=complex),
-}
 
-#: columns |+> = (1, 1) and |-> = (-1, 1) in (g, e) ordering, unnormalized
-_PM_COLUMNS = np.array([[1.0, -1.0], [1.0, 1.0]])
+@functools.cache
+def _pauli() -> dict[str, np.ndarray]:
+    """The single-ion Pauli matrices in (g, e) ordering, eigenvalues +/-1,
+    exported as `PAULI`."""
+    return {
+        "x": np.array([[0, 1], [1, 0]], dtype=complex),
+        "y": np.array([[0, 1j], [-1j, 0]], dtype=complex),
+        "z": np.array([[-1, 0], [0, 1]], dtype=complex),
+    }
+
+
+def __getattr__(name: str):
+    # PAULI is built on first use, so that importing this module loads no numpy
+    if name == "PAULI":
+        return _pauli()
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def _pm_columns() -> np.ndarray:
+    """Columns |+> = (1, 1) and |-> = (-1, 1) in (g, e) ordering, unnormalized."""
+    return np.array([[1.0, -1.0], [1.0, 1.0]])
 
 
 @dataclass(frozen=True)
@@ -73,7 +88,7 @@ class ModelParams:
     def __post_init__(self):
         for name in ("eta", "omega_ratio", "theta", "delta"):
             value = getattr(self, name)
-            if not np.isfinite(value):
+            if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
         if not self.eta > 0:
             raise ValueError(f"eta must be > 0, got {self.eta}")
@@ -89,7 +104,7 @@ class ModelParams:
     @property
     def tau(self) -> float:
         """One trap period, 2 pi / omega_a = 2 pi."""
-        return 2.0 * np.pi
+        return 2.0 * math.pi
 
     @property
     def dim_internal(self) -> int:
@@ -272,9 +287,9 @@ def collective_spin(n_ions: int, axis: Literal["x", "y", "z"]) -> OperatorMatrix
     """
     if n_ions < 1:
         raise ValueError(f"n_ions must be >= 1, got {n_ions}")
-    if axis not in PAULI:
+    if axis not in _pauli():
         raise ValueError(f"axis must be one of x, y, z, got {axis!r}")
-    sigma = PAULI[axis]
+    sigma = _pauli()[axis]
     dim = 2 ** n_ions
     total = np.zeros((dim, dim), dtype=complex)
     for i in range(n_ions):
@@ -352,7 +367,7 @@ def _single_ion_vector(symbol: str) -> np.ndarray:
     # (g, e) ordering: the columns |g>, |e>, then |+-> = (|e> +- |g>)/sqrt(2)
     if len(symbol) != 1 or symbol not in "ge+-":
         raise ValueError(f"unknown ion state symbol {symbol!r}")
-    columns = np.hstack([np.eye(2), _PM_COLUMNS / np.sqrt(2)])
+    columns = np.hstack([np.eye(2), _pm_columns() / np.sqrt(2)])
     return columns[:, "ge+-".index(symbol)].astype(complex)
 
 
@@ -367,9 +382,9 @@ def _pm_products(n_ions: int) -> tuple[np.ndarray, tuple[str, ...], np.ndarray]:
     and their sector k, the number of minus signs."""
     if n_ions < 1:
         raise ValueError(f"n_ions must be >= 1, got {n_ions}")
-    signs, labels = np.ones((1, 1)), [""]
+    columns, signs, labels = _pm_columns(), np.ones((1, 1)), [""]
     for _ in range(n_ions):
-        signs = np.kron(signs, _PM_COLUMNS)
+        signs = np.kron(signs, columns)
         labels = [label + sign for label in labels for sign in "+-"]
     return signs, tuple(labels), np.array([label.count("-") for label in labels])
 

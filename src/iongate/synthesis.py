@@ -25,16 +25,16 @@ factor of pi); see the README for the derivation. It never asserts success.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from .dynamics import _period_phases, pulse_period_coefficients
+from ._numpy import np
+from .dynamics import pulse_period_coefficients
 from .hilbert import ModelParams, OperatorMatrix, QuantumState, _pm_products, _sector_m
 
-GATE_C = np.pi / 8.0
-GATE_MINUS_D = np.pi / 4.0
+GATE_C = math.pi / 8.0
+GATE_MINUS_D = math.pi / 4.0
 
 
 @dataclass(frozen=True)
@@ -81,9 +81,15 @@ def _branch_solution(eta: float, k1: int, k2: int) -> tuple[float, float]:
     """(theta, r) of branch (k1, k2) in closed form: x = r cos(theta) from the
     C constraint, y = r sin(theta) from the D constraint. x is a Python
     float, so a subnormal eta gives x = inf rather than a numpy warning."""
-    x = float(np.sqrt((GATE_C + 2.0 * np.pi * k1) / (2.0 * np.pi))) / float(eta)
-    y = -(GATE_MINUS_D + 2.0 * np.pi * k2) / (2.0 * np.pi)
-    return float(np.arctan2(y, x)), float(np.hypot(x, y))
+    x = math.sqrt((GATE_C + 2.0 * math.pi * k1) / (2.0 * math.pi)) / float(eta)
+    y = -(GATE_MINUS_D + 2.0 * math.pi * k2) / (2.0 * math.pi)
+    return math.atan2(y, x), math.hypot(x, y)
+
+
+def _two_ion_phases(c: float, d: float) -> list[complex]:
+    """e^{i (C m^2 - D m)} on the two-ion J_x sectors m = 2, 0, -2: the
+    phases of `dynamics._period_phases(2, c, d)`, in `cmath`."""
+    return [cmath.exp(1j * (c * m * m - d * m)) for m in (2, 0, -2)]
 
 
 def solve_gate_params(eta: float, k1: int = 0, k2: int = 0) -> GateSolution:
@@ -94,15 +100,17 @@ def solve_gate_params(eta: float, k1: int = 0, k2: int = 0) -> GateSolution:
     propagator), checks the constraint residuals, and verifies the result in
     closed form on the J_x sectors of two ions, m = 2, 0, -2: the one-period
     phases e^{i (C m^2 - D m)} of `propagator_at_tau` against those of the
-    ideal gate. Both operators are sum_k P_k x (phase_k I), and
+    ideal gate, e^{i pi/8 (m^2 + 2m)}, the same phases at C = pi/8 and
+    D = -pi/4. Both operators are sum_k P_k x (phase_k I), and
     sum_k |P_k[i, j]| <= 1, so the largest phase distance bounds the
-    distance of every entry.
+    distance of every entry. All of it runs in `math` and `cmath`, without
+    numpy.
 
     Raises ValueError for an eta that is not finite and positive or a branch
     with k1 < 0 (C = pi/8 + 2 pi k1 must be positive), and RuntimeError if
     the residual or verification check fails.
     """
-    if not (np.isfinite(eta) and eta > 0):
+    if not (math.isfinite(eta) and eta > 0):
         raise ValueError(f"eta must be finite and > 0, got {eta}")
     if k1 < 0:
         raise ValueError(
@@ -111,8 +119,8 @@ def solve_gate_params(eta: float, k1: int = 0, k2: int = 0) -> GateSolution:
         )
     theta, r = _branch_solution(eta, k1, k2)
     c, d = pulse_period_coefficients(eta, r, theta)
-    res_c = c - (GATE_C + 2.0 * np.pi * k1)
-    res_d = -d - (GATE_MINUS_D + 2.0 * np.pi * k2)
+    res_c = c - (GATE_C + 2.0 * math.pi * k1)
+    res_d = -d - (GATE_MINUS_D + 2.0 * math.pi * k2)
     # written so that a NaN residual fails too
     if not (abs(res_c) <= 1e-12 and abs(res_d) <= 1e-12):
         raise RuntimeError(
@@ -131,7 +139,12 @@ def solve_gate_params(eta: float, k1: int = 0, k2: int = 0) -> GateSolution:
         branch=(k1, k2),
     )
     # verified for two ions; the solved pair is N-independent
-    distance = np.abs(_period_phases(2, c, d) - _gate_phases(2)).max()
+    gaps = [
+        abs(p - g)
+        for p, g in zip(_two_ion_phases(c, d), _two_ion_phases(GATE_C, -GATE_MINUS_D))
+    ]
+    # the key ranks NaN above every number, so that a NaN gap fails too
+    distance = max(gaps, key=lambda gap: (math.isnan(gap), gap))
     if not distance <= 1e-10:
         raise RuntimeError(
             f"solved parameters fail verification for eta={eta}: "
@@ -158,7 +171,7 @@ def literal_params(eta: float) -> GateSolution:
     so r is finite down to eta ~ 2.5e-309, and an inf r below that is
     refused by the model, never a numpy warning.
     """
-    if not (np.isfinite(eta) and eta > 0):
+    if not (math.isfinite(eta) and eta > 0):
         raise ValueError(f"eta must be finite and > 0, got {eta}")
     x = float(eta) * math.sqrt(math.pi)
     theta = math.atan2(-x, 2.0)
@@ -217,7 +230,7 @@ def ghz_recipe(n_ions: int, eta: float, n_max: int = 40, n_pad: int = 10) -> Ghz
             n_pad=n_pad,
         )
         # -(pi/2 + N pi/2) mod 2 pi, the phase of exp[+i pi/8 J_x^2] |g...g>
-        expected = np.pi / 2.0 if n_ions % 4 == 2 else -np.pi / 2.0
+        expected = math.pi / 2.0 if n_ions % 4 == 2 else -math.pi / 2.0
         return GhzRecipe(params=params, expected_rel_phase=expected)
     params = solve_gate_params(eta).model_params(n_ions=n_ions, n_max=n_max, n_pad=n_pad)
     return GhzRecipe(params=params, expected_rel_phase=None)

@@ -1,9 +1,13 @@
-"""Shared test utilities: cached gate solutions and quiet state builders."""
+"""Shared test utilities: cached gate solutions, quiet state builders and the
+benchmark's workload definitions."""
 
 from __future__ import annotations
 
+import importlib.util
+import sys
 import warnings
 from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
 
@@ -31,6 +35,20 @@ from iongate import (
     TruthTableReport,
 )
 from iongate.analysis import LEAKAGE_THRESHOLD, TRUNCATION_FLAG
+
+#: the repository root
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def perfbench_workloads():
+    """The benchmark's `perfbench/workloads.py`, loaded from its file."""
+    path = ROOT / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    # dataclasses resolve the module's annotations through sys.modules
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
 
 
 @lru_cache(maxsize=None)

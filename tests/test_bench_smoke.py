@@ -6,29 +6,16 @@ moves a checked value past the benchmark's tolerance fails here first.
 """
 
 import contextlib
-import importlib.util
 import io
 import itertools
 import json
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
+from helpers import ROOT, perfbench_workloads
 from iongate.cli import main
-
-ROOT = Path(__file__).resolve().parent.parent
-
-
-def _perfbench_workloads():
-    path = ROOT / "perfbench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
-    module = importlib.util.module_from_spec(spec)
-    # dataclasses resolve the module's annotations through sys.modules
-    sys.modules[spec.name] = module
-    spec.loader.exec_module(module)
-    return module
 
 
 @pytest.mark.parametrize("workload", ["cli-short", "crosscheck", "ghz-n5", "sweep-n3"])
@@ -50,7 +37,7 @@ def test_full_size_n3_sweep_matches_the_references(tmp_path):
     # the smoke sweep runs N=2 at n_max=20; the dense composite-fidelity
     # noise is largest at the full size N=3, n_max=40, so the whole full
     # reference grid (8 eta x 2 nbar) is checked at REF_TOL as well
-    workloads = _perfbench_workloads()
+    workloads = perfbench_workloads()
     etas, nbars = workloads.SWEEP_ETAS, workloads.SWEEP_NBARS
     size = workloads.FULL
     job = workloads.sweep_job(etas, nbars, size.sweep_n_ions, size.sweep_n_max, tmp_path)
@@ -64,7 +51,7 @@ def test_full_size_gate_checks_match_the_references(tmp_path):
     # the smoke gate-checks run at n_max=20; the composite fidelities move at
     # the dense noise level, so every full-size gate-check of the reference
     # grid (6 eta x 3 nbar x 2 models, n_max=40) is checked at REF_TOL as well
-    workloads = _perfbench_workloads()
+    workloads = perfbench_workloads()
     refs = workloads.load_refs()
     grid = list(
         itertools.product(workloads.CLI_ETAS, workloads.CLI_NBARS, workloads.MODELS)
@@ -84,7 +71,7 @@ def test_full_size_convergences_match_the_references(tmp_path):
     # diff_infidelity carry the dense composite-fidelity noise, so every
     # convergence job of the reference grid (6 eta x 3 nbar) is checked at
     # REF_TOL as well
-    workloads = _perfbench_workloads()
+    workloads = perfbench_workloads()
     refs = workloads.load_refs()
     grid = list(itertools.product(workloads.CLI_ETAS, workloads.CLI_NBARS))
     assert len(grid) == 18
@@ -99,7 +86,7 @@ def test_full_size_ghz_runs_match_the_references(tmp_path):
     # a smoke run checks one drawn ghz job at N=3; the GHZ overlaps of every
     # full-size ghz-n5 job of the reference grid (4 eta x 2 nbar, N=5,
     # n_max=40, full model) are checked at REF_TOL as well
-    workloads = _perfbench_workloads()
+    workloads = perfbench_workloads()
     refs = workloads.load_refs()
     grid = list(itertools.product(workloads.GHZ_ETAS, workloads.GHZ_NBARS))
     assert len(grid) == 8

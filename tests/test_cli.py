@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, output schemas, determinism."""
 
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -185,6 +186,20 @@ class TestGhzCommand:
         assert np.isfinite(payload["rel_phase"])
         assert payload["fidelity"] > 1 - 1e-8
         assert payload["phase_deviation"] < 1e-8
+
+    def test_force_runs_past_the_float_range_of_two_to_the_n(self, tmp_path):
+        # 2.0**1024 overflows a float, and from N = 67 on C(N, k) leaves
+        # int64; the sector weights C(N, k) / 2^N are exact integer ratios
+        out = tmp_path / "ghz.json"
+        code = run_cli(
+            "ghz", "--n-ions", "1024", "--force", "--n-max", "2", "--nbar", "0",
+            "--out", str(out),
+        )
+        assert code == 0
+        payload = json.loads(out.read_text())
+        assert 0.0 <= payload["fidelity"] <= 1.0
+        assert np.isfinite(payload["rel_phase"])
+        assert np.isfinite(payload["leakage"])
 
 
 class TestNonfiniteNbar:
@@ -433,6 +448,11 @@ class TestSweepCommand:
         # numpy itself refuses the first rejected side, without allocating
         with pytest.raises(ValueError, match="too big"):
             np.empty((side + 1, side + 1), dtype=complex)
+
+    def test_size_limit_is_numpys(self):
+        # written with sys.maxsize, so that importing the CLI loads no numpy
+        itemsize = np.dtype(complex).itemsize
+        assert cli._MAX_SIDE == math.isqrt(np.iinfo(np.intp).max // itemsize)
 
     @pytest.mark.parametrize(
         "flags, n_max, n_pad",
@@ -684,8 +704,9 @@ def run_python(script: str) -> None:
 
 class TestCollector:
     """`iongate.cli` moves the import-time heap out of the cyclic collector's
-    reach; a library import of `iongate` leaves the collector as it found
-    it. Each test imports in a fresh interpreter."""
+    reach, and `main` numpy's when it first imports it; a library import of
+    `iongate` leaves the collector as it found it. Each test imports in a
+    fresh interpreter."""
 
     @pytest.mark.parametrize("enabled", [True, False])
     def test_library_import_leaves_the_collector_alone(self, enabled):
@@ -703,6 +724,71 @@ import gc
 import iongate.cli
 assert gc.isenabled()
 assert gc.get_freeze_count() > 0, gc.get_freeze_count()
+""")
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_first_numpy_import_in_main_freezes_its_heap(self, enabled):
+        # the collector, paused for numpy's import, is left as it was found
+        run_python(f"""
+import contextlib, gc, io, sys
+{"gc.enable()" if enabled else "gc.disable()"}
+import iongate.cli
+frozen = gc.get_freeze_count()
+with contextlib.redirect_stdout(io.StringIO()):
+    assert iongate.cli.main(["gate-check", "--nbar", "0", "--n-max", "8"]) == 0
+assert "numpy" in sys.modules
+assert gc.get_freeze_count() > frozen, (gc.get_freeze_count(), frozen)
+assert gc.isenabled() is {enabled}, gc.isenabled()
+""")
+
+    def test_main_freezes_nothing_when_numpy_is_loaded(self):
+        run_python("""
+import contextlib, gc, io
+import numpy
+import iongate.cli
+frozen = gc.get_freeze_count()
+with contextlib.redirect_stdout(io.StringIO()):
+    assert iongate.cli.main(["gate-check", "--nbar", "0", "--n-max", "8"]) == 0
+assert gc.get_freeze_count() == frozen, (gc.get_freeze_count(), frozen)
+""")
+
+
+class TestNumpyBinding:
+    """The layers bind numpy on first use, so `iongate.cli` imports every
+    layer and no numpy, and the closed-form solve never loads it. Each test
+    imports in a fresh interpreter."""
+
+    def test_cli_import_loads_every_layer_and_no_numpy(self):
+        # the benchmark's tracer wraps the layers loaded by this import
+        run_python("""
+import sys
+import iongate.cli
+for layer in ("hilbert", "dynamics", "synthesis", "analysis"):
+    assert f"iongate.{layer}" in sys.modules, layer
+assert "numpy" not in sys.modules
+""")
+
+    def test_solve_loads_no_numpy(self):
+        run_python("""
+import contextlib, io, sys
+import iongate.cli
+with contextlib.redirect_stdout(io.StringIO()):
+    assert iongate.cli.main(["solve", "--eta", "0.1", "--literal-params"]) == 0
+assert "numpy" not in sys.modules
+""")
+
+    def test_pauli_matrices_on_first_use(self):
+        run_python("""
+import sys
+import iongate
+assert "numpy" not in sys.modules
+from iongate.hilbert import PAULI
+import numpy as np
+expected = {"x": [[0, 1], [1, 0]], "y": [[0, 1j], [-1j, 0]], "z": [[-1, 0], [0, 1]]}
+assert iongate.PAULI is PAULI and list(PAULI) == list(expected)
+for axis, rows in expected.items():
+    want = np.array(rows, dtype=complex)
+    assert PAULI[axis].dtype == want.dtype and PAULI[axis].tobytes() == want.tobytes()
 """)
 
 

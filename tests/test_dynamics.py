@@ -547,6 +547,19 @@ class TestPropagatorAtTau:
         with pytest.raises(ValueError, match="resonance"):
             propagator_at_tau(p)
 
+    @given(
+        eta=st.floats(min_value=1e-300, max_value=1e300),
+        omega_ratio=st.floats(min_value=0.0, max_value=1e300),
+        theta=st.floats(allow_nan=False, allow_infinity=False),
+    )
+    def test_coefficients_match_the_numpy_form(self, eta, omega_ratio, theta):
+        # the coefficients are formed in math, so that solve loads no numpy;
+        # they keep the bits of the numpy form they replaced
+        lam = float(eta) * float(omega_ratio) * float(np.cos(theta))
+        c = 2.0 * np.pi * (lam * lam)
+        d = 2.0 * np.pi * float(omega_ratio) * float(np.sin(theta))
+        assert dynamics.pulse_period_coefficients(eta, omega_ratio, theta) == (c, d)
+
 
 class TestMotionalIndependence:
     def test_oracle_at_tau_factorizes(self):

@@ -1,10 +1,13 @@
 """Gate parameter solving, the literal published formulas, GHZ recipes."""
 
+import math
+
 import numpy as np
 import pytest
 
-from helpers import gate_params, quiet_thermal, solved
+from helpers import gate_params, perfbench_workloads, quiet_thermal, solved
 from iongate import (
+    GateSolution,
     ModelParams,
     collective_spin,
     evolve,
@@ -21,6 +24,57 @@ from iongate import (
     solve_gate_params,
     synthesis,
 )
+
+
+def _benchmark_etas() -> list[float]:
+    workloads = perfbench_workloads()
+    return sorted({*workloads.CLI_ETAS, *workloads.SWEEP_ETAS, *workloads.GHZ_ETAS})
+
+
+def _numpy_coefficients(eta, r, theta) -> tuple[float, float]:
+    # C and D as they were written in numpy
+    lam = float(eta) * float(r) * float(np.cos(theta))
+    return 2.0 * np.pi * (lam * lam), 2.0 * np.pi * float(r) * float(np.sin(theta))
+
+
+class TestMathClosedForm:
+    """The solve path runs on `math` and `cmath`. At every eta the benchmark
+    draws, each field it reports has the bits of the numpy expressions it
+    was written in before, spelt out here. (numpy's arctan2 and hypot differ
+    from math's by one ulp at a few other etas.)"""
+
+    @pytest.mark.parametrize("eta", _benchmark_etas())
+    def test_solved_fields_match_the_numpy_form(self, eta):
+        x = float(np.sqrt((np.pi / 8.0) / (2.0 * np.pi))) / float(eta)
+        y = -(np.pi / 4.0) / (2.0 * np.pi)
+        theta, r = float(np.arctan2(y, x)), float(np.hypot(x, y))
+        c, d = _numpy_coefficients(eta, r, theta)
+        assert solve_gate_params(eta) == GateSolution(
+            eta=eta,
+            theta=theta,
+            omega_ratio=r,
+            achieved_c=c,
+            achieved_d=d,
+            residual_c=abs(c - np.pi / 8.0),
+            residual_d=abs(-d - np.pi / 4.0),
+            branch=(0, 0),
+        )
+
+    @pytest.mark.parametrize("eta", _benchmark_etas())
+    def test_literal_fields_match_the_numpy_form(self, eta):
+        x = float(eta) * math.sqrt(math.pi)
+        theta = math.atan2(-x, 2.0)
+        r = math.sqrt(math.pi) * math.hypot(x, 2.0) / (8.0 * float(eta))
+        c, d = _numpy_coefficients(eta, r, theta)
+        assert literal_params(eta) == GateSolution(
+            eta=eta,
+            theta=theta,
+            omega_ratio=r,
+            achieved_c=c,
+            achieved_d=d,
+            residual_c=abs(c - np.pi / 8.0),
+            residual_d=abs(-d - np.pi / 4.0),
+        )
 
 
 class TestSolveGateParams:
@@ -104,13 +158,18 @@ class TestSolveGateParams:
 
     def test_nan_gate_distance_fails_verification(self, monkeypatch):
         # the verification compares the one-period sector phases with the
-        # ideal gate's; NaN phases must fail it, not pass as distance 0
-        def nan_phases(n_ions, c, d):
-            return np.full(n_ions + 1, np.nan, dtype=complex)
+        # ideal gate's; a NaN phase in any of the three sectors must fail
+        # it, not pass as distance 0
+        for sector in range(3):
 
-        monkeypatch.setattr(synthesis, "_period_phases", nan_phases)
-        with pytest.raises(RuntimeError, match="verification"):
-            solve_gate_params(0.1)
+            def nan_phases(c, d):
+                phases = [1.0 + 0.0j] * 3
+                phases[sector] = complex(np.nan, np.nan)
+                return phases
+
+            monkeypatch.setattr(synthesis, "_two_ion_phases", nan_phases)
+            with pytest.raises(RuntimeError, match="verification"):
+                solve_gate_params(0.1)
 
     def test_solution_realizes_gate_on_composite_space(self):
         p = gate_params(0.1, 5)
