@@ -308,7 +308,7 @@ def truth_table_check(
     # column block i of u is U (|i> x I_m); the reshape is a view, not a copy
     columns = u.mat.reshape(params.dim, *dims)
     # the image of an input v in sector k is g_k v
-    phases = _gate_phases(params.n_ions)
+    phases = np.array(_gate_phases(params.n_ions))
     evaluations = []
     for column, k in zip(signs.T, sectors):
         vec = column / np.sqrt(2.0**params.n_ions)

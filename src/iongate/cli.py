@@ -570,22 +570,11 @@ def _import_numpy() -> None:
     the process's first import of numpy, the heap it built is frozen like the
     package's (see the end of this module): a CLI process then skips it in
     every later collection, the one at exit included. A process that already
-    had numpy, such as a caller of `main` in a test, freezes nothing here.
-
-    The collector is paused for the import: it would run some 25 young
-    collections over objects that nearly all live until exit; the import took
-    46 ms paused against 53 ms with it running (medians of 30 processes
-    after `import iongate.cli`, 2-core x86-64 host). Whatever the import
-    leaves is frozen right after anyway."""
+    had numpy, such as a caller of `main` in a test, freezes nothing here."""
     if "numpy" in sys.modules:
         return
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        import numpy  # noqa: F401
-    finally:
-        if enabled:
-            gc.enable()
+    import numpy  # noqa: F401
+
     gc.freeze()
 
 

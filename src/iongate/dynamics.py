@@ -37,6 +37,7 @@ is formed by `hilbert._hermitian_function`.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -267,8 +268,7 @@ def pulse_period_coefficients(
     squares leave the float range long before C does (eta = 1e-200 at the
     gate point has lambda = 1/4). The products are Python floats, so a C
     beyond the float range is inf, never an exception or a numpy warning.
-    They use `math` alone, so the `solve` command never loads numpy; its
-    cos and sin give the bits of numpy's.
+    They use `math` alone, so the `solve` command never loads numpy.
     """
     lam = float(eta) * float(omega_ratio) * math.cos(theta)
     c = 2.0 * math.pi * (lam * lam)
@@ -289,16 +289,18 @@ def propagator_at_tau(
     """
     _require_resonance(params, "the pulse-period reduction")
     c, d = pulse_period_coefficients(params.eta, params.omega_ratio, params.theta)
-    phases = _period_phases(params.n_ions, c, d)
+    phases = np.array(_period_phases(params.n_ions, c, d))
     u = sector_sum(params.n_ions, phases[:, None, None] * np.eye(params.dim_motion))
     return u, c, d
 
 
-def _period_phases(n_ions: int, c: float, d: float) -> np.ndarray:
+def _period_phases(n_ions: int, c: float, d: float) -> list[complex]:
     """e^{i (C m^2 - D m)}, the one-period propagator on J_x sector k
-    (m = N - 2k) for the coefficients (C, D)."""
-    m = _sector_m(n_ions)
-    return np.exp(1j * (c * m**2 - d * m))
+    (m = N - 2k) for the coefficients (C, D), in `cmath`, so that the
+    `solve` command can check its solution without numpy."""
+    return [
+        cmath.exp(1j * (c * (m * m) - d * m)) for m in range(n_ions, -n_ions - 1, -2)
+    ]
 
 
 def evolve(state: QuantumState, u: OperatorMatrix) -> QuantumState:

@@ -30,8 +30,8 @@ import math
 from dataclasses import dataclass
 
 from ._numpy import np
-from .dynamics import pulse_period_coefficients
-from .hilbert import ModelParams, OperatorMatrix, QuantumState, _pm_products, _sector_m
+from .dynamics import _period_phases, pulse_period_coefficients
+from .hilbert import ModelParams, OperatorMatrix, QuantumState, _pm_products
 
 GATE_C = math.pi / 8.0
 GATE_MINUS_D = math.pi / 4.0
@@ -86,12 +86,6 @@ def _branch_solution(eta: float, k1: int, k2: int) -> tuple[float, float]:
     return math.atan2(y, x), math.hypot(x, y)
 
 
-def _two_ion_phases(c: float, d: float) -> list[complex]:
-    """e^{i (C m^2 - D m)} on the two-ion J_x sectors m = 2, 0, -2: the
-    phases of `dynamics._period_phases(2, c, d)`, in `cmath`."""
-    return [cmath.exp(1j * (c * m * m - d * m)) for m in (2, 0, -2)]
-
-
 def solve_gate_params(eta: float, k1: int = 0, k2: int = 0) -> GateSolution:
     """The gate parameters (theta, Omega/omega_a) of branch (k1, k2).
 
@@ -100,8 +94,7 @@ def solve_gate_params(eta: float, k1: int = 0, k2: int = 0) -> GateSolution:
     propagator), checks the constraint residuals, and verifies the result in
     closed form on the J_x sectors of two ions, m = 2, 0, -2: the one-period
     phases e^{i (C m^2 - D m)} of `propagator_at_tau` against those of the
-    ideal gate, e^{i pi/8 (m^2 + 2m)}, the same phases at C = pi/8 and
-    D = -pi/4. Both operators are sum_k P_k x (phase_k I), and
+    ideal gate, e^{i pi/8 (m^2 + 2m)}. Both operators are sum_k P_k x (phase_k I), and
     sum_k |P_k[i, j]| <= 1, so the largest phase distance bounds the
     distance of every entry. All of it runs in `math` and `cmath`, without
     numpy.
@@ -139,16 +132,12 @@ def solve_gate_params(eta: float, k1: int = 0, k2: int = 0) -> GateSolution:
         branch=(k1, k2),
     )
     # verified for two ions; the solved pair is N-independent
-    gaps = [
-        abs(p - g)
-        for p, g in zip(_two_ion_phases(c, d), _two_ion_phases(GATE_C, -GATE_MINUS_D))
-    ]
-    # the key ranks NaN above every number, so that a NaN gap fails too
-    distance = max(gaps, key=lambda gap: (math.isnan(gap), gap))
-    if not distance <= 1e-10:
+    gaps = [abs(p - g) for p, g in zip(_period_phases(2, c, d), _gate_phases(2))]
+    # written so that a NaN gap fails too
+    if not all(gap <= 1e-10 for gap in gaps):
         raise RuntimeError(
             f"solved parameters fail verification for eta={eta}: "
-            f"gate distance {distance:.3e}"
+            f"gate distance {max(gaps):.3e}"
         )
     return solution
 
@@ -190,10 +179,13 @@ def literal_params(eta: float) -> GateSolution:
     )
 
 
-def _gate_phases(n_ions: int) -> np.ndarray:
-    """g_k = e^{i pi/8 (m^2 + 2m)}, the ideal gate on J_x sector k, m = N - 2k."""
-    m = _sector_m(n_ions)
-    return np.exp(1j * np.pi / 8.0 * (m**2 + 2 * m))
+def _gate_phases(n_ions: int) -> list[complex]:
+    """g_k = e^{i pi/8 (m^2 + 2m)}, the ideal gate on J_x sector k, m = N - 2k,
+    in `cmath` like `dynamics._period_phases`."""
+    return [
+        cmath.exp(1j * math.pi / 8.0 * (m * m + 2 * m))
+        for m in range(n_ions, -n_ions - 1, -2)
+    ]
 
 
 def ideal_gate_unitary(n_ions: int = 2) -> OperatorMatrix:
@@ -206,7 +198,7 @@ def ideal_gate_unitary(n_ions: int = 2) -> OperatorMatrix:
     because the m = -2 and m = 0 sectors both acquire phase 1.
     """
     signs, _, sector = _pm_products(n_ions)
-    u = (signs * _gate_phases(n_ions)[sector]) @ signs.T / 2.0**n_ions
+    u = (signs * np.array(_gate_phases(n_ions))[sector]) @ signs.T / 2.0**n_ions
     return OperatorMatrix(u, "internal")
 
 

@@ -1,5 +1,7 @@
 """Hamiltonians and the two propagator routes (closed form vs oracle)."""
 
+import math
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -554,11 +556,15 @@ class TestPropagatorAtTau:
     )
     def test_coefficients_match_the_numpy_form(self, eta, omega_ratio, theta):
         # the coefficients are formed in math, so that solve loads no numpy;
-        # they keep the bits of the numpy form they replaced
+        # numpy's cos and sin may round differently from math's, so the
+        # numpy form is matched to a few ulps, not bit for bit
         lam = float(eta) * float(omega_ratio) * float(np.cos(theta))
         c = 2.0 * np.pi * (lam * lam)
         d = 2.0 * np.pi * float(omega_ratio) * float(np.sin(theta))
-        assert dynamics.pulse_period_coefficients(eta, omega_ratio, theta) == (c, d)
+        got_c, got_d = dynamics.pulse_period_coefficients(eta, omega_ratio, theta)
+        # (abs_tol covers subnormal products, which carry fewer bits)
+        assert math.isclose(got_c, c, rel_tol=1e-14, abs_tol=1e-300)
+        assert math.isclose(got_d, d, rel_tol=1e-14, abs_tol=1e-300)
 
 
 class TestMotionalIndependence:

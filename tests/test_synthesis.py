@@ -26,54 +26,69 @@ from iongate import (
 )
 
 
-def _benchmark_etas() -> list[float]:
-    workloads = perfbench_workloads()
-    return sorted({*workloads.CLI_ETAS, *workloads.SWEEP_ETAS, *workloads.GHZ_ETAS})
+#: (theta, Omega/omega_a, C, D) of `solve_gate_params` and of
+#: `literal_params` at every eta the benchmark draws, as the numpy
+#: expressions of numpy's arctan2, hypot, cos and sin gave them before the
+#: closed forms moved to `math`
+SOLVED = {
+    0.04: (-0.01999733397315053, 6.251249875024993, 0.39269908169872403, -0.7853981633974481),
+    0.05: (-0.02499479361892016, 5.001562255935639, 0.39269908169872414, -0.7853981633974483),
+    0.06: (-0.029991004856877897, 4.168541244981404, 0.3926990816987243, -0.7853981633974484),
+    0.08: (-0.039978687123290044, 3.127499000799201, 0.39269908169872414, -0.7853981633974484),
+    0.1: (-0.04995839572194276, 2.5031230493125984, 0.39269908169872414, -0.7853981633974483),
+    0.12: (-0.05992815512120788, 2.087079964394699, 0.39269908169872414, -0.7853981633974483),
+    0.15: (-0.07485984771076686, 1.6713475933442983, 0.39269908169872414, -0.7853981633974482),
+    0.2: (-0.09966865249116202, 1.2562344526401112, 0.39269908169872403, -0.7853981633974483),
+    0.25: (-0.12435499454676144, 1.0077822185373186, 0.39269908169872403, -0.7853981633974482),
+}
+LITERAL = {
+    0.04: (-0.035434239329200326, 11.084794792851074, 1.2337005501361695, -2.4674011002723395),
+    0.05: (-0.04428237868330793, 8.87096550035631, 1.2337005501361702, -2.4674011002723395),
+    0.06: (-0.0531235854218818, 7.3956576241460645, 1.2337005501361695, -2.467401100272339),
+    0.08: (-0.07077972002285815, 5.552821654481606, 1.2337005501361695, -2.4674011002723395),
+    0.1: (-0.08839176612100011, 4.448501618939036, 1.23370055013617, -2.4674011002723395),
+    0.12: (-0.10594901022867954, 3.7134347106112853, 1.2337005501361695, -2.467401100272339),
+    0.15: (-0.13215919185500927, 2.9800769836933183, 1.2337005501361695, -2.467401100272339),
+    0.2: (-0.17542349619549522, 2.2501002399895595, 1.2337005501361702, -2.4674011002723395),
+    0.25: (-0.21803468293176978, 1.815435270770295, 1.23370055013617, -2.4674011002723395),
+}
 
 
-def _numpy_coefficients(eta, r, theta) -> tuple[float, float]:
-    # C and D as they were written in numpy
-    lam = float(eta) * float(r) * float(np.cos(theta))
-    return 2.0 * np.pi * (lam * lam), 2.0 * np.pi * float(r) * float(np.sin(theta))
-
-
-class TestMathClosedForm:
+class TestPinnedClosedForm:
     """The solve path runs on `math` and `cmath`. At every eta the benchmark
-    draws, each field it reports has the bits of the numpy expressions it
-    was written in before, spelt out here. (numpy's arctan2 and hypot differ
-    from math's by one ulp at a few other etas.)"""
+    draws, each field it reports keeps the stored bits above. (numpy's
+    arctan2 and hypot differ from math's by one ulp at a few other etas.)"""
 
-    @pytest.mark.parametrize("eta", _benchmark_etas())
-    def test_solved_fields_match_the_numpy_form(self, eta):
-        x = float(np.sqrt((np.pi / 8.0) / (2.0 * np.pi))) / float(eta)
-        y = -(np.pi / 4.0) / (2.0 * np.pi)
-        theta, r = float(np.arctan2(y, x)), float(np.hypot(x, y))
-        c, d = _numpy_coefficients(eta, r, theta)
+    def test_the_tables_cover_the_benchmark_etas(self):
+        workloads = perfbench_workloads()
+        etas = {*workloads.CLI_ETAS, *workloads.SWEEP_ETAS, *workloads.GHZ_ETAS}
+        assert set(SOLVED) == set(LITERAL) == etas
+
+    @pytest.mark.parametrize("eta", sorted(SOLVED))
+    def test_solved_fields(self, eta):
+        theta, r, c, d = SOLVED[eta]
         assert solve_gate_params(eta) == GateSolution(
             eta=eta,
             theta=theta,
             omega_ratio=r,
             achieved_c=c,
             achieved_d=d,
-            residual_c=abs(c - np.pi / 8.0),
-            residual_d=abs(-d - np.pi / 4.0),
+            residual_c=abs(c - math.pi / 8.0),
+            residual_d=abs(-d - math.pi / 4.0),
             branch=(0, 0),
         )
 
-    @pytest.mark.parametrize("eta", _benchmark_etas())
-    def test_literal_fields_match_the_numpy_form(self, eta):
-        x = float(eta) * math.sqrt(math.pi)
-        theta = math.atan2(-x, 2.0)
-        r = math.sqrt(math.pi) * math.hypot(x, 2.0) / (8.0 * float(eta))
-        c, d = _numpy_coefficients(eta, r, theta)
+    @pytest.mark.parametrize("eta", sorted(LITERAL))
+    def test_literal_fields(self, eta):
+        theta, r, c, d = LITERAL[eta]
         assert literal_params(eta) == GateSolution(
             eta=eta,
             theta=theta,
             omega_ratio=r,
             achieved_c=c,
             achieved_d=d,
-            residual_c=abs(c - np.pi / 8.0),
-            residual_d=abs(-d - np.pi / 4.0),
+            residual_c=abs(c - math.pi / 8.0),
+            residual_d=abs(-d - math.pi / 4.0),
         )
 
 
@@ -159,15 +174,15 @@ class TestSolveGateParams:
     def test_nan_gate_distance_fails_verification(self, monkeypatch):
         # the verification compares the one-period sector phases with the
         # ideal gate's; a NaN phase in any of the three sectors must fail
-        # it, not pass as distance 0
+        # it, not pass as distance 0 beside sectors that match
         for sector in range(3):
 
-            def nan_phases(c, d):
-                phases = [1.0 + 0.0j] * 3
+            def nan_phases(n_ions, c, d):
+                phases = synthesis._gate_phases(n_ions)
                 phases[sector] = complex(np.nan, np.nan)
                 return phases
 
-            monkeypatch.setattr(synthesis, "_two_ion_phases", nan_phases)
+            monkeypatch.setattr(synthesis, "_period_phases", nan_phases)
             with pytest.raises(RuntimeError, match="verification"):
                 solve_gate_params(0.1)
 
