@@ -8,21 +8,22 @@ states. Every resonant propagator is built from such blocks and assembled by
 depends only on the Hamming distance of i and j). `sector_propagators`
 exponentiates the motional blocks of the Hamiltonian. With times in units of
 1/omega_a and rates as ratios to it (see `hilbert`), `closed_form_propagator`
-returns the sector factors of the factorized form
+returns the sector data of the factorized form
 
-    U(t) = exp[i Phi(t) J_x^2] * exp(-i a+a t) * f_disp(t)
+    U(t) = exp[i Phi(t) J_x^2] * exp(-i a+a t) * D(beta(t) J_x)
            * exp(-i Omega sin(theta) t J_x)
 
-with lambda = eta Omega cos(theta), Phi(t) = lambda^2 (t - sin t), and f_disp
-a coherent displacement of amplitude beta(t) m in sector m,
+with lambda = eta Omega cos(theta), Phi(t) = lambda^2 (t - sin t), and
+D(beta(t) J_x) a coherent displacement of amplitude beta(t) m in sector m,
 beta(t) = -lambda (e^{i t} - 1). The twist and the carrier are phases per
 sector and the rotation a phase per Fock state; the displacement blocks of
 all sectors come from one eigendecomposition of the generator
-i (beta a+ - beta* a). Each factor, and their ordered product, is assembled
-into a composite matrix only when it is read (see `PropagatorFactors`). At
+i (beta a+ - beta* a). Only the ordered product is assembled into a
+composite matrix, when it is read (see `PropagatorFactors`). At
 t = tau = 2 pi the rotation and the displacement are the identity, and
 `propagator_at_tau` gives exp[i C J_x^2] exp[-i D J_x] x I, with (C, D) from
-`pulse_period_coefficients`.
+`pulse_period_coefficients`. Every sector phase e^{i (C m^2 - D m)}, the
+twist and carrier included, is written by `_period_phases`.
 
 The dense `expm_propagator` of `hamiltonian_ld` or `hamiltonian_full`
 diagonalizes the whole 2^N (n_max + 1) Hamiltonian, built from dense kron
@@ -40,7 +41,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 from ._numpy import np
 from .hilbert import (
@@ -59,19 +59,16 @@ from .hilbert import (
 
 @dataclass(frozen=True)
 class PropagatorFactors:
-    """The four factors of the analytic propagator, kept separately so each
-    one can be inspected, plus their ordered product.
+    """The four factors of the analytic propagator as sector data.
 
     Three factors are phases: `twist` and `carrier` hold one phase per J_x
     sector, shape (N+1,), indexed like `sector_propagators`, and `rot` one
     phase per Fock state, shape (n_max+1,). `disp` holds the N+1
-    displacement blocks, shape (N+1, n_max+1, n_max+1). The composite
-    matrices `f_twist`, `f_rot`, `f_disp`, `f_carrier` and `product` are
-    assembled by `sector_sum` on first access and cached, so a caller that
-    reads only `product` pays for one composite matrix. `product` is taken
-    per sector, with no matrix product: the block of sector k is the
-    displacement block with row n scaled by the rotation phase of n, times
-    the twist and carrier phases of k.
+    displacement blocks, shape (N+1, n_max+1, n_max+1). `product` assembles
+    their ordered product by `sector_sum` on every read, with no matrix
+    product: the block of sector k is the displacement block with row n
+    scaled by the rotation phase of n, times the twist and carrier phases
+    of k.
     """
 
     twist: np.ndarray
@@ -79,22 +76,10 @@ class PropagatorFactors:
     disp: np.ndarray
     carrier: np.ndarray
 
-    def _assemble(self, blocks: np.ndarray) -> OperatorMatrix:
-        # blocks broadcast to the (N+1, n_max+1, n_max+1) sector blocks
-        return sector_sum(len(self.twist) - 1, np.broadcast_to(blocks, self.disp.shape))
-
-    def _sector_phases(self, phases: np.ndarray) -> np.ndarray:
-        return phases[:, None, None] * np.eye(len(self.rot))
-
-    f_twist = cached_property(lambda self: self._assemble(self._sector_phases(self.twist)))
-    f_rot = cached_property(lambda self: self._assemble(np.diag(self.rot)))
-    f_disp = cached_property(lambda self: self._assemble(self.disp))
-    f_carrier = cached_property(lambda self: self._assemble(self._sector_phases(self.carrier)))
-    product = cached_property(
-        lambda self: self._assemble(
-            (self.twist * self.carrier)[:, None, None] * (self.rot[:, None] * self.disp)
-        )
-    )
+    @property
+    def product(self) -> OperatorMatrix:
+        blocks = (self.twist * self.carrier)[:, None, None] * (self.rot[:, None] * self.disp)
+        return sector_sum(len(self.twist) - 1, blocks)
 
 
 def _require_model(model: str) -> None:
@@ -207,30 +192,29 @@ def closed_form_propagator(params: ModelParams, t: float) -> PropagatorFactors:
 
     Every factor is block diagonal over the J_x sectors, so each one, and
     their ordered product, is formed per sector on the n_max + 1 Fock states;
-    no composite matrix is built here. The returned `PropagatorFactors`
-    assembles a factor by `sector_sum` only when it is read. In sector m the
-    twist is the phase e^{i Phi m^2}, the rotation diag(e^{-i n t}), the
-    displacement D(beta m) and the carrier the phase
-    e^{-i Omega sin(theta) t m}. Each D(beta m) = exp[m (beta a+ - beta* a)]
+    no composite matrix is built here, and `PropagatorFactors.product`
+    assembles the product when it is read. In sector m the twist is the
+    phase e^{i Phi m^2} and the carrier the phase e^{-i Omega sin(theta) t m},
+    both from `_period_phases`, the rotation diag(e^{-i n t}) and the
+    displacement D(beta m). Each D(beta m) = exp[m (beta a+ - beta* a)]
     is the exponential of the truncated generator: with the one Hermitian
     H_g = i (beta a+ - beta* a) = V Lambda V+, it is V e^{-i m Lambda} V+,
     so one eigendecomposition serves all N+1 sectors.
     """
     _require_resonance(params, "the closed form")
     lam = params.eta * params.omega_ratio * np.cos(params.theta)
-    m = _sector_m(params.n_ions)
-
     phi = lam**2 * t - lam**2 * np.sin(t)
-    twist = np.exp(1j * phi * m**2)
+    twist = np.array(_period_phases(params.n_ions, phi, 0.0))
     rot = np.exp(-1j * np.arange(params.dim_motion) * t)
 
     a, ad = ladder_operators(params.n_max)
     beta = -lam * (np.exp(1j * t) - 1.0)
     generator = 1j * (beta * ad.mat - np.conj(beta) * a.mat)
+    m = np.array(_sector_m(params.n_ions))
     disp = _hermitian_function(generator, lambda vals: np.exp(-1j * m[:, None] * vals))
 
     carrier_phase = params.omega_ratio * np.sin(params.theta) * t
-    carrier = np.exp(-1j * carrier_phase * m)
+    carrier = np.array(_period_phases(params.n_ions, 0.0, carrier_phase))
 
     return PropagatorFactors(twist=twist, rot=rot, disp=disp, carrier=carrier)
 
@@ -252,7 +236,7 @@ def sector_propagators(params: ModelParams, t: float, model: str) -> np.ndarray:
     _require_resonance(params, "the J_x sector decomposition")
     coupling = _coupling(params, model).mat
     a, ad = ladder_operators(params.n_max)
-    m = _sector_m(params.n_ions)
+    m = np.array(_sector_m(params.n_ions))
     h = ad.mat @ a.mat + params.omega_ratio * m[:, None, None] * coupling
     return _hermitian_function(h, lambda vals: np.exp(-1j * vals * t))
 
@@ -295,12 +279,12 @@ def propagator_at_tau(
 
 
 def _period_phases(n_ions: int, c: float, d: float) -> list[complex]:
-    """e^{i (C m^2 - D m)}, the one-period propagator on J_x sector k
-    (m = N - 2k) for the coefficients (C, D), in `cmath`, so that the
-    `solve` command can check its solution without numpy."""
-    return [
-        cmath.exp(1j * (c * (m * m) - d * m)) for m in range(n_ions, -n_ions - 1, -2)
-    ]
+    """e^{i (C m^2 - D m)} on J_x sector k (m = N - 2k), the one writer of
+    the sector phases: the one-period propagator for the coefficients
+    (C, D), the ideal gate at (pi/8, -pi/4), and the closed form's twist and
+    carrier. In `cmath`, so that the `solve` command can check its solution
+    without numpy."""
+    return [cmath.exp(1j * (c * (m * m) - d * m)) for m in _sector_m(n_ions)]
 
 
 def evolve(state: QuantumState, u: OperatorMatrix) -> QuantumState:

@@ -13,8 +13,9 @@ Conventions (normative for every module in this package):
   so one trap period is 2 pi, and every other rate is stored as a ratio to
   omega_a.
 - The J_x sector basis is owned here: `_pm_products` gives the 2^N |+/->
-  products as +/-1 columns with their sector k (m = N - 2k), and every
-  sector-resolved quantity reads it.
+  products as +/-1 columns with their sector k, `_sector_m` the J_x
+  eigenvalue m = N - 2k of each sector, and every sector-resolved quantity
+  reads them.
 - Every function of a Hermitian matrix (sine, exponential, square root) is
   formed by `_hermitian_function`, the package's one call of numpy's eigh.
 """
@@ -371,9 +372,10 @@ def _single_ion_vector(symbol: str) -> np.ndarray:
     return columns[:, "ge+-".index(symbol)].astype(complex)
 
 
-def _sector_m(n_ions: int) -> np.ndarray:
-    """J_x eigenvalue m = N - 2k of each sector k = 0..N."""
-    return n_ions - 2 * np.arange(n_ions + 1)
+def _sector_m(n_ions: int) -> range:
+    """J_x eigenvalue m = N - 2k of each sector k = 0..N, the one owner of
+    the sector order; a `range`, so that it needs no numpy."""
+    return range(n_ions, -n_ions - 1, -2)
 
 
 def _pm_products(n_ions: int) -> tuple[np.ndarray, tuple[str, ...], np.ndarray]:

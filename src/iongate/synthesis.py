@@ -25,7 +25,6 @@ factor of pi); see the README for the derivation. It never asserts success.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -180,12 +179,9 @@ def literal_params(eta: float) -> GateSolution:
 
 
 def _gate_phases(n_ions: int) -> list[complex]:
-    """g_k = e^{i pi/8 (m^2 + 2m)}, the ideal gate on J_x sector k, m = N - 2k,
-    in `cmath` like `dynamics._period_phases`."""
-    return [
-        cmath.exp(1j * math.pi / 8.0 * (m * m + 2 * m))
-        for m in range(n_ions, -n_ions - 1, -2)
-    ]
+    """g_k = e^{i pi/8 (m^2 + 2m)}, the ideal gate on J_x sector k, m = N - 2k:
+    the one-period phases at (C, -D) = (pi/8, pi/4)."""
+    return _period_phases(n_ions, GATE_C, -GATE_MINUS_D)
 
 
 def ideal_gate_unitary(n_ions: int = 2) -> OperatorMatrix:
@@ -210,6 +206,9 @@ def ghz_recipe(n_ions: int, eta: float, n_max: int = 40, n_pad: int = 10) -> Ghz
     U(tau) = exp[i pi/8 (J_x^2 + 2 J_x)]. Both recipes share the coupling
     lambda/omega_a = 1/4 exactly.
     """
+    # checked before the even recipe divides by eta
+    if not (math.isfinite(eta) and eta > 0):
+        raise ValueError(f"eta must be finite and > 0, got {eta}")
     if n_ions < 2:
         raise ValueError(f"n_ions must be >= 2, got {n_ions}")
     if n_ions % 2 == 0:

@@ -16,8 +16,14 @@ files of its jobs, so that a change which moves one command's outputs can
 show that the others' are byte-identical. The reference plan has no `solve`
 job; the `solve` digest covers one run of `cli-short`'s solve job per eta
 of `CLI_ETAS`, with and without `--literal-params`, which are checked by
-their own closed-form checks and kept out of the overall digest. It exits 1
-if a job is outside `REF_TOL` or a solve job fails its checks.
+their own closed-form checks and kept out of the overall digest. Then it
+prints the worst restricted distance of `closed_form_propagator(...).product`
+from the dense oracle over the full-size `crosscheck` cases of the seeds in
+`CROSSCHECK_SEEDS` (first repetition), the comparison the `crosscheck`
+workload makes: no CLI output reads the closed form, so the digests cannot
+show a change to it. It exits 1 if a job is
+outside `REF_TOL`, a solve job fails its checks or the closed form is
+farther than `CROSSCHECK_TOL` from the oracle.
 `perfbench/` is read, never written. The file name does not match pytest's
 `test_*.py`, so the suite does not collect it.
 """
@@ -38,10 +44,16 @@ import contextlib  # noqa: E402
 import hashlib  # noqa: E402
 import io  # noqa: E402
 import math  # noqa: E402
+import random  # noqa: E402
 import warnings  # noqa: E402
 
+import crosscheck  # noqa: E402
 import iongate.cli  # noqa: E402
 import workloads  # noqa: E402
+from iongate import ModelParams, dynamics  # noqa: E402
+
+#: the benchmark seeds whose full-size crosscheck cases are compared
+CROSSCHECK_SEEDS = (0, 1, 2, 3, 4, 5)
 
 
 def drifts(actual, ref, field: str, worst: dict) -> None:
@@ -78,6 +90,26 @@ def run(job, root: Path, digests: list) -> int:
             digest.update(str(path.relative_to(root)).encode())
             digest.update(path.read_bytes())
     return rc
+
+
+def closed_form_distance() -> tuple[float, int]:
+    """The worst restricted distance of the closed-form propagator from the
+    dense oracle, as the `crosscheck` workload measures it, over the
+    full-size cases of `CROSSCHECK_SEEDS`, and the number of cases."""
+    worst, count = 0.0, 0
+    for seed in CROSSCHECK_SEEDS:
+        rng = random.Random(f"crosscheck:{seed}:0")
+        for case in workloads.crosscheck_cases(rng, workloads.FULL):
+            params = ModelParams(**case["params"])
+            closed = dynamics.closed_form_propagator(params, case["t"]).product
+            oracle = dynamics.expm_propagator(dynamics.hamiltonian_ld(params), case["t"])
+            distance = crosscheck.restricted_distance(
+                closed.mat, oracle.mat, closed.dims, params.n_max // 2
+            )
+            # a NaN distance counts as infinitely far
+            worst = max(worst, math.inf if math.isnan(distance) else distance)
+            count += 1
+    return worst, count
 
 
 def main() -> int:
@@ -125,10 +157,17 @@ def main() -> int:
     print(f"{near} of {jobs} jobs above REF_TOL/2 = {workloads.REF_TOL / 2:g}")
     print(f"{outside} of {jobs} jobs outside REF_TOL = {workloads.REF_TOL:g}")
     print(f"{failed_solves} of {len(solves)} solve jobs fail their closed-form checks")
+    cross_worst, cross_cases = closed_form_distance()
+    print(
+        f"closed form vs dense oracle: worst restricted distance {cross_worst:.6e} "
+        f"over {cross_cases} crosscheck cases (seeds {', '.join(map(str, CROSSCHECK_SEEDS))}), "
+        f"CROSSCHECK_TOL = {workloads.CROSSCHECK_TOL:g}"
+    )
     print(f"sha256 of every job's output files: {digest.hexdigest()}")
     for command, command_digest in sorted(per_command.items()):
         print(f"sha256 of {command + ' outputs:':<24} {command_digest.hexdigest()}")
-    return 1 if outside or failed_solves else 0
+    cross_failed = not cross_worst <= workloads.CROSSCHECK_TOL
+    return 1 if outside or failed_solves or cross_failed else 0
 
 
 if __name__ == "__main__":

@@ -169,6 +169,15 @@ class TestGhzCommand:
         assert run_cli("ghz", "--n-ions", "7") == 2
         assert "guard" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("n_ions", ["2", "4"])
+    @pytest.mark.parametrize("eta", ["0", "-0.0"])
+    def test_zero_eta_exits_2_for_the_even_recipe(self, n_ions, eta, capsys):
+        code = run_cli(
+            "ghz", "--n-ions", n_ions, "--eta", eta, "--n-max", "6", "--nbar", "0"
+        )
+        assert code == 2
+        assert "eta must be finite and > 0" in capsys.readouterr().err
+
     def test_force_keeps_in_range_behavior(self, tmp_path):
         code = run_cli(
             "ghz", "--n-ions", "2", "--force", "--nbar", "0", "--n-max", "12"

@@ -321,14 +321,19 @@ class TestClosedForm:
     def test_factors_unitary_and_product_ordered(self):
         p = gate_params(0.1, 20)
         f = closed_form_propagator(p, 0.37 * p.tau)
-        for factor in (f.f_twist, f.f_rot, f.f_disp, f.f_carrier, f.product):
-            assert _unitarity_defect(factor.mat) < 1e-10
-        # the product is taken per sector, so it matches the dense ordered
-        # product up to rounding (2e-16 measured here)
-        ordered = f.f_twist.mat @ f.f_rot.mat @ f.f_disp.mat @ f.f_carrier.mat
-        assert np.abs(f.product.mat - ordered).max() < 1e-13
+        for block in f.disp:
+            assert _unitarity_defect(block) < 1e-10
+        assert _unitarity_defect(f.product.mat) < 1e-10
+        # the product is taken per sector without matrix products, so it
+        # matches the ordered product twist carrier diag(rot) disp of each
+        # sector up to rounding
+        ordered = np.array([np.diag(f.rot) @ block for block in f.disp])
+        ordered *= (f.twist * f.carrier)[:, None, None]
+        assert np.abs(f.product.mat - sector_sum(p.n_ions, ordered).mat).max() < 1e-13
 
     def test_factors_assembled_on_demand(self, monkeypatch):
+        # the closed form builds no composite matrix; `product` assembles
+        # one on every read
         calls = []
         assemble = dynamics.sector_sum
 
@@ -340,13 +345,10 @@ class TestClosedForm:
         p = gate_params(0.1, 12)
         f = closed_form_propagator(p, 0.37 * p.tau)
         assert calls == []
-        product = f.product
-        assert len(calls) == 1
-        assert f.product is product
-        assert len(calls) == 1
-        for name in ("f_twist", "f_rot", "f_disp", "f_carrier", "product"):
-            getattr(f, name)
-        assert calls == [p.n_ions] * 5
+        first = f.product
+        assert calls == [p.n_ions]
+        assert np.array_equal(f.product.mat, first.mat)
+        assert calls == [p.n_ions] * 2
 
     def test_phase_factors_are_stored_as_phases(self):
         p = gate_params(0.1, 12)
@@ -361,26 +363,47 @@ class TestClosedForm:
     def test_right_angle_disables_twist_and_displacement(self):
         p = ModelParams(eta=0.1, omega_ratio=0.8, theta=np.pi / 2, n_ions=2, n_max=8)
         f = closed_form_propagator(p, 1.3)
-        dim = p.dim
-        assert np.abs(f.f_twist.mat - np.eye(dim)).max() < 1e-12
-        assert np.abs(f.f_disp.mat - np.eye(dim)).max() < 1e-12
-        recomposed = f.f_rot.mat @ f.f_carrier.mat
-        assert np.abs(f.product.mat - recomposed).max() < 1e-12
+        assert np.abs(f.twist - 1.0).max() < 1e-12
+        assert np.abs(f.disp - np.eye(p.dim_motion)).max() < 1e-12
+        recomposed = f.carrier[:, None, None] * np.diag(f.rot)
+        assert np.abs(f.product.mat - sector_sum(p.n_ions, recomposed).mat).max() < 1e-12
 
     def test_rotation_and_displacement_close_at_tau(self):
         p = gate_params(0.1, 16)
         f = closed_form_propagator(p, p.tau)
-        dim = p.dim
-        assert np.abs(f.f_rot.mat - np.eye(dim)).max() < 1e-10
-        assert np.abs(f.f_disp.mat - np.eye(dim)).max() < 1e-10
+        assert np.abs(f.rot - 1.0).max() < 1e-10
+        assert np.abs(f.disp - np.eye(p.dim_motion)).max() < 1e-10
+
+    @pytest.mark.parametrize("n_ions", [1, 2, 3, 4])
+    @pytest.mark.parametrize(
+        "eta, ratio, theta",
+        [
+            (0.1, 2.5031230493125977, -0.049958395721942756),
+            (0.2, 0.8, 0.3),
+            (0.05, 1.0, -0.7),
+        ],
+    )
+    def test_general_time_reduces_to_one_period_phases(
+        self, n_ions, eta, ratio, theta
+    ):
+        # at t = tau the twist times the carrier is the one-period phase of
+        # each sector, and the rotation and every displacement block close
+        p = ModelParams(eta=eta, omega_ratio=ratio, theta=theta, n_ions=n_ions, n_max=16)
+        f = closed_form_propagator(p, p.tau)
+        c, d = dynamics.pulse_period_coefficients(eta, ratio, theta)
+        period = np.array(dynamics._period_phases(n_ions, c, d))
+        assert np.abs(f.twist * f.carrier - period).max() < 1e-12
+        assert np.abs(f.rot - 1.0).max() < 1e-10
+        for block in f.disp:
+            assert np.abs(block - np.eye(p.dim_motion)).max() < 1e-10
 
     def test_vacuum_survival_of_displacement_block(self):
         # lambda/omega_a = 0.05 and omega_a*t = pi give |beta*m| = 0.2 for the
         # m = 2 spin sector; vacuum survival must match exp(-|beta*m|^2/2)
         p = ModelParams(eta=0.1, omega_ratio=0.5, theta=0.0, n_ions=2, n_max=25)
         f = closed_form_propagator(p, np.pi)
-        vec = np.kron(internal_product_state("++").data, fock_state(0, 25).data)
-        amp = np.vdot(vec, f.f_disp.mat @ vec)
+        # |++> is sector k = 0 (m = 2), so <++, 0| D |++, 0> = disp[0][0, 0]
+        amp = f.disp[0][0, 0]
         assert np.isclose(abs(amp), np.exp(-0.02), atol=1e-9)
         assert np.isclose(abs(amp), 0.98020, atol=1e-5)
 
@@ -406,16 +429,11 @@ class TestClosedForm:
         beta = -lam * (np.exp(1j * t) - 1.0)
         assume(abs(beta) * n_ions <= 2.4)
         a, ad = ladder_operators(p.n_max)
-        vals, vecs = np.linalg.eigh(collective_spin(p.n_ions, "x").mat)
-        sectors = np.rint(vals)
-        expected = np.zeros((p.dim, p.dim), dtype=complex)
-        for m in np.unique(sectors):
-            alpha = beta * m
-            block = scipy.linalg.expm(alpha * ad.mat - np.conj(alpha) * a.mat)
-            vecs_m = vecs[:, sectors == m]
-            expected += np.kron(vecs_m @ vecs_m.conj().T, block)
-        f_disp = closed_form_propagator(p, t).f_disp.mat
-        assert np.abs(f_disp - expected).max() < 1e-12
+        disp = closed_form_propagator(p, t).disp
+        for k, block in enumerate(disp):
+            alpha = beta * (n_ions - 2 * k)
+            expected = scipy.linalg.expm(alpha * ad.mat - np.conj(alpha) * a.mat)
+            assert np.abs(block - expected).max() < 1e-12
 
     def test_rejects_detuning(self):
         p = ModelParams(eta=0.1, omega_ratio=1.0, theta=0.0, delta=0.5, n_max=6)

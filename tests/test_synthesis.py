@@ -174,11 +174,15 @@ class TestSolveGateParams:
     def test_nan_gate_distance_fails_verification(self, monkeypatch):
         # the verification compares the one-period sector phases with the
         # ideal gate's; a NaN phase in any of the three sectors must fail
-        # it, not pass as distance 0 beside sectors that match
+        # it, not pass as distance 0 beside sectors that match. The gate's
+        # phases are formed before the patch, since `_gate_phases` calls
+        # `_period_phases` too
+        gate = synthesis._gate_phases(2)
+        monkeypatch.setattr(synthesis, "_gate_phases", lambda n_ions: list(gate))
         for sector in range(3):
 
             def nan_phases(n_ions, c, d):
-                phases = synthesis._gate_phases(n_ions)
+                phases = list(gate)
                 phases[sector] = complex(np.nan, np.nan)
                 return phases
 
@@ -327,6 +331,13 @@ class TestGhzRecipe:
     def test_rejects_single_ion(self):
         with pytest.raises(ValueError):
             ghz_recipe(1, 0.1)
+
+    @pytest.mark.parametrize("eta", [0.0, -0.0, -0.1, math.inf, math.nan])
+    def test_rejects_eta_before_the_even_recipe_divides(self, eta):
+        # the even recipe forms 1 / (4 eta), so eta = 0 would raise
+        # ZeroDivisionError instead of the solver's ValueError
+        with pytest.raises(ValueError, match="eta must be finite and > 0"):
+            ghz_recipe(2, eta)
 
     def test_measured_even_phase_convention(self):
         # Direct 4-dimensional computation: with the twist exp[+i pi/8 Jx^2],
