@@ -1,21 +1,20 @@
 """Pulse-parameter synthesis for the conditional phase gate and GHZ recipes.
 
-The gate target is the internal unitary exp[i pi/8 (J_x^2 + 2 J_x)], reached
-at one trap period when the pulse-period coefficients satisfy C = pi/8 and
--D = pi/4, i.e.
+One pulse of one trap period gives U(tau) = exp[i C J_x^2] exp[-i D J_x]
+with C = 2 pi eta^2 r^2 cos^2(theta) and D = 2 pi r sin(theta), for
+r = Omega/omega_a (`pulse_period_coefficients`). Every solved pulse comes
+from one closed-form inverse, `_branch_solution`, for targets (C, -D) with
+C > 0:
 
-    2 pi eta^2 r^2 cos^2(theta) = pi/8 + 2 pi k1
-    -2 pi r sin(theta)          = pi/4 + 2 pi k2
+    r cos(theta) = sqrt(C / (2 pi)) / eta
+    r sin(theta) = D / (2 pi)
 
-for r = Omega/omega_a and integer winding branches (k1, k2). Every branch
-with k1 >= 0 has the closed-form solution
-
-    r cos(theta) = sqrt((pi/8 + 2 pi k1) / (2 pi)) / eta
-    r sin(theta) = -(pi/4 + 2 pi k2) / (2 pi)
-
-with cos(theta) > 0 and r > 0; the principal branch is
+with cos(theta) > 0 and r > 0, and every one is checked: its achieved
+coefficients must meet the targets to 1e-12. The gate target
+exp[i pi/8 (J_x^2 + 2 J_x)] is (C, -D) = (pi/8 + 2 pi k1, pi/4 + 2 pi k2)
+on the winding branch (k1, k2), k1 >= 0; its principal branch is
 r = sqrt(eta^2 + 4) / (8 eta), sin(theta) = -eta / sqrt(eta^2 + 4).
-`solve_gate_params` evaluates it and verifies the result.
+The even-N GHZ pulse, pure twisting, is (pi/8, 0): theta = 0, r = 1/(4 eta).
 
 `literal_params` evaluates an alternative published
 parameter-selection prescription for the same gate and reports the
@@ -76,62 +75,80 @@ class GhzRecipe:
     expected_rel_phase: float | None
 
 
-def _branch_solution(eta: float, k1: int, k2: int) -> tuple[float, float]:
-    """(theta, r) of branch (k1, k2) in closed form: x = r cos(theta) from the
-    C constraint, y = r sin(theta) from the D constraint. x is a Python
-    float, so a subnormal eta gives x = inf rather than a numpy warning."""
-    x = math.sqrt((GATE_C + 2.0 * math.pi * k1) / (2.0 * math.pi)) / float(eta)
-    y = -(GATE_MINUS_D + 2.0 * math.pi * k2) / (2.0 * math.pi)
+def _require_eta(eta: float) -> None:
+    if not (math.isfinite(eta) and eta > 0):
+        raise ValueError(f"eta must be finite and > 0, got {eta}")
+
+
+def _branch_solution(eta: float, c: float, minus_d: float) -> tuple[float, float]:
+    """(theta, r) of the pulse with coefficients (C, -D) = (c, minus_d), c > 0:
+    x = r cos(theta) from C, y = r sin(theta) from D, in Python floats, so a
+    subnormal eta gives x = inf rather than a numpy warning."""
+    x = math.sqrt(c / (2.0 * math.pi)) / float(eta)
+    y = -minus_d / (2.0 * math.pi)
     return math.atan2(y, x), math.hypot(x, y)
+
+
+def _evaluated(
+    eta: float, theta: float, r: float, c: float, minus_d: float, branch=(0, 0)
+) -> GateSolution:
+    """The pulse (theta, r) with the coefficients it achieves and their
+    distances from the targets (c, minus_d)."""
+    achieved_c, achieved_d = pulse_period_coefficients(eta, r, theta)
+    return GateSolution(
+        eta=eta,
+        theta=theta,
+        omega_ratio=r,
+        achieved_c=achieved_c,
+        achieved_d=achieved_d,
+        residual_c=abs(achieved_c - c),
+        residual_d=abs(-achieved_d - minus_d),
+        branch=branch,
+    )
+
+
+def _solved(eta: float, c: float, minus_d: float, branch=(0, 0)) -> GateSolution:
+    """The pulse with one-period coefficients (c, minus_d), solved in closed
+    form and checked to 1e-12; RuntimeError if a residual misses."""
+    theta, r = _branch_solution(eta, c, minus_d)
+    solution = _evaluated(eta, theta, r, c, minus_d, branch)
+    # written so that a NaN residual fails too
+    if not (solution.residual_c <= 1e-12 and solution.residual_d <= 1e-12):
+        raise RuntimeError(
+            f"gate parameter solve failed for eta={eta}: residuals "
+            f"({solution.achieved_c - c:.3e}, {-solution.achieved_d - minus_d:.3e})"
+        )
+    return solution
 
 
 def solve_gate_params(eta: float, k1: int = 0, k2: int = 0) -> GateSolution:
     """The gate parameters (theta, Omega/omega_a) of branch (k1, k2).
 
-    Evaluates the closed form of the module docstring, which lands on the
-    cos(theta) > 0, r > 0 solution (the sign-flipped pair produces the same
-    propagator), checks the constraint residuals, and verifies the result in
-    closed form on the J_x sectors of two ions, m = 2, 0, -2: the one-period
-    phases e^{i (C m^2 - D m)} of `propagator_at_tau` against those of the
-    ideal gate, e^{i pi/8 (m^2 + 2m)}. Both operators are sum_k P_k x (phase_k I), and
-    sum_k |P_k[i, j]| <= 1, so the largest phase distance bounds the
-    distance of every entry. All of it runs in `math` and `cmath`, without
-    numpy.
+    Solves the targets (pi/8 + 2 pi k1, pi/4 + 2 pi k2) in closed form
+    (`_solved`), which lands on the cos(theta) > 0, r > 0 solution (the
+    sign-flipped pair produces the same propagator), and verifies the
+    result in closed form on the J_x sectors of two ions, m = 2, 0, -2: the
+    one-period phases e^{i (C m^2 - D m)} of `propagator_at_tau` against
+    those of the ideal gate, e^{i pi/8 (m^2 + 2m)}. Both operators are
+    sum_k P_k x (phase_k I), and sum_k |P_k[i, j]| <= 1, so the largest
+    phase distance bounds the distance of every entry. All of it runs in
+    `math` and `cmath`, without numpy.
 
     Raises ValueError for an eta that is not finite and positive or a branch
     with k1 < 0 (C = pi/8 + 2 pi k1 must be positive), and RuntimeError if
     the residual or verification check fails.
     """
-    if not (math.isfinite(eta) and eta > 0):
-        raise ValueError(f"eta must be finite and > 0, got {eta}")
+    _require_eta(eta)
     if k1 < 0:
         raise ValueError(
             f"branch (k1, k2) = ({k1}, {k2}) has no real solution: "
             "C = pi/8 + 2 pi k1 must be positive, so k1 must be >= 0"
         )
-    theta, r = _branch_solution(eta, k1, k2)
-    c, d = pulse_period_coefficients(eta, r, theta)
-    res_c = c - (GATE_C + 2.0 * math.pi * k1)
-    res_d = -d - (GATE_MINUS_D + 2.0 * math.pi * k2)
-    # written so that a NaN residual fails too
-    if not (abs(res_c) <= 1e-12 and abs(res_d) <= 1e-12):
-        raise RuntimeError(
-            f"gate parameter solve failed for eta={eta}: "
-            f"residuals ({res_c:.3e}, {res_d:.3e})"
-        )
-
-    solution = GateSolution(
-        eta=eta,
-        theta=theta,
-        omega_ratio=r,
-        achieved_c=c,
-        achieved_d=d,
-        residual_c=abs(res_c),
-        residual_d=abs(res_d),
-        branch=(k1, k2),
-    )
+    c, minus_d = GATE_C + 2.0 * math.pi * k1, GATE_MINUS_D + 2.0 * math.pi * k2
+    solution = _solved(eta, c, minus_d, (k1, k2))
     # verified for two ions; the solved pair is N-independent
-    gaps = [abs(p - g) for p, g in zip(_period_phases(2, c, d), _gate_phases(2))]
+    phases = _period_phases(2, solution.achieved_c, solution.achieved_d)
+    gaps = [abs(p - g) for p, g in zip(phases, _gate_phases(2))]
     # written so that a NaN gap fails too
     if not all(gap <= 1e-10 for gap in gaps):
         raise RuntimeError(
@@ -159,23 +176,13 @@ def literal_params(eta: float) -> GateSolution:
     so r is finite down to eta ~ 2.5e-309, and an inf r below that is
     refused by the model, never a numpy warning.
     """
-    if not (math.isfinite(eta) and eta > 0):
-        raise ValueError(f"eta must be finite and > 0, got {eta}")
+    _require_eta(eta)
     x = float(eta) * math.sqrt(math.pi)
     theta = math.atan2(-x, 2.0)
     r = math.sqrt(math.pi) * math.hypot(x, 2.0) / (8.0 * float(eta))
     # rejects a non-finite r
     ModelParams(eta=eta, omega_ratio=r, theta=theta)
-    c, d = pulse_period_coefficients(eta, r, theta)
-    return GateSolution(
-        eta=eta,
-        theta=theta,
-        omega_ratio=r,
-        achieved_c=c,
-        achieved_d=d,
-        residual_c=abs(c - GATE_C),
-        residual_d=abs(-d - GATE_MINUS_D),
-    )
+    return _evaluated(eta, theta, r, GATE_C, GATE_MINUS_D)
 
 
 def _gate_phases(n_ions: int) -> list[complex]:
@@ -201,30 +208,23 @@ def ideal_gate_unitary(n_ions: int = 2) -> OperatorMatrix:
 def ghz_recipe(n_ions: int, eta: float, n_max: int = 40, n_pad: int = 10) -> GhzRecipe:
     """Pulse parameters generating an N-ion GHZ state from |g...g> at t=tau.
 
-    Even N: pure twisting, theta = 0 and Omega/omega_a = 1/(4 eta), so
-    U(tau) = exp[i pi/8 J_x^2]. Odd N: the solved gate parameters, so
-    U(tau) = exp[i pi/8 (J_x^2 + 2 J_x)]. Both recipes share the coupling
-    lambda/omega_a = 1/4 exactly.
+    Even N: pure twisting, the solved pulse of (C, -D) = (pi/8, 0): theta = 0,
+    Omega/omega_a = 1/(4 eta) and U(tau) = exp[i pi/8 J_x^2]. Odd N: the gate
+    pulse, U(tau) = exp[i pi/8 (J_x^2 + 2 J_x)]. Both are residual-checked and
+    share the coupling lambda/omega_a = 1/4 exactly.
     """
     # checked before the even recipe divides by eta
-    if not (math.isfinite(eta) and eta > 0):
-        raise ValueError(f"eta must be finite and > 0, got {eta}")
+    _require_eta(eta)
     if n_ions < 2:
         raise ValueError(f"n_ions must be >= 2, got {n_ions}")
-    if n_ions % 2 == 0:
-        params = ModelParams(
-            eta=eta,
-            omega_ratio=1.0 / (4.0 * eta),
-            theta=0.0,
-            n_ions=n_ions,
-            n_max=n_max,
-            n_pad=n_pad,
-        )
+    if n_ions % 2:
+        solution, expected = solve_gate_params(eta), None
+    else:
+        solution = _solved(eta, GATE_C, 0.0)
         # -(pi/2 + N pi/2) mod 2 pi, the phase of exp[+i pi/8 J_x^2] |g...g>
         expected = math.pi / 2.0 if n_ions % 4 == 2 else -math.pi / 2.0
-        return GhzRecipe(params=params, expected_rel_phase=expected)
-    params = solve_gate_params(eta).model_params(n_ions=n_ions, n_max=n_max, n_pad=n_pad)
-    return GhzRecipe(params=params, expected_rel_phase=None)
+    params = solution.model_params(n_ions=n_ions, n_max=n_max, n_pad=n_pad)
+    return GhzRecipe(params=params, expected_rel_phase=expected)
 
 
 def ideal_ghz_state(n_ions: int, phi_g: float, phi_e: float) -> QuantumState:

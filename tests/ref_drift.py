@@ -16,14 +16,19 @@ files of its jobs, so that a change which moves one command's outputs can
 show that the others' are byte-identical. The reference plan has no `solve`
 job; the `solve` digest covers one run of `cli-short`'s solve job per eta
 of `CLI_ETAS`, with and without `--literal-params`, which are checked by
-their own closed-form checks and kept out of the overall digest. Then it
+their own closed-form checks and kept out of the overall digest. The
+reference plan's full-size GHZ jobs are odd N, so the even-N recipe gets a
+digest of its own, also kept out of the overall one: the `ghz` job
+(`workloads.ghz_job`, full model, n_max 40) for N = 2 and 4 at every eta of
+`GHZ_ETAS` and nbar of `GHZ_NBARS`. It has no reference; it shows that a
+change leaves the even recipe's outputs byte-identical. Then it
 prints the worst restricted distance of `closed_form_propagator(...).product`
 from the dense oracle over the full-size `crosscheck` cases of the seeds in
 `CROSSCHECK_SEEDS` (first repetition), the comparison the `crosscheck`
 workload makes: no CLI output reads the closed form, so the digests cannot
 show a change to it. It exits 1 if a job is
-outside `REF_TOL`, a solve job fails its checks or the closed form is
-farther than `CROSSCHECK_TOL` from the oracle.
+outside `REF_TOL`, a solve job fails its checks, an even-N GHZ job exits
+nonzero or the closed form is farther than `CROSSCHECK_TOL` from the oracle.
 `perfbench/` is read, never written. The file name does not match pytest's
 `test_*.py`, so the suite does not collect it.
 """
@@ -43,6 +48,7 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 import contextlib  # noqa: E402
 import hashlib  # noqa: E402
 import io  # noqa: E402
+import itertools  # noqa: E402
 import math  # noqa: E402
 import random  # noqa: E402
 import warnings  # noqa: E402
@@ -54,6 +60,8 @@ from iongate import ModelParams, dynamics  # noqa: E402
 
 #: the benchmark seeds whose full-size crosscheck cases are compared
 CROSSCHECK_SEEDS = (0, 1, 2, 3, 4, 5)
+#: the ion numbers of the even-N GHZ digest
+EVEN_GHZ_N_IONS = (2, 4)
 
 
 def drifts(actual, ref, field: str, worst: dict) -> None:
@@ -151,12 +159,25 @@ def main() -> int:
             failed_solves += bool(errors)
             for error in errors[:3]:
                 print(f"failed: {error}")
+        (root / "ghz-even").mkdir()
+        even_digest = per_command["ghz even-N"] = hashlib.sha256()
+        evens = list(
+            itertools.product(EVEN_GHZ_N_IONS, workloads.GHZ_ETAS, workloads.GHZ_NBARS)
+        )
+        failed_evens = 0
+        for i, (n_ions, eta, nbar) in enumerate(evens):
+            job = workloads.ghz_job(n_ions, 40, eta, nbar, root / "ghz-even" / f"{i}.json")
+            rc = run(job, root, [even_digest])
+            if rc != 0:
+                failed_evens += 1
+                print(f"failed: ghz N={n_ions} eta={eta} nbar={nbar}: exit code {rc}")
     print(f"{'command':<12} {'field':<24} {'worst |value - ref|':<20} share of REF_TOL")
     for (command, field), diff in sorted(worst.items()):
         print(f"{command:<12} {field:<24} {diff:<20.3g} {diff / workloads.REF_TOL:.3f}")
     print(f"{near} of {jobs} jobs above REF_TOL/2 = {workloads.REF_TOL / 2:g}")
     print(f"{outside} of {jobs} jobs outside REF_TOL = {workloads.REF_TOL:g}")
     print(f"{failed_solves} of {len(solves)} solve jobs fail their closed-form checks")
+    print(f"{failed_evens} of {len(evens)} even-N ghz jobs exit nonzero")
     cross_worst, cross_cases = closed_form_distance()
     print(
         f"closed form vs dense oracle: worst restricted distance {cross_worst:.6e} "
@@ -167,7 +188,7 @@ def main() -> int:
     for command, command_digest in sorted(per_command.items()):
         print(f"sha256 of {command + ' outputs:':<24} {command_digest.hexdigest()}")
     cross_failed = not cross_worst <= workloads.CROSSCHECK_TOL
-    return 1 if outside or failed_solves or cross_failed else 0
+    return 1 if outside or failed_solves or failed_evens or cross_failed else 0
 
 
 if __name__ == "__main__":

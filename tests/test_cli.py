@@ -178,6 +178,15 @@ class TestGhzCommand:
         assert code == 2
         assert "eta must be finite and > 0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("n_ions", ["2", "3"])
+    def test_subnormal_eta_fails_the_solve_for_either_recipe(self, n_ions, capsys):
+        # r = inf misses the residual check of every solved pulse, even or odd
+        code = run_cli(
+            "ghz", "--n-ions", n_ions, "--eta", "1e-320", "--n-max", "4", "--nbar", "0"
+        )
+        assert code == 1
+        assert "gate parameter solve failed" in capsys.readouterr().err
+
     def test_force_keeps_in_range_behavior(self, tmp_path):
         code = run_cli(
             "ghz", "--n-ions", "2", "--force", "--nbar", "0", "--n-max", "12"

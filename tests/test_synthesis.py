@@ -149,10 +149,18 @@ class TestSolveGateParams:
 
     def test_nan_solver_output_fails_the_residual_check(self, monkeypatch):
         monkeypatch.setattr(
-            synthesis, "_branch_solution", lambda eta, k1, k2: (np.nan, np.nan)
+            synthesis, "_branch_solution", lambda eta, c, minus_d: (np.nan, np.nan)
         )
         with pytest.raises(RuntimeError, match="residuals"):
             solve_gate_params(0.1)
+
+    def test_nan_solver_output_fails_the_even_recipe_too(self, monkeypatch):
+        # the even GHZ pulse goes through the same inverse and residual check
+        monkeypatch.setattr(
+            synthesis, "_branch_solution", lambda eta, c, minus_d: (np.nan, np.nan)
+        )
+        with pytest.raises(RuntimeError, match="residuals"):
+            ghz_recipe(2, 0.1)
 
     @pytest.mark.parametrize("eta", [0.05, 0.1, 0.3])
     @pytest.mark.parametrize("k1", [0, 1, 2])
@@ -295,12 +303,14 @@ class TestIdealGateUnitary:
 
 class TestGhzRecipe:
     def test_even_recipe_parameters(self):
-        rec = ghz_recipe(2, 0.1, n_max=12)
-        assert rec.params.theta == 0.0
-        assert np.isclose(rec.params.omega_ratio, 2.5)
-        rec4 = ghz_recipe(4, 0.1, n_max=12)
-        assert rec4.params.theta == 0.0
-        assert np.isclose(rec4.params.omega_ratio, 2.5)
+        # the solved pulse of (pi/8, 0) has r = sqrt(1/16) / eta, which keeps
+        # the bits of 1 / (4 eta) at every eta the benchmark draws
+        assert ghz_recipe(2, 0.1, n_max=12).params.omega_ratio == 2.5
+        for eta in perfbench_workloads().GHZ_ETAS:
+            for n_ions in (2, 4):
+                params = ghz_recipe(n_ions, eta, n_max=12).params
+                assert params.omega_ratio == 1.0 / (4.0 * eta)
+                assert params.theta == 0.0
 
     def test_even_documented_phase(self):
         # the twist exp[+i pi/8 Jx^2] gives -(pi/2 + N pi/2) mod 2pi,
@@ -334,7 +344,7 @@ class TestGhzRecipe:
 
     @pytest.mark.parametrize("eta", [0.0, -0.0, -0.1, math.inf, math.nan])
     def test_rejects_eta_before_the_even_recipe_divides(self, eta):
-        # the even recipe forms 1 / (4 eta), so eta = 0 would raise
+        # the even recipe's inverse divides by eta, so eta = 0 would raise
         # ZeroDivisionError instead of the solver's ValueError
         with pytest.raises(ValueError, match="eta must be finite and > 0"):
             ghz_recipe(2, eta)
