@@ -41,11 +41,25 @@ matrix (d = 2^N (n_max+1)) only for its `eigvalsh`: perfbench/refs.json
 pins the roundoff of its d - (n_max+1) null eigenvalues; once the
 references are re-derived, eigvalsh of the (n_max+1)-sized S = B+B of
 `_evolution` replaces it.
+
+The sector route's N+1 composite spectra are independent, and from
+d = `_FORK_MIN_DIM` on (measured; the N=3, n_max=40 sweep has d = 328) they
+are split between the process and up to one `os.fork()` child per further
+CPU of its affinity; each child sends its float64 values, or its exception,
+back through a pipe. It forks only while the process has one OS thread:
+fork() copies the calling thread alone, so a lock held by another thread,
+such as the pool that OpenBLAS starts at numpy's import, would stay held in
+the child. With OPENBLAS_NUM_THREADS=1 a large table fans out; otherwise
+everything runs in-process. A child runs the same code on the same
+one-threaded BLAS, so the outputs are byte-identical either way, and only
+private numpy work moves: every public call stays in the calling process.
 """
 
 from __future__ import annotations
 
+import gc
 import math
+import os
 import time
 from dataclasses import dataclass, replace
 
@@ -68,6 +82,15 @@ from .synthesis import GhzRecipe, _gate_phases, ghz_recipe, solve_gate_params
 LEAKAGE_THRESHOLD = 1e-6
 
 TRUNCATION_FLAG = "truncation-unreliable"
+
+#: the truth table's N+1 composite spectra fan out to forked children from
+#: this d = 2^N (n_max+1) on (`_fanned_out`). On a 2-vCPU Linux VM with one
+#: BLAS thread (OpenBLAS 0.3.31, numpy 2.4.6), fanned out over two processes
+#: they took 1.14-1.23 times their in-process time at d = 124, 0.93-1.06 at
+#: 164, 0.79-0.82 at 204 and 0.53-0.62 at 328 (medians of 15, two rounds);
+#: one fork and reap took 2.4 ms. So d = 164 (N=2, n_max=40) stays
+#: in-process and the N=3, n_max=40 sweep (d = 328) fans out
+_FORK_MIN_DIM = 200
 
 
 def partial_trace(state: QuantumState, keep: str) -> QuantumState:
@@ -217,7 +240,14 @@ def _weight_above(populations: np.ndarray, n_threshold: int) -> np.ndarray:
 
 
 def _flags(leak: float) -> tuple[str, ...]:
-    return (TRUNCATION_FLAG,) if leak > LEAKAGE_THRESHOLD else ()
+    # a NaN leakage is flagged too: nothing says the cutoff holds
+    return () if leak <= LEAKAGE_THRESHOLD else (TRUNCATION_FLAG,)
+
+
+def _worst(values) -> float:
+    # the largest value, NaN if any is NaN, where max() keeps the first of
+    # two values it cannot compare
+    return float(np.max(values))
 
 
 def _ghz_maximum(rho_gg: float, rho_ee: float, rho_eg: complex) -> tuple[float, float]:
@@ -336,13 +366,105 @@ def _sector_table(
     sqrt_rho = _sqrt_psd(motion.density())
     signs, labels, sectors = _pm_products(params.n_ions)
     firsts = signs.T[2 ** np.arange(params.n_ions + 1) - 1]
-    per_sector = []
+    evolutions, composite_args = [], []
     for block, column in zip(blocks, firsts):
         *evolution, z = _evolution(block, np.ones(1), sqrt_rho)
+        evolutions.append(evolution)
         # |v><v| = s s^T / 2^N is exact
         outer = np.outer(column, column) / 2.0**params.n_ions
-        per_sector.append((*evolution, _trace_sqrt_squared(np.kron(outer, z @ z.conj().T))))
+        composite_args.append((outer, z @ z.conj().T))
+    composite = _fanned_out(_composite_value, composite_args, params.dim)
+    per_sector = [(*e, c) for e, c in zip(evolutions, composite)]
     return _report(params, model, labels, [per_sector[k] for k in sectors])
+
+
+def _composite_value(outer: np.ndarray, zz: np.ndarray) -> float:
+    # the composite Uhlmann value of a sector's first input, |v><v| = outer
+    return _trace_sqrt_squared(np.kron(outer, zz))
+
+
+def _fanned_out(fn, args: list, dim: int) -> list[float]:
+    # [fn(*a) for a in args], with the calls split between this process and
+    # up to one forked child per further CPU when `_fork_workers` allows it.
+    # The values are bitwise the same either way: a child runs the same code
+    # on the same single-threaded BLAS and sends the float64 bytes back
+    workers = _fork_workers(len(args), dim)
+    if workers < 2:
+        return [fn(*a) for a in args]
+    pids, reads = [], []
+    try:
+        for i in range(1, workers):
+            read, write = os.pipe()
+            reads.append(read)
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _child(fn, args[i::workers], write)
+            finally:
+                os.close(write)
+            pids.append(pid)
+        values = [0.0] * len(args)
+        values[::workers] = [fn(*a) for a in args[::workers]]
+        for i, read in enumerate(reads, 1):
+            values[i::workers] = _received(read)
+        return values
+    finally:
+        # closed first, so a child still writing fails instead of blocking
+        for read in reads:
+            os.close(read)
+        for pid in pids:
+            os.waitpid(pid, 0)
+
+
+def _fork_workers(count: int, dim: int) -> int:
+    # processes for `count` calls on d x d matrices: 1 below the measured
+    # floor or while a second OS thread is alive. fork() copies only the
+    # calling thread, so a lock that another thread holds (an OpenBLAS
+    # pool's among them) stays held in the child: forking beside OpenBLAS's
+    # pool made a 0.74 s N=3 sweep take 14.9 s
+    if dim < _FORK_MIN_DIM:
+        return 1
+    try:
+        if len(os.listdir("/proc/self/task")) != 1:
+            return 1
+        return min(count, len(os.sched_getaffinity(0)))
+    except (OSError, AttributeError):
+        return 1
+
+
+def _child(fn, args: list, write: int) -> None:
+    # in a forked child: write b"v" and fn's float64 values, or b"e" and the
+    # pickled exception, which `_received` raises in the parent, to the
+    # pipe, and leave without running the parent's exit handlers or
+    # flushing its buffers. The collector stays off, so it does not touch,
+    # and copy, the parent's pages
+    try:
+        gc.disable()
+        try:
+            payload = b"v" + np.array([fn(*a) for a in args], dtype=np.float64).tobytes()
+        except BaseException as exc:
+            import pickle
+
+            payload = b"e" + pickle.dumps(exc)
+        with os.fdopen(write, "wb") as pipe:
+            pipe.write(payload)
+    finally:
+        os._exit(0)
+
+
+def _received(read: int) -> list[float]:
+    # a child's values from its pipe, read to EOF; its exception is raised here
+    chunks = []
+    while chunk := os.read(read, 1 << 16):
+        chunks.append(chunk)
+    payload = b"".join(chunks)
+    if payload[:1] == b"e":
+        import pickle
+
+        raise pickle.loads(payload[1:])
+    if payload[:1] != b"v":
+        raise RuntimeError("a forked sector worker exited without a result")
+    return np.frombuffer(payload, dtype=np.float64, offset=1).tolist()
 
 
 def _report(
@@ -351,7 +473,7 @@ def _report(
     # the report of per-input (populations, internal, restoration,
     # composite) evaluations, with the leakage of the worst input
     populations, internal, restoration, composite = zip(*evaluations)
-    leak = max(float(_weight_above(pops, params.n_max // 2)) for pops in populations)
+    leak = _worst([_weight_above(pops, params.n_max // 2) for pops in populations])
     return TruthTableReport(
         model=model,
         input_labels=labels,
@@ -534,7 +656,7 @@ def lamb_dicke_error_sweep(
                 motion = thermal_state(ThermalSpec(nbar=nbar, n_max=n_max))
                 table = truth_table_check(params, motion, model)
                 ghz = ghz_check(n_ions, eta, motion, n_max=n_max, n_pad=n_pad, model=model)
-                leak = max(table.leakage, ghz.leakage)
+                leak = _worst([table.leakage, ghz.leakage])
                 outcome = dict(
                     infidelity_gate=table.gate_infidelity,
                     infidelity_ghz=_infidelity(ghz.fidelity),

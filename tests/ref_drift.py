@@ -4,7 +4,10 @@
 
 Runs every reference-checked job that any benchmark seed can draw
 (`perfbench/workloads.reference_plan`), at the full and the smoke size,
-through `iongate.cli.main` in this process with BLAS pinned to one thread. It
+through `iongate.cli.main` in this process with BLAS pinned to one thread.
+That leaves the process one OS thread, so, as in the benchmark, the truth
+table's sector spectra from d = 200 on (the full-size N=3 sweep) run in forked
+children (`analysis._fanned_out`), and the digests cover that path. It
 compares each output with `perfbench/refs.json` and prints, per command and
 field, the worst |value - reference| (angles modulo 2 pi) and that drift as a
 share of `REF_TOL`, then the number of jobs with any value above `REF_TOL/2`

@@ -1,7 +1,11 @@
 """Metrics and the study harness: traces, fidelities, sweeps, convergence."""
 
 import dataclasses
+import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -10,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    ROOT,
     dense_ghz,
     dense_truth_table,
     gate_params,
@@ -453,6 +458,9 @@ class TestTruthTable:
         monkeypatch.setattr(dynamics, "sector_sum", forbidden)
         monkeypatch.setattr(dynamics, "evolve", forbidden)
         monkeypatch.setattr(analysis, "evolve", forbidden, raising=False)
+        # the solver calls are recorded in this process, so none may run in a
+        # forked child (BLAS pinned to one thread would allow it at d = 328)
+        monkeypatch.setattr(analysis, "_FORK_MIN_DIM", math.inf)
         shapes, windows = record_solvers(monkeypatch, p.dim)
         tracemalloc.start()
         try:
@@ -470,6 +478,24 @@ class TestTruthTable:
         square = p.dim**2 * 16
         assert len(windows) == 4
         assert all(square <= current and peak < 2 * square for peak, current in windows)
+
+    def test_a_nan_leakage_in_a_later_sector_is_reported_and_flagged(self, monkeypatch):
+        # max() would keep the first sector's finite leakage
+        evolution = analysis._evolution
+        calls = []
+
+        def nan_in_second_sector(*args):
+            populations, *rest = evolution(*args)
+            calls.append(populations)
+            if len(calls) == 2:
+                populations = np.full_like(populations, np.nan)
+            return (populations, *rest)
+
+        monkeypatch.setattr(analysis, "_evolution", nan_in_second_sector)
+        report = truth_table_check(gate_params(0.1, 20), quiet_thermal(0.5, 20), model="full")
+        assert len(calls) == 3
+        assert math.isnan(report.leakage)
+        assert report.flags == (analysis.TRUNCATION_FLAG,)
 
     def test_inputs_of_one_sector_report_equal_fidelities(self):
         p = gate_params(0.1, 40, n_ions=3)
@@ -516,6 +542,149 @@ class TestTruthTable:
             outer = np.outer(column, column) / 2.0**n_ions
             member = analysis._trace_sqrt_squared(np.kron(outer, z @ z.conj().T))
             assert analysis._unit(member) == reported
+
+
+#: runs the truth table's fan-out (`analysis._fanned_out`) in a fresh process
+#: with BLAS pinned to one thread, the only setting in which it forks, and
+#: prints its findings as one JSON line. The affinity reads three CPUs
+#: whatever the host has, so the N+1 = 4 sectors split unevenly
+FAN_OUT_SCRIPT = """
+import json, math, os, signal, threading
+import numpy as np
+from helpers import gate_params, quiet_thermal
+from iongate import analysis, fock_state, truncation_convergence, truth_table_check
+
+forks = []
+fork = os.fork
+def counted_fork():
+    forks.append(os.getpid())
+    return fork()
+os.fork = counted_fork
+os.sched_getaffinity = lambda pid: {0, 1, 2}
+parent, floor = os.getpid(), analysis._FORK_MIN_DIM
+out = {"floor": floor}
+
+def forked(run):
+    # run() fanned out and in-process, and the forks of each
+    analysis._FORK_MIN_DIM = floor
+    del forks[:]
+    fanned = run()
+    fanned_forks = len(forks)
+    analysis._FORK_MIN_DIM = math.inf
+    del forks[:]
+    local = run()
+    analysis._FORK_MIN_DIM = floor
+    return fanned == local, fanned_forks, len(forks)
+
+n_max = 25  # d = 208 at N = 3
+p = gate_params(0.1, n_max, n_ions=3)
+out["dim"] = p.dim
+for model in ("ld", "full"):
+    for name, motion in (("thermal", quiet_thermal(0.5, n_max)), ("fock", fock_state(2, n_max))):
+        out[f"table-{model}-{name}"] = forked(lambda: truth_table_check(p, motion, model))
+    out[f"convergence-{model}"] = forked(
+        lambda: truncation_convergence(p, [10, 25, 30], nbar=2.0, model=model)
+    )
+
+def failing(i):
+    if os.getpid() != parent:
+        raise np.linalg.LinAlgError(f"Eigenvalues did not converge in call {i}")
+    return float(i)
+try:
+    analysis._fanned_out(failing, [(i,) for i in range(4)], floor)
+except np.linalg.LinAlgError as exc:
+    out["raised"] = [type(exc).__name__, str(exc)]
+
+def killed(i):
+    if os.getpid() != parent:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return float(i)
+try:
+    analysis._fanned_out(killed, [(i,) for i in range(4)], floor)
+except RuntimeError as exc:
+    out["killed"] = str(exc)
+
+del forks[:]
+out["values"] = analysis._fanned_out(lambda i: i / 3.0, [(i,) for i in range(5)], floor)
+out["forks"] = len(forks)
+try:
+    os.waitpid(-1, os.WNOHANG)
+    out["unreaped"] = True
+except ChildProcessError:
+    out["unreaped"] = False
+
+del forks[:]
+small = gate_params(0.1, 40)  # d = 164
+truth_table_check(small, quiet_thermal(0.5, 40), "full")
+out["below_floor"] = [small.dim, len(forks)]
+stop = threading.Event()
+worker = threading.Thread(target=stop.wait)
+worker.start()
+truth_table_check(p, quiet_thermal(0.5, n_max), "full")
+stop.set()
+worker.join(timeout=60)
+out["second_thread"] = [len(forks), worker.is_alive()]
+print(json.dumps(out))
+"""
+
+
+@pytest.fixture(scope="module")
+def fan_out():
+    blas = dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), "1")
+    path = os.pathsep.join([str(ROOT / "src"), str(ROOT / "tests")])
+    proc = subprocess.run(
+        [sys.executable, "-c", FAN_OUT_SCRIPT],
+        env=dict(os.environ, PYTHONPATH=path, **blas),
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+class TestSectorFanOut:
+    """The truth table's composite spectra in forked children, with BLAS
+    pinned, against the same calls in-process (`fan_out` above)."""
+
+    @pytest.mark.parametrize(
+        "case, tables",
+        [
+            (f"{kind}-{model}{motion}", tables)
+            for model in ("ld", "full")
+            for kind, motion, tables in (
+                ("table", "-thermal", 1),
+                ("table", "-fock", 1),
+                ("convergence", "", 2),
+            )
+        ],
+    )
+    def test_fanned_out_results_equal_in_process(self, fan_out, case, tables):
+        equal, fanned_forks, local_forks = fan_out[case]
+        assert fan_out["dim"] >= fan_out["floor"]
+        assert equal
+        # three processes for four sectors: two children per table at or
+        # above the floor, which the convergence cutoff 10 is not
+        assert fanned_forks == 2 * tables
+        assert local_forks == 0
+
+    def test_a_child_exception_is_raised_with_its_type_and_message(self, fan_out):
+        assert fan_out["raised"] == ["LinAlgError", "Eigenvalues did not converge in call 1"]
+
+    def test_a_child_killed_without_a_result_raises(self, fan_out):
+        assert fan_out["killed"] == "a forked sector worker exited without a result"
+
+    def test_values_come_back_in_order(self, fan_out):
+        assert fan_out["values"] == [i / 3.0 for i in range(5)]
+        assert fan_out["forks"] == 2
+
+    def test_every_child_is_reaped(self, fan_out):
+        assert fan_out["unreaped"] is False
+
+    def test_no_fork_below_the_floor_or_beside_a_second_thread(self, fan_out):
+        dim, forks = fan_out["below_floor"]
+        assert dim < fan_out["floor"] and forks == 0
+        assert fan_out["second_thread"] == [0, False]
 
 
 class TestTruthTableAgainstDense:
@@ -722,6 +891,19 @@ class TestSweep:
         monkeypatch.setattr(analysis, "_ghz_maximum", nan_fidelity)
         result = lamb_dicke_error_sweep((0.1,), (0.0,), n_max=12, model="ld")
         assert math.isnan(result.records[0].infidelity_ghz)
+
+    def test_nan_ghz_leakage_is_reported_and_flagged(self, monkeypatch):
+        # the GHZ leakage is the second of the two: max() would keep the
+        # truth table's finite one
+        report = analysis._ghz_report
+
+        def nan_leakage(*args):
+            return dataclasses.replace(report(*args), leakage=math.nan)
+
+        monkeypatch.setattr(analysis, "_ghz_report", nan_leakage)
+        (rec,) = lamb_dicke_error_sweep((0.1,), (0.0,), n_max=12, model="ld").records
+        assert math.isnan(rec.leakage)
+        assert rec.flags == (analysis.TRUNCATION_FLAG,)
 
     def test_records_carry_provenance(self):
         result = lamb_dicke_error_sweep((0.1,), (0.0,), n_max=12, n_pad=7, model="ld")
