@@ -9,7 +9,9 @@ sweep calls `truth_table_check` and `ghz_check` at every point. The
 convergence study builds each cutoff's sector blocks once and hands them to
 `_sector_table`, the body of the truth table's sector route, and to its
 metric, so each check still has one code path and no harness assembles a
-composite propagator. `hilbert._hermitian_function` forms sqrt(rho).
+composite propagator. The truth table and `ghz_check` read the motion as
+its Fock populations p (`_populations`), refusing a coherence between Fock
+states, so sqrt(rho) = diag(sqrt(p)) scales columns or rows.
 
 Definition used for state-level gate infidelity: for each |+/-> product input
 v with motional input rho_mot, the per-input fidelity is the composite-state
@@ -32,27 +34,26 @@ norm of Y sqrt(rho), Y = (<Gv| x I) W. Since sqrt(W rho W+) = X W+, the
 composite fidelity is the spectrum of Z Z+ with Z = X Y+ sqrt(rho). On
 sectors the one block of an input in sector k is U_k, with coefficient 1,
 and the composite matrices |v><v| x Z_k Z_k+ of two inputs v, v' of one
-sector differ by the similarity D x I, D = diag(s'/s) with +/-1 entries,
-under which `eigvalsh` returns the same bits (negation is exact; a property
-test checks every input): all is computed once per sector, N+1 spectra for
-2^N inputs. With a given `u`, an input's 2^N blocks are read from u's column
-blocks and its Z Z+ is formed. No `QuantumState` is built, and each d x d
-matrix (d = 2^N (n_max+1)) only for its `eigvalsh`: perfbench/refs.json
-pins the roundoff of its d - (n_max+1) null eigenvalues; once the
-references are re-derived, eigvalsh of the (n_max+1)-sized S = B+B of
-`_evolution` replaces it.
+sector differ by the similarity D x I, D = diag(s'/s) with +/-1 entries:
+all is computed once per sector, N+1 spectra for 2^N inputs, and `eigvalsh`
+gives such matrices the same bits only without signed zeros (Fock motion
+has put one input 3.4e-8 off). With a given `u`, an input's 2^N blocks
+are read from u's column blocks and its Z Z+ is formed. No `QuantumState`
+is built, and each d x d matrix (d = 2^N (n_max+1)) only for its
+`eigvalsh`: perfbench/refs.json pins the roundoff of its d - (n_max+1) null
+eigenvalues; once the references are re-derived, eigvalsh of the
+(n_max+1)-sized S = B+B of `_evolution` replaces it.
 
 The sector route's N+1 composite spectra are independent, and from
 d = `_FORK_MIN_DIM` on (measured; the N=3, n_max=40 sweep has d = 328) they
 are split between the process and up to one `os.fork()` child per further
 CPU of its affinity; each child sends its float64 values, or its exception,
-back through a pipe. It forks only while the process has one OS thread:
-fork() copies the calling thread alone, so a lock held by another thread,
-such as the pool that OpenBLAS starts at numpy's import, would stay held in
-the child. With OPENBLAS_NUM_THREADS=1 a large table fans out; otherwise
-everything runs in-process. A child runs the same code on the same
-one-threaded BLAS, so the outputs are byte-identical either way, and only
-private numpy work moves: every public call stays in the calling process.
+back through a pipe. It forks only while the process has one OS thread
+(OPENBLAS_NUM_THREADS=1): fork() copies the calling thread alone, so a lock
+that another thread holds, OpenBLAS's pool's among them, stays held in the
+child. A child runs the same code on the same one-threaded BLAS, so the
+outputs are byte-identical either way, and every public call stays in the
+calling process.
 """
 
 from __future__ import annotations
@@ -118,12 +119,6 @@ def _hermitian_part(m: np.ndarray) -> np.ndarray:
     return (m + m.conj().T) / 2.0
 
 
-def _sqrt_psd(rho: np.ndarray) -> np.ndarray:
-    # Hermitian square root with eigenvalue clamping: 1e-14-level negatives
-    # from roundoff must not turn into NaNs
-    return _hermitian_function(rho, lambda vals: np.sqrt(np.clip(vals, 0.0, None)))
-
-
 def fidelity(a: QuantumState, b: QuantumState) -> float:
     """State fidelity in [0, 1].
 
@@ -140,7 +135,8 @@ def fidelity(a: QuantumState, b: QuantumState) -> float:
     elif b.ndim == 1:
         val = np.vdot(b, a @ b).real
     else:
-        sqrt_a = _sqrt_psd(a)
+        # eigenvalues clamped: roundoff negatives must not turn into NaNs
+        sqrt_a = _hermitian_function(a, lambda vals: np.sqrt(np.clip(vals, 0.0, None)))
         val = _trace_sqrt_squared(sqrt_a @ b @ sqrt_a)
     return _unit(val)
 
@@ -272,9 +268,15 @@ def ghz_fidelity(rho_internal: QuantumState) -> tuple[float, float]:
     return _ghz_maximum(rho[g, g].real, rho[e, e].real, rho[e, g])
 
 
-def _require_motion(motion: QuantumState, params: ModelParams) -> None:
+def _populations(motion: QuantumState, params: ModelParams) -> np.ndarray:
+    # the populations of a motion diagonal in the Fock basis, the only motion
+    # the truth table and `ghz_check` read; roundoff negatives count as 0
     if motion.layout != "motion" or motion.dim != params.dim_motion:
         raise ValueError(f"motion must be a motional state of n_max={params.n_max}")
+    rho = motion.density()
+    if np.count_nonzero(rho) != np.count_nonzero(rho.diagonal()):
+        raise ValueError("motion must be diagonal in the Fock basis")
+    return np.clip(rho.diagonal().real, 0.0, None)
 
 
 @dataclass(frozen=True)
@@ -317,23 +319,23 @@ def truth_table_check(
     instead, a detuned one from the dense oracle included. Unitarity is then
     checked per input as W+W = I to 1e-10, on the (n_max+1)-sized block that
     the composite fidelity relies on; a `u` that fails it raises
-    `ValueError`, and so do a non-motional `motion` and an unknown `model`,
-    also with `u` given. Both routes evaluate every quantity with one kernel
-    (`_evolution`) and differ only in the blocks they hand it and in the
-    d x d matrices whose spectra give the composite fidelities, one per
-    sector or one per input (module docstring).
+    `ValueError`, and so do an unknown `model` and a `motion` that is not a
+    motional state diagonal in the Fock basis, also with `u` given. Both
+    routes evaluate every quantity with one kernel (`_evolution`) and
+    differ only in the blocks they hand it and in the d x d matrices whose
+    spectra give the composite fidelities, one per sector or one per input.
     """
     _require_model(model)
-    _require_motion(motion, params)
+    p = _populations(motion, params)
     if u is None:
-        return _sector_table(params, sector_propagators(params, params.tau, model), motion, model)
+        return _sector_table(params, sector_propagators(params, params.tau, model), p, model)
     dims = params.dim_internal, params.dim_motion
     if u.dims != dims:
         raise ValueError(f"propagator dims {u.dims} do not match the model dims {dims}")
     # the only finiteness check: every quantity below is built from u and motion
     if not np.isfinite(u.mat).all():
         raise ValueError("propagator must be finite")
-    sqrt_rho = _sqrt_psd(motion.density())
+    sqrt_p = np.sqrt(p)
     signs, labels, sectors = _pm_products(params.n_ions)
     # column block i of u is U (|i> x I_m); the reshape is a view, not a copy
     columns = u.mat.reshape(params.dim, *dims)
@@ -348,27 +350,24 @@ def truth_table_check(
         # it; checking u+u would cost d^3
         if not np.abs(w.conj().T @ w - np.eye(dims[1])).max() <= 1e-10:
             raise ValueError("propagator must be unitary")
-        *evolution, z = _evolution(w, phases[k] * vec, sqrt_rho)
+        *evolution, z = _evolution(w, phases[k] * vec, sqrt_p)
         evaluations.append((*evolution, _trace_sqrt_squared(z @ z.conj().T)))
     return _report(params, model, labels, evaluations)
 
 
 def _sector_table(
-    params: ModelParams, blocks: np.ndarray, motion: QuantumState, model: str
+    params: ModelParams, blocks: np.ndarray, p: np.ndarray, model: str
 ) -> TruthTableReport:
-    # the truth table from the one-period sector propagators U_k. An input v
-    # in sector k leaves as |v><v| x U_k rho U_k+: its one block is U_k, with
-    # coefficient 1, since the image phase g_k drops out of |Gv><Gv|. The
-    # composite matrices of two inputs of one sector differ by a +/-1
-    # similarity (module docstring), so the sector's first input gives the
-    # spectrum of all; between sectors the signed zeros of a pure rho have
-    # broken that bitwise equality
-    sqrt_rho = _sqrt_psd(motion.density())
+    # the truth table from the one-period sector propagators U_k: an input v
+    # in sector k leaves as |v><v| x U_k rho U_k+, so its one block is U_k,
+    # with coefficient 1 (g_k drops out of |Gv><Gv|), and the sector's first
+    # input gives the spectrum of all (bitwise only without signed zeros)
+    sqrt_p = np.sqrt(p)
     signs, labels, sectors = _pm_products(params.n_ions)
     firsts = signs.T[2 ** np.arange(params.n_ions + 1) - 1]
     evolutions, composite_args = [], []
     for block, column in zip(blocks, firsts):
-        *evolution, z = _evolution(block, np.ones(1), sqrt_rho)
+        *evolution, z = _evolution(block, np.ones(1), sqrt_p)
         evolutions.append(evolution)
         # |v><v| = s s^T / 2^N is exact
         outer = np.outer(column, column) / 2.0**params.n_ions
@@ -393,19 +392,25 @@ def _fanned_out(fn, args: list, dim: int) -> list[float]:
         return [fn(*a) for a in args]
     pids, reads = [], []
     try:
-        for i in range(1, workers):
-            read, write = os.pipe()
-            reads.append(read)
-            try:
-                pid = os.fork()
-                if pid == 0:
-                    _child(fn, args[i::workers], write)
-            finally:
-                os.close(write)
-            pids.append(pid)
+        try:
+            for i in range(1, workers):
+                read, write = os.pipe()
+                reads.append(read)
+                try:
+                    pid = os.fork()
+                    if pid == 0:
+                        _child(fn, args[i::workers], write)
+                finally:
+                    os.close(write)
+                pids.append(pid)
+        except OSError:
+            # a refused pipe or fork (EAGAIN, ENOMEM, EMFILE): the shares of
+            # the children not started run in this process
+            pass
         values = [0.0] * len(args)
-        values[::workers] = [fn(*a) for a in args[::workers]]
-        for i, read in enumerate(reads, 1):
+        for i in (0, *range(len(pids) + 1, workers)):
+            values[i::workers] = [fn(*a) for a in args[i::workers]]
+        for i, read in enumerate(reads[: len(pids)], 1):
             values[i::workers] = _received(read)
         return values
     finally:
@@ -486,27 +491,27 @@ def _report(
 
 
 def _evolution(
-    w: np.ndarray, image: np.ndarray, sqrt_rho: np.ndarray
+    w: np.ndarray, image: np.ndarray, sqrt_p: np.ndarray
 ) -> tuple[np.ndarray, float, float, np.ndarray]:
     # one truth-table evolution from W = U (|v> x I_m), whose row blocks are
-    # w[i] = (<i| x I) U (|v> x I), and the image coefficients <i|Gv>. The
-    # output state W rho W+ is X X+ with X = W sqrt(rho). Returns the
-    # motional populations of the output, the internal fidelity, the
+    # w[i] = (<i| x I) U (|v> x I), the image coefficients <i|Gv> and
+    # sqrt(rho) = diag(sqrt_p); W rho W+ is X X+ with X = W sqrt(rho). Returns
+    # the motional populations of the output, the internal fidelity, the
     # restoration fidelity and the factor Z of the composite Uhlmann matrix
-    dims = len(image), len(sqrt_rho)
-    x = w @ sqrt_rho
+    dims = len(image), len(sqrt_p)
+    x = w * sqrt_p
     # the restored motion is M M+, so F(rho, M M+) needs no square root of
     # it, and its diagonal is the row norms of M
     m = _kept_factor(x, dims, "motion")
-    restoration = _trace_norm_squared(sqrt_rho @ m)
+    restoration = _trace_norm_squared(sqrt_p[:, None] * m)
     # Y = (<Gv| x I) W; the internal fidelity <Gv| tr_m(X X+) |Gv> is the
     # squared norm of Y sqrt(rho)
     y = (image.conj() @ w.reshape(dims[0], -1)).reshape(dims[1], dims[1])
-    internal = _row_norms(y @ sqrt_rho).sum()
+    internal = _row_norms(y * sqrt_p).sum()
     # composite fidelity against |Gv><Gv| x rho: sqrt(W rho W+) is X W+, so
     # the Uhlmann matrix is W S W+ with S = B+B, B = sqrt(rho) Y sqrt(rho);
     # then W S W+ = Z Z+ with Z = W B+ = X Y+ sqrt(rho)
-    z = x @ (y.conj().T @ sqrt_rho)
+    z = x @ (y.conj().T * sqrt_p)
     return _row_norms(m), internal, restoration, z
 
 
@@ -548,18 +553,19 @@ def ghz_check(
         rho_EE = sum (-1)^(a+b) c_a c_b M_ab,
 
     and the leakage is sum_k c_k times the weight of U_k rho U_k+ above
-    n_max/2. Nothing of size 2^N is built. A non-motional `motion` raises.
+    n_max/2, for rho = diag(p). Nothing of size 2^N is built. A `motion` that
+    is not a motional state diagonal in the Fock basis raises.
     """
     recipe = ghz_recipe(n_ions, eta, n_max=n_max, n_pad=n_pad)
-    _require_motion(motion, recipe.params)
+    p = _populations(motion, recipe.params)
     u = sector_propagators(recipe.params, recipe.params.tau, model)
-    return _ghz_report(recipe, u, motion.density(), model)
+    return _ghz_report(recipe, u, p, model)
 
 
-def _ghz_report(recipe: GhzRecipe, u: np.ndarray, rho: np.ndarray, model: str) -> GhzReport:
-    # `ghz_check` from the recipe, its sector propagators and the motional rho
+def _ghz_report(recipe: GhzRecipe, u: np.ndarray, p: np.ndarray, model: str) -> GhzReport:
+    # `ghz_check` from the recipe, its sector propagators and the populations
     n_ions = recipe.params.n_ions
-    moved, u_conj = u @ rho, u.conj()
+    moved, u_conj = u * p, u.conj()
     # tr(U_a rho U_b+) = sum_ij (U_a rho)_ij conj(U_b)_ij, all pairs in one product
     overlaps = moved.reshape(n_ions + 1, -1) @ u_conj.reshape(n_ions + 1, -1).T
     # exact integer ratios, float64 at every N: C(N, k) leaves int64 from
@@ -723,7 +729,7 @@ def truncation_convergence(
         motion = thermal_state(ThermalSpec(nbar=nbar, n_max=n))
         # one build of the sector blocks serves the table and the metric
         blocks = sector_propagators(point, point.tau, model)
-        table = _sector_table(point, blocks, motion, model)
+        table = _sector_table(point, blocks, _populations(motion, point), model)
         metric = _sector_independence_metric(point.n_ions, blocks, n // 2)
         prev = rows[-1] if rows else None
         rows.append(

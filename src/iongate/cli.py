@@ -274,8 +274,14 @@ def cmd_solve(args) -> str:
     return _json_bytes(payload)
 
 
+#: the names in a cutoff error of the gate check and convergence, which run
+#: at two ions
+_CUTOFF_FLAGS = {"n_ions": "n_ions", "n_max": "--n-max", "n_pad": "--n-pad"}
+
+
 @_writes_out
 def cmd_gate_check(args) -> str:
+    _check_cutoffs(2, args.n_max, args.n_pad, _CUTOFF_FLAGS)
     params = solve_gate_params(args.eta).model_params(
         n_ions=2, n_max=args.n_max, n_pad=args.n_pad
     )
@@ -453,8 +459,11 @@ def cmd_convergence(args) -> str:
         n_list = [int(x) for x in args.n_max_list.split(",")]
     except ValueError:
         raise ConfigError(f"bad n_max list {args.n_max_list!r}") from None
+    # the largest cutoff builds the largest matrices
+    n_max = max(n_list)
+    _check_cutoffs(2, n_max, args.n_pad, {**_CUTOFF_FLAGS, "n_max": "--n-max-list"})
     params = solve_gate_params(args.eta).model_params(
-        n_ions=2, n_max=max(n_list), n_pad=args.n_pad
+        n_ions=2, n_max=n_max, n_pad=args.n_pad
     )
     rows = truncation_convergence(params, n_list, nbar=args.nbar, model=args.model)
     payload = {

@@ -424,9 +424,10 @@ class TestTruthTable:
         assert len(report.composite_fidelities) == 8
         # the inputs are read from the sign matrix, so no state is built
         assert dims == []
-        # the square root of each output state comes from sqrt(rho): no
-        # d-sized eigh, and one d-sized eigvalsh per input, of a d x d array
-        assert shapes["eigh"] and all(p.dim not in s for s in shapes["eigh"])
+        # the square root of each output state comes from sqrt(p) of the
+        # motional populations: no eigh at all, and one d-sized eigvalsh per
+        # input, of a d x d array
+        assert shapes["eigh"] == []
         assert [s for s in shapes["eigvalsh"] if p.dim in s] == [(p.dim, p.dim)] * 8
         # exactly one d x d array per input, the argument of that eigvalsh: it
         # is alive when the eigvalsh runs, and up to it no second d x d array
@@ -533,12 +534,12 @@ class TestTruthTable:
         kind, value = motion
         state = quiet_thermal(value, n_max) if kind == "thermal" else fock_state(value, n_max)
         report = truth_table_check(p, state, model=model)
-        sqrt_rho = analysis._sqrt_psd(state.density())
+        sqrt_p = np.sqrt(analysis._populations(state, p))
         blocks = sector_propagators(p, p.tau, model)
         signs, labels, sectors = hilbert._pm_products(n_ions)
         assert report.input_labels == labels
         for column, k, reported in zip(signs.T, sectors, report.composite_fidelities):
-            z = analysis._evolution(blocks[k], np.ones(1), sqrt_rho)[3]
+            z = analysis._evolution(blocks[k], np.ones(1), sqrt_p)[3]
             outer = np.outer(column, column) / 2.0**n_ions
             member = analysis._trace_sqrt_squared(np.kron(outer, z @ z.conj().T))
             assert analysis._unit(member) == reported
@@ -549,15 +550,18 @@ class TestTruthTable:
 #: prints its findings as one JSON line. The affinity reads three CPUs
 #: whatever the host has, so the N+1 = 4 sectors split unevenly
 FAN_OUT_SCRIPT = """
-import json, math, os, signal, threading
+import errno, json, math, os, signal, threading
 import numpy as np
 from helpers import gate_params, quiet_thermal
 from iongate import analysis, fock_state, truncation_convergence, truth_table_check
 
-forks = []
+forks, refused = [], []
 fork = os.fork
 def counted_fork():
+    # a call whose number since the last reset is in `refused` fails
     forks.append(os.getpid())
+    if len(forks) in refused:
+        raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
     return fork()
 os.fork = counted_fork
 os.sched_getaffinity = lambda pid: {0, 1, 2}
@@ -604,14 +608,25 @@ try:
 except RuntimeError as exc:
     out["killed"] = str(exc)
 
+def unreaped():
+    try:
+        os.waitpid(-1, os.WNOHANG)
+        return True
+    except ChildProcessError:
+        return False
+
+thermal = quiet_thermal(0.5, n_max)
+for call in (1, 2):
+    fds = len(os.listdir("/proc/self/fd"))
+    refused[:] = [call]
+    result = forked(lambda: truth_table_check(p, thermal, "full"))
+    refused[:] = []
+    out[f"refused-{call}"] = [*result, unreaped(), len(os.listdir("/proc/self/fd")) - fds]
+
 del forks[:]
 out["values"] = analysis._fanned_out(lambda i: i / 3.0, [(i,) for i in range(5)], floor)
 out["forks"] = len(forks)
-try:
-    os.waitpid(-1, os.WNOHANG)
-    out["unreaped"] = True
-except ChildProcessError:
-    out["unreaped"] = False
+out["unreaped"] = unreaped()
 
 del forks[:]
 small = gate_params(0.1, 40)  # d = 164
@@ -681,6 +696,15 @@ class TestSectorFanOut:
     def test_every_child_is_reaped(self, fan_out):
         assert fan_out["unreaped"] is False
 
+    @pytest.mark.parametrize("call", [1, 2])
+    def test_a_refused_fork_runs_its_share_in_process(self, fan_out, call):
+        # os.fork raises EAGAIN on its first or its second call of a table
+        equal, fanned_forks, local_forks, unreaped, new_fds = fan_out[f"refused-{call}"]
+        assert equal
+        # no fork is tried after the refused one
+        assert fanned_forks == call and local_forks == 0
+        assert unreaped is False and new_fds == 0
+
     def test_no_fork_below_the_floor_or_beside_a_second_thread(self, fan_out):
         dim, forks = fan_out["below_floor"]
         assert dim < fan_out["floor"] and forks == 0
@@ -725,6 +749,101 @@ class TestTruthTableAgainstDense:
             (report.composite_fidelities, dense.composite_fidelities, COMPOSITE_TOL),
         ):
             assert np.abs(np.subtract(got, want)).max() < tol
+
+
+def coherent_motion(kind: str, n_max: int) -> QuantumState:
+    """A motional state with a coherence between |0> and |1>: the pure
+    (|0> + |1>)/sqrt(2), or thermal nbar 0.5 with one off-diagonal pair."""
+    if kind == "pure":
+        v = np.zeros(n_max + 1, dtype=complex)
+        v[:2] = 1.0 / np.sqrt(2.0)
+        return QuantumState("pure", v, "motion")
+    rho = quiet_thermal(0.5, n_max).density().copy()
+    # |0.1|^2 is below p_0 p_1 = 4/27, so the state stays positive
+    rho[0, 1] = rho[1, 0] = 0.1
+    return QuantumState("mixed", rho, "motion")
+
+
+def record_hermitian_functions(monkeypatch) -> list:
+    """Record the shape of the matrix of every `hilbert._hermitian_function`
+    call, wherever it is bound."""
+    shapes = []
+    function = hilbert._hermitian_function
+
+    def recording(mat, f):
+        shapes.append(np.shape(mat))
+        return function(mat, f)
+
+    for module in (hilbert, dynamics, analysis):
+        monkeypatch.setattr(module, "_hermitian_function", recording)
+    return shapes
+
+
+class TestMotionAsPopulations:
+    """The truth table and `ghz_check` read the motion as its Fock
+    populations p, and refuse a coherence between Fock states."""
+
+    @pytest.mark.parametrize("kind", ["pure", "mixed"])
+    def test_coherent_motion_is_refused_with_one_message(self, kind):
+        n_max = 12
+        p = gate_params(0.1, n_max, n_ions=3)
+        motion = coherent_motion(kind, n_max)
+        u = sector_sum(3, sector_propagators(p, p.tau, "ld"))
+        for check in (
+            lambda: truth_table_check(p, motion, "ld"),
+            lambda: truth_table_check(p, motion, "ld", u=u),
+            lambda: ghz_check(3, 0.1, motion, n_max=n_max),
+        ):
+            with pytest.raises(ValueError) as exc:
+                check()
+            assert str(exc.value) == "motion must be diagonal in the Fock basis"
+        # the dense oracle still takes any state
+        dense = dense_truth_table(p, motion, u, "ld")
+        assert all(0.0 <= f <= 1.0 for f in dense.composite_fidelities)
+
+    @pytest.mark.parametrize("model", ["ld", "full"])
+    def test_a_diagonal_motion_that_is_not_thermal_matches_dense(self, model):
+        n_max = 10
+        p = gate_params(0.1, n_max, n_ions=2)
+        pops = np.random.default_rng(7).uniform(size=n_max + 1)
+        motion = QuantumState("mixed", np.diag(pops / pops.sum()), "motion")
+        u = sector_sum(2, sector_propagators(p, p.tau, model))
+        dense = dense_truth_table(p, motion, u, model)
+        for given_u in (None, u):
+            report = truth_table_check(p, motion, model, u=given_u)
+            assert abs(report.leakage - dense.leakage) < 1e-12
+            for got, want, tol in (
+                (report.internal_fidelities, dense.internal_fidelities, 1e-12),
+                (report.restoration_fidelities, dense.restoration_fidelities, RESTORATION_TOL),
+                (report.composite_fidelities, dense.composite_fidelities, COMPOSITE_TOL),
+            ):
+                assert np.abs(np.subtract(got, want)).max() < tol
+
+    @pytest.mark.parametrize("model", ["ld", "full"])
+    @pytest.mark.parametrize("kind", ["thermal", "fock"])
+    def test_no_motional_state_is_diagonalized(self, monkeypatch, model, kind):
+        n_max = 12
+        p = gate_params(0.1, n_max, n_ions=3)
+        motion = quiet_thermal(0.5, n_max) if kind == "thermal" else fock_state(2, n_max)
+        u = sector_sum(3, sector_propagators(p, p.tau, model))
+        shapes = record_hermitian_functions(monkeypatch)
+        truth_table_check(p, motion, model, u=u)
+        assert shapes == []
+        # each build of the sector blocks diagonalizes the padded sine
+        # operator (full model) and the stacked sector Hamiltonians, and
+        # nothing else is diagonalized
+        def build(n):
+            sine = [(n + p.n_pad + 1,) * 2] if model == "full" else []
+            return sine + [(p.n_ions + 1, n + 1, n + 1)]
+
+        truth_table_check(p, motion, model)
+        assert shapes == build(n_max)
+        del shapes[:]
+        ghz_check(3, 0.1, motion, n_max=n_max, n_pad=p.n_pad, model=model)
+        assert shapes == build(n_max)
+        del shapes[:]
+        truncation_convergence(p, [8, n_max], nbar=0.0, model=model)
+        assert shapes == build(8) + build(n_max)
 
 
 class TestResonantRoute:

@@ -676,6 +676,36 @@ class TestOutputContract:
         assert not out.exists()
 
     @pytest.mark.parametrize(
+        "argv, name",
+        [
+            (["gate-check", "--n-max", str(10**18)], "--n-max"),
+            (["gate-check", "--full-hamiltonian", f"--n-pad={10**19}"], "--n-pad"),
+            # refused although the LD model builds no sine operator
+            (["gate-check", f"--n-pad={10**19}"], "--n-pad"),
+            (["convergence", "--n-max-list", f"10,{10**18}"], "--n-max-list"),
+            (["convergence", f"--n-pad={10**19}"], "--n-pad"),
+        ],
+        ids=["gate-n-max", "gate-n-pad-full", "gate-n-pad-ld", "conv-list", "conv-n-pad"],
+    )
+    def test_cutoff_past_numpy_size_limit_exits_2(
+        self, tmp_path, capsys, monkeypatch, argv, name
+    ):
+        # refused before computing, as the sweep refuses its cutoffs, with
+        # the flag's name: numpy would fail to allocate, as if out of memory
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the command computed")
+
+        for command in ("solve_gate_params", "truth_table_check", "truncation_convergence"):
+            monkeypatch.setattr(cli, command, forbidden)
+        out = tmp_path / "out.json"
+        assert run_cli(*argv, "--out", str(out)) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and f"{name}=" in captured.err
+        assert "numpy's array size limit" in captured.err
+        assert captured.out == ""
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
         "argv",
         [
             ["solve", "--eta", "0.1", "--n-max", "5"],
