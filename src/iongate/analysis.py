@@ -35,25 +35,26 @@ composite fidelity is the spectrum of Z Z+ with Z = X Y+ sqrt(rho). On
 sectors the one block of an input in sector k is U_k, with coefficient 1,
 and the composite matrices |v><v| x Z_k Z_k+ of two inputs v, v' of one
 sector differ by the similarity D x I, D = diag(s'/s) with +/-1 entries:
-all is computed once per sector, N+1 spectra for 2^N inputs, and `eigvalsh`
-gives such matrices the same bits only without signed zeros (Fock motion
-has put one input 3.4e-8 off). With a given `u`, an input's 2^N blocks
-are read from u's column blocks and its Z Z+ is formed. No `QuantumState`
-is built, and each d x d matrix (d = 2^N (n_max+1)) only for its
+all is computed once per sector, from its first input, N+1 spectra for 2^N
+inputs. `eigvalsh` need not give such matrices the same bits: with Fock
+motion, another input's own spectrum has come out 3.4e-8 off, also with
+its signed zeros cleared. With a given `u`, an input's 2^N blocks are read
+from u's column blocks and its Z Z+ is formed. No `QuantumState` is built,
+and each d x d matrix (d = 2^N (n_max+1)) only for its
 `eigvalsh`: perfbench/refs.json pins the roundoff of its d - (n_max+1) null
 eigenvalues; once the references are re-derived, eigvalsh of the
 (n_max+1)-sized S = B+B of `_evolution` replaces it.
 
 The sector route's N+1 composite spectra are independent, and from
-d = `_FORK_MIN_DIM` on (measured; the N=3, n_max=40 sweep has d = 328) they
-are split between the process and up to one `os.fork()` child per further
-CPU of its affinity; each child sends its float64 values, or its exception,
-back through a pipe. It forks only while the process has one OS thread
-(OPENBLAS_NUM_THREADS=1): fork() copies the calling thread alone, so a lock
-that another thread holds, OpenBLAS's pool's among them, stays held in the
-child. A child runs the same code on the same one-threaded BLAS, so the
-outputs are byte-identical either way, and every public call stays in the
-calling process.
+d = `_FORK_MIN_DIM` on (measured; the N=3, n_max=40 sweep has d = 328)
+every other one goes to one `os.fork()` child, which writes its float64
+values to a pipe; a share it does not deliver is computed in the calling
+process. It forks only while the process has one OS thread
+(OPENBLAS_NUM_THREADS=1) and its affinity two CPUs: fork() copies the
+calling thread alone, so a lock that another thread holds, OpenBLAS's
+pool's among them, stays held in the child. The child runs the same code
+on the same one-threaded BLAS, so the outputs are byte-identical either
+way, and every public call stays in the calling process.
 """
 
 from __future__ import annotations
@@ -84,13 +85,13 @@ LEAKAGE_THRESHOLD = 1e-6
 
 TRUNCATION_FLAG = "truncation-unreliable"
 
-#: the truth table's N+1 composite spectra fan out to forked children from
-#: this d = 2^N (n_max+1) on (`_fanned_out`). On a 2-vCPU Linux VM with one
-#: BLAS thread (OpenBLAS 0.3.31, numpy 2.4.6), fanned out over two processes
-#: they took 1.14-1.23 times their in-process time at d = 124, 0.93-1.06 at
-#: 164, 0.79-0.82 at 204 and 0.53-0.62 at 328 (medians of 15, two rounds);
-#: one fork and reap took 2.4 ms. So d = 164 (N=2, n_max=40) stays
-#: in-process and the N=3, n_max=40 sweep (d = 328) fans out
+#: the truth table's N+1 composite spectra are split with one forked child
+#: from this d = 2^N (n_max+1) on (`_sector_composites`). On a 2-vCPU Linux
+#: VM with one BLAS thread (OpenBLAS 0.3.31, numpy 2.4.6), split over two
+#: processes they took 1.14-1.23 times their in-process time at d = 124,
+#: 0.93-1.06 at 164, 0.79-0.82 at 204 and 0.53-0.62 at 328 (medians of 15,
+#: two rounds); one fork and reap took 2.4 ms. So d = 164 (N=2, n_max=40)
+#: stays in-process and the N=3, n_max=40 sweep (d = 328) forks
 _FORK_MIN_DIM = 200
 
 
@@ -361,7 +362,7 @@ def _sector_table(
     # the truth table from the one-period sector propagators U_k: an input v
     # in sector k leaves as |v><v| x U_k rho U_k+, so its one block is U_k,
     # with coefficient 1 (g_k drops out of |Gv><Gv|), and the sector's first
-    # input gives the spectrum of all (bitwise only without signed zeros)
+    # input gives the spectrum of all, to roundoff (module docstring)
     sqrt_p = np.sqrt(p)
     signs, labels, sectors = _pm_products(params.n_ions)
     firsts = signs.T[2 ** np.arange(params.n_ions + 1) - 1]
@@ -372,104 +373,71 @@ def _sector_table(
         # |v><v| = s s^T / 2^N is exact
         outer = np.outer(column, column) / 2.0**params.n_ions
         composite_args.append((outer, z @ z.conj().T))
-    composite = _fanned_out(_composite_value, composite_args, params.dim)
+    composite = _sector_composites(composite_args, params.dim)
     per_sector = [(*e, c) for e, c in zip(evolutions, composite)]
     return _report(params, model, labels, [per_sector[k] for k in sectors])
 
 
-def _composite_value(outer: np.ndarray, zz: np.ndarray) -> float:
-    # the composite Uhlmann value of a sector's first input, |v><v| = outer
-    return _trace_sqrt_squared(np.kron(outer, zz))
-
-
-def _fanned_out(fn, args: list, dim: int) -> list[float]:
-    # [fn(*a) for a in args], with the calls split between this process and
-    # up to one forked child per further CPU when `_fork_workers` allows it.
-    # The values are bitwise the same either way: a child runs the same code
-    # on the same single-threaded BLAS and sends the float64 bytes back
-    workers = _fork_workers(len(args), dim)
-    if workers < 2:
-        return [fn(*a) for a in args]
-    pids, reads = [], []
-    try:
-        try:
-            for i in range(1, workers):
-                read, write = os.pipe()
-                reads.append(read)
-                try:
-                    pid = os.fork()
-                    if pid == 0:
-                        _child(fn, args[i::workers], write)
-                finally:
-                    os.close(write)
-                pids.append(pid)
-        except OSError:
-            # a refused pipe or fork (EAGAIN, ENOMEM, EMFILE): the shares of
-            # the children not started run in this process
-            pass
-        values = [0.0] * len(args)
-        for i in (0, *range(len(pids) + 1, workers)):
-            values[i::workers] = [fn(*a) for a in args[i::workers]]
-        for i, read in enumerate(reads[: len(pids)], 1):
-            values[i::workers] = _received(read)
-        return values
-    finally:
-        # closed first, so a child still writing fails instead of blocking
-        for read in reads:
-            os.close(read)
-        for pid in pids:
-            os.waitpid(pid, 0)
-
-
-def _fork_workers(count: int, dim: int) -> int:
-    # processes for `count` calls on d x d matrices: 1 below the measured
-    # floor or while a second OS thread is alive. fork() copies only the
+def _sector_composites(args: list, dim: int) -> list[float]:
+    # the composite Uhlmann value of each sector's first input from its
+    # (|v><v|, Z Z+) pair, with the kron built per value, so that one d x d
+    # matrix is alive at a time. From d = `_FORK_MIN_DIM` on, while this
+    # process has one OS thread and its affinity two CPUs, every other
+    # sector goes to one forked child, which writes its float64 values to a
+    # pipe: the same code on the same single-threaded BLAS, so the values
+    # are bitwise the same. A share the child does not deliver (a refused
+    # fork, an exception, a kill) is computed here, so a deterministic
+    # error is raised by this process's own call. fork() copies only the
     # calling thread, so a lock that another thread holds (an OpenBLAS
     # pool's among them) stays held in the child: forking beside OpenBLAS's
     # pool made a 0.74 s N=3 sweep take 14.9 s
-    if dim < _FORK_MIN_DIM:
-        return 1
+    def values(share: list) -> list[float]:
+        return [_trace_sqrt_squared(np.kron(outer, zz)) for outer, zz in share]
+
     try:
-        if len(os.listdir("/proc/self/task")) != 1:
-            return 1
-        return min(count, len(os.sched_getaffinity(0)))
+        forks = (
+            dim >= _FORK_MIN_DIM
+            and len(os.listdir("/proc/self/task")) == 1
+            and len(os.sched_getaffinity(0)) > 1
+        )
     except (OSError, AttributeError):
-        return 1
-
-
-def _child(fn, args: list, write: int) -> None:
-    # in a forked child: write b"v" and fn's float64 values, or b"e" and the
-    # pickled exception, which `_received` raises in the parent, to the
-    # pipe, and leave without running the parent's exit handlers or
-    # flushing its buffers. The collector stays off, so it does not touch,
-    # and copy, the parent's pages
+        # no /proc or no sched_getaffinity: not Linux
+        forks = False
+    if not forks:
+        return values(args)
     try:
-        gc.disable()
+        read, write = os.pipe()
+    except OSError:
+        # a refused pipe (EMFILE, ENFILE)
+        return values(args)
+    try:
+        pid = os.fork()
+    except OSError:
+        # a refused fork (EAGAIN, ENOMEM): no one writes to the pipe
+        pid = None
+    if pid == 0:
         try:
-            payload = b"v" + np.array([fn(*a) for a in args], dtype=np.float64).tobytes()
-        except BaseException as exc:
-            import pickle
-
-            payload = b"e" + pickle.dumps(exc)
-        with os.fdopen(write, "wb") as pipe:
-            pipe.write(payload)
+            # the collector stays off, so it does not touch, and copy, the
+            # parent's pages; _exit runs none of the parent's exit handlers
+            gc.disable()
+            os.write(write, np.array(values(args[1::2])).tobytes())
+        finally:
+            os._exit(0)
+    os.close(write)
+    try:
+        # closed before the child is reaped, so a child still writing fails
+        # instead of blocking
+        with os.fdopen(read, "rb") as pipe:
+            mine = values(args[::2])
+            payload = pipe.read()
     finally:
-        os._exit(0)
-
-
-def _received(read: int) -> list[float]:
-    # a child's values from its pipe, read to EOF; its exception is raised here
-    chunks = []
-    while chunk := os.read(read, 1 << 16):
-        chunks.append(chunk)
-    payload = b"".join(chunks)
-    if payload[:1] == b"e":
-        import pickle
-
-        raise pickle.loads(payload[1:])
-    if payload[:1] != b"v":
-        raise RuntimeError("a forked sector worker exited without a result")
-    return np.frombuffer(payload, dtype=np.float64, offset=1).tolist()
+        if pid is not None:
+            os.waitpid(pid, 0)
+    out = [0.0] * len(args)
+    out[::2] = mine
+    delivered = len(payload) == 8 * len(out[1::2])
+    out[1::2] = np.frombuffer(payload).tolist() if delivered else values(args[1::2])
+    return out
 
 
 def _report(

@@ -94,12 +94,16 @@ def _check_minimum(name: str, key: str, value: int) -> None:
 _MAX_SIDE = math.isqrt(sys.maxsize // 16)
 
 
-def _check_cutoffs(n_ions: int, n_max: int, n_pad: int, names: dict[str, str]) -> None:
+def _check_cutoffs(
+    n_ions: int | None, n_max: int, n_pad: int, names: dict[str, str]
+) -> None:
     """Reject cutoffs whose matrices numpy cannot index: the composite ones of
-    side 2^N (n_max + 1) and the padded sine operator of side
-    n_max + n_pad + 1. `names` gives the key or flag of each setting."""
+    side 2^N (n_max + 1), unless n_ions is None, and the padded sine operator
+    of side n_max + n_pad + 1. `names` gives the key or flag of each setting."""
     # the bit-length test first, so that a huge n_ions never forms 2^n_ions
-    if n_ions >= _MAX_SIDE.bit_length() or (n_max + 1) << n_ions > _MAX_SIDE:
+    if n_ions is not None and (
+        n_ions >= _MAX_SIDE.bit_length() or (n_max + 1) << n_ions > _MAX_SIDE
+    ):
         raise ConfigError(
             f"{names['n_ions']}={n_ions} and {names['n_max']}={n_max} give composite "
             "matrices of side 2^n_ions (n_max + 1), past numpy's array size limit "
@@ -275,7 +279,7 @@ def cmd_solve(args) -> str:
 
 
 #: the names in a cutoff error of the gate check and convergence, which run
-#: at two ions
+#: at two ions, and of ghz
 _CUTOFF_FLAGS = {"n_ions": "n_ions", "n_max": "--n-max", "n_pad": "--n-pad"}
 
 
@@ -325,6 +329,8 @@ def cmd_ghz(args) -> str:
             f"n_ions={args.n_ions} outside the desk-scale guard [2, 6]; "
             "pass --force to override"
         )
+    # no composite check: ghz builds nothing of size 2^N
+    _check_cutoffs(None, args.n_max, args.n_pad, _CUTOFF_FLAGS)
     motion = thermal_state(ThermalSpec(nbar=args.nbar, n_max=args.n_max))
     report = ghz_check(
         args.n_ions, args.eta, motion, n_max=args.n_max, n_pad=args.n_pad, model=args.model

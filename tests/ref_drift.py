@@ -6,34 +6,34 @@ Runs every reference-checked job that any benchmark seed can draw
 (`perfbench/workloads.reference_plan`), at the full and the smoke size,
 through `iongate.cli.main` in this process with BLAS pinned to one thread.
 That leaves the process one OS thread, so, as in the benchmark, the truth
-table's sector spectra from d = 200 on (the full-size N=3 sweep) run in forked
-children (`analysis._fanned_out`), and the digests cover that path. It
-compares each output with `perfbench/refs.json` and prints, per command and
-field, the worst |value - reference| (angles modulo 2 pi) and that drift as a
-share of `REF_TOL`, then the number of jobs with any value above `REF_TOL/2`
-and outside `REF_TOL`, so that every change shows how close the pinned
-noise runs to the tolerance. Last it prints one SHA-256 over the names and
-bytes of every file the jobs wrote, so that two checkouts whose outputs are
-byte-identical print the same digest, and one SHA-256 per command over the
-files of its jobs, so that a change which moves one command's outputs can
-show that the others' are byte-identical. The reference plan has no `solve`
-job; the `solve` digest covers one run of `cli-short`'s solve job per eta
-of `CLI_ETAS`, with and without `--literal-params`, which are checked by
-their own closed-form checks and kept out of the overall digest. The
-reference plan's full-size GHZ jobs are odd N, so the even-N recipe gets a
-digest of its own, also kept out of the overall one: the `ghz` job
-(`workloads.ghz_job`, full model, n_max 40) for N = 2 and 4 at every eta of
-`GHZ_ETAS` and nbar of `GHZ_NBARS`. It has no reference; it shows that a
-change leaves the even recipe's outputs byte-identical. Then it
-prints the worst restricted distance of `closed_form_propagator(...).product`
-from the dense oracle over the full-size `crosscheck` cases of the seeds in
-`CROSSCHECK_SEEDS` (first repetition), the comparison the `crosscheck`
-workload makes: no CLI output reads the closed form, so the digests cannot
-show a change to it. It exits 1 if a job is
-outside `REF_TOL`, a solve job fails its checks, an even-N GHZ job exits
-nonzero or the closed form is farther than `CROSSCHECK_TOL` from the oracle.
-`perfbench/` is read, never written. The file name does not match pytest's
-`test_*.py`, so the suite does not collect it.
+table's sector spectra from d = 200 on (the full-size N=3 sweep) are split
+with one forked child (`analysis._sector_composites`). It counts the `os.fork`
+calls of its jobs and prints the count, which shows that the digests cover
+that path. It compares each output with `perfbench/refs.json` and prints, per
+command and field, the worst |value - reference| (angles modulo 2 pi) and that
+drift as a share of `REF_TOL`, then the number of jobs with any value above
+`REF_TOL/2` and outside `REF_TOL`, so that every change shows how close the
+pinned noise runs to the tolerance. Last it prints one SHA-256 over the names
+and bytes of every file the jobs wrote, so that two checkouts whose outputs
+are byte-identical print the same digest, and one SHA-256 per command over the
+files of its jobs, so that a change which moves one command's outputs can show
+that the others' are byte-identical. The reference plan has no `solve` job;
+the `solve` digest covers one run of `cli-short`'s solve job per eta of
+`CLI_ETAS`, with and without `--literal-params`, which are checked by their
+own closed-form checks and kept out of the overall digest. The reference
+plan's full-size GHZ jobs are odd N, so the even-N recipe gets a digest of its
+own, also kept out of the overall one: the `ghz` job (`workloads.ghz_job`,
+full model, n_max 40) for N = 2 and 4 at every eta of `GHZ_ETAS` and nbar of
+`GHZ_NBARS`. It has no reference; it shows that a change leaves the even
+recipe's outputs byte-identical. Then it prints the worst restricted distance
+of `closed_form_propagator(...).product` from the dense oracle over the
+full-size `crosscheck` cases of the seeds in `CROSSCHECK_SEEDS` (first
+repetition), the comparison the `crosscheck` workload makes: no CLI output
+reads the closed form, so the digests cannot show a change to it. It exits 1
+if a job is outside `REF_TOL`, a solve job fails its checks, an even-N GHZ job
+exits nonzero or the closed form is farther than `CROSSCHECK_TOL` from the
+oracle. `perfbench/` is read, never written. The file name does not match
+pytest's `test_*.py`, so the suite does not collect it.
 """
 
 import os
@@ -129,6 +129,13 @@ def main() -> int:
     jobs = outside = near = 0
     digest = hashlib.sha256()
     per_command: dict = {}
+    forks = []
+
+    def counted_fork():
+        forks.append(os.getpid())
+        return fork()
+
+    fork, os.fork = os.fork, counted_fork
     with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
         warnings.simplefilter("ignore")
         root = Path(tmp)
@@ -181,6 +188,7 @@ def main() -> int:
     print(f"{outside} of {jobs} jobs outside REF_TOL = {workloads.REF_TOL:g}")
     print(f"{failed_solves} of {len(solves)} solve jobs fail their closed-form checks")
     print(f"{failed_evens} of {len(evens)} even-N ghz jobs exit nonzero")
+    print(f"{len(forks)} forks by the jobs")
     cross_worst, cross_cases = closed_form_distance()
     print(
         f"closed form vs dense oracle: worst restricted distance {cross_worst:.6e} "

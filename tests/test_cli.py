@@ -684,8 +684,18 @@ class TestOutputContract:
             (["gate-check", f"--n-pad={10**19}"], "--n-pad"),
             (["convergence", "--n-max-list", f"10,{10**18}"], "--n-max-list"),
             (["convergence", f"--n-pad={10**19}"], "--n-pad"),
+            (["ghz", "--n-max", str(3 * 10**18)], "--n-max"),
+            (["ghz", "--full-hamiltonian", f"--n-pad={10**19}"], "--n-pad"),
         ],
-        ids=["gate-n-max", "gate-n-pad-full", "gate-n-pad-ld", "conv-list", "conv-n-pad"],
+        ids=[
+            "gate-n-max",
+            "gate-n-pad-full",
+            "gate-n-pad-ld",
+            "conv-list",
+            "conv-n-pad",
+            "ghz-n-max",
+            "ghz-n-pad-full",
+        ],
     )
     def test_cutoff_past_numpy_size_limit_exits_2(
         self, tmp_path, capsys, monkeypatch, argv, name
@@ -695,7 +705,12 @@ class TestOutputContract:
         def forbidden(*args, **kwargs):
             raise AssertionError("the command computed")
 
-        for command in ("solve_gate_params", "truth_table_check", "truncation_convergence"):
+        for command in (
+            "solve_gate_params",
+            "truth_table_check",
+            "truncation_convergence",
+            "ghz_check",
+        ):
             monkeypatch.setattr(cli, command, forbidden)
         out = tmp_path / "out.json"
         assert run_cli(*argv, "--out", str(out)) == 2
