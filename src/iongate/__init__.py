@@ -14,7 +14,6 @@ from .analysis import (
     ConvergenceRow,
     GhzReport,
     SweepPoint,
-    SweepResult,
     TruthTableReport,
     fidelity,
     ghz_check,
@@ -102,7 +101,6 @@ __all__ = [
     "ConvergenceRow",
     "GhzReport",
     "SweepPoint",
-    "SweepResult",
     "TruthTableReport",
     "fidelity",
     "ghz_check",

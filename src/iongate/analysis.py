@@ -18,7 +18,8 @@ v with motional input rho_mot, the per-input fidelity is the composite-state
 fidelity F(U (|v><v| x rho_mot) U+, |Gv><Gv| x rho_mot) against the truth-table
 image Gv with the motional state restored, and the gate infidelity is one
 minus the mean over the 2^N inputs. G is diagonal in the |+/-> products:
-the image of an input v in J_x sector k is g_k v, with no gate matrix built.
+the image of an input v in J_x sector k is g_k v, and the phase g_k drops out
+of |Gv><Gv|, so neither route reads it and no gate matrix is built.
 The composite form is essential: these inputs are J_x eigenstates, so their
 traced internal state is exactly the input under both Hamiltonians and a
 purely internal fidelity would be identically 1 regardless of parameters
@@ -78,7 +79,7 @@ from .hilbert import (
     _sector_projectors,
     thermal_state,
 )
-from .synthesis import GhzRecipe, _gate_phases, ghz_recipe, solve_gate_params
+from .synthesis import ghz_recipe, solve_gate_params
 
 #: leakage above this level marks a result as truncation-unreliable
 LEAKAGE_THRESHOLD = 1e-6
@@ -337,13 +338,11 @@ def truth_table_check(
     if not np.isfinite(u.mat).all():
         raise ValueError("propagator must be finite")
     sqrt_p = np.sqrt(p)
-    signs, labels, sectors = _pm_products(params.n_ions)
+    signs, labels, _ = _pm_products(params.n_ions)
     # column block i of u is U (|i> x I_m); the reshape is a view, not a copy
     columns = u.mat.reshape(params.dim, *dims)
-    # the image of an input v in sector k is g_k v
-    phases = np.array(_gate_phases(params.n_ions))
     evaluations = []
-    for column, k in zip(signs.T, sectors):
+    for column in signs.T:
         vec = column / np.sqrt(2.0**params.n_ions)
         # U (|v><v| x rho) U+ = W rho W+ with the isometry W = U (|v> x I_m)
         w = np.einsum("xim,i->xm", columns, vec)
@@ -351,7 +350,8 @@ def truth_table_check(
         # it; checking u+u would cost d^3
         if not np.abs(w.conj().T @ w - np.eye(dims[1])).max() <= 1e-10:
             raise ValueError("propagator must be unitary")
-        *evolution, z = _evolution(w, phases[k] * vec, sqrt_p)
+        # g_k drops out of |Gv><Gv|, so v's coefficients stand for Gv's
+        *evolution, z = _evolution(w, vec, sqrt_p)
         evaluations.append((*evolution, _trace_sqrt_squared(z @ z.conj().T)))
     return _report(params, model, labels, evaluations)
 
@@ -462,10 +462,11 @@ def _evolution(
     w: np.ndarray, image: np.ndarray, sqrt_p: np.ndarray
 ) -> tuple[np.ndarray, float, float, np.ndarray]:
     # one truth-table evolution from W = U (|v> x I_m), whose row blocks are
-    # w[i] = (<i| x I) U (|v> x I), the image coefficients <i|Gv> and
-    # sqrt(rho) = diag(sqrt_p); W rho W+ is X X+ with X = W sqrt(rho). Returns
-    # the motional populations of the output, the internal fidelity, the
-    # restoration fidelity and the factor Z of the composite Uhlmann matrix
+    # w[i] = (<i| x I) U (|v> x I), the image coefficients <i|Gv> (to a
+    # phase, which drops out of every quantity) and sqrt(rho) = diag(sqrt_p);
+    # W rho W+ is X X+ with X = W sqrt(rho). Returns the motional populations
+    # of the output, the internal fidelity, the restoration fidelity and the
+    # factor Z of the composite Uhlmann matrix
     dims = len(image), len(sqrt_p)
     x = w * sqrt_p
     # the restored motion is M M+, so F(rho, M M+) needs no square root of
@@ -527,12 +528,6 @@ def ghz_check(
     recipe = ghz_recipe(n_ions, eta, n_max=n_max, n_pad=n_pad)
     p = _populations(motion, recipe.params)
     u = sector_propagators(recipe.params, recipe.params.tau, model)
-    return _ghz_report(recipe, u, p, model)
-
-
-def _ghz_report(recipe: GhzRecipe, u: np.ndarray, p: np.ndarray, model: str) -> GhzReport:
-    # `ghz_check` from the recipe, its sector propagators and the populations
-    n_ions = recipe.params.n_ions
     moved, u_conj = u * p, u.conj()
     # tr(U_a rho U_b+) = sum_ij (U_a rho)_ij conj(U_b)_ij, all pairs in one product
     overlaps = moved.reshape(n_ions + 1, -1) @ u_conj.reshape(n_ions + 1, -1).T
@@ -578,20 +573,6 @@ class SweepPoint:
     runtime_s: float
 
 
-@dataclass(frozen=True)
-class SweepResult:
-    """A full sweep with its grids and per-point provenance."""
-
-    eta_values: tuple[float, ...]
-    nbar_values: tuple[float, ...]
-    n_ions: int
-    n_max: int
-    n_pad: int
-    model: str
-    records: tuple[SweepPoint, ...]
-    seed: int | None = None
-
-
 def lamb_dicke_error_sweep(
     eta_grid,
     nbar_grid,
@@ -599,8 +580,7 @@ def lamb_dicke_error_sweep(
     n_max: int = 40,
     n_pad: int = 10,
     model: str = "full",
-    seed: int | None = None,
-) -> SweepResult:
+) -> tuple[SweepPoint, ...]:
     """Gate and GHZ infidelity over an (eta, nbar) grid.
 
     At each (eta, nbar) point the gate parameters are solved and
@@ -611,7 +591,9 @@ def lamb_dicke_error_sweep(
     that leakage exceeds 1e-6. Solver failures are recorded per point, the
     same for every nbar of that eta, and the sweep continues.
 
-    The sweep is deterministic; the seed is recorded as provenance only.
+    Returns one row per point, eta-major, as `truncation_convergence`
+    returns its rows; the caller holds the grids and settings it passed.
+    The sweep is deterministic: reruns differ only in `runtime_s`.
     """
     eta_values = tuple(float(x) for x in eta_grid)
     nbar_values = tuple(float(x) for x in nbar_grid)
@@ -655,16 +637,7 @@ def lamb_dicke_error_sweep(
                     runtime_s=time.perf_counter() - t0,
                 )
             )
-    return SweepResult(
-        eta_values=eta_values,
-        nbar_values=nbar_values,
-        n_ions=n_ions,
-        n_max=n_max,
-        n_pad=n_pad,
-        model=model,
-        records=tuple(records),
-        seed=seed,
-    )
+    return tuple(records)
 
 
 @dataclass(frozen=True)

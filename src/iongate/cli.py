@@ -22,12 +22,11 @@ import math
 import os
 import stat
 import sys
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, fields, replace
 
 from . import __version__
 from .analysis import (
     ConvergenceRow,
-    SweepResult,
     ghz_check,
     lamb_dicke_error_sweep,
     truncation_convergence,
@@ -279,7 +278,7 @@ def cmd_solve(args) -> str:
 
 
 #: the names in a cutoff error of the gate check and convergence, which run
-#: at two ions, and of ghz
+#: at two ions, of ghz, and of the sweep's flags
 _CUTOFF_FLAGS = {"n_ions": "n_ions", "n_max": "--n-max", "n_pad": "--n-pad"}
 
 
@@ -380,70 +379,66 @@ def _scipy_version() -> str | None:
         return None
 
 
-def _sweep_json(result: SweepResult) -> dict:
+def _sweep_json(config: RunConfig, records) -> dict:
     import numpy
 
     return {
         "command": "sweep",
         "model": {
-            "n_ions": result.n_ions,
-            "n_max": result.n_max,
-            "n_pad": result.n_pad,
-            "hamiltonian": result.model,
+            "n_ions": config.n_ions,
+            "n_max": config.n_max,
+            "n_pad": config.n_pad,
+            "hamiltonian": config.hamiltonian,
         },
-        "grids": {"eta": list(result.eta_values), "nbar": list(result.nbar_values)},
-        "seed": result.seed,
+        "grids": {"eta": list(config.eta_grid), "nbar": list(config.nbar_grid)},
+        "seed": config.seed,
         "versions": {
             "iongate": __version__,
             "numpy": numpy.__version__,
             "scipy": _scipy_version(),
         },
-        "records": [
-            {col: getattr(rec, col) for col in SWEEP_CSV_COLUMNS}
-            for rec in result.records
-        ],
+        "records": [{col: getattr(rec, col) for col in SWEEP_CSV_COLUMNS} for rec in records],
     }
 
 
 def cmd_sweep(args) -> int:
     config = load_run_config(args.config)
-    n_max = config.n_max if args.n_max is None else args.n_max
-    n_pad = config.n_pad if args.n_pad is None else args.n_pad
+    cutoffs = {"n_max": args.n_max, "n_pad": args.n_pad}
+    overrides = {key: value for key, value in cutoffs.items() if value is not None}
+    names = {key: f"model.{key}" for key in _MINIMA}
     # the flags override the config file, so they take its range checks too
-    _check_minimum("--n-max", "n_max", n_max)
-    _check_minimum("--n-pad", "n_pad", n_pad)
-    names = {
-        "n_ions": "model.n_ions",
-        "n_max": "model.n_max" if args.n_max is None else "--n-max",
-        "n_pad": "model.n_pad" if args.n_pad is None else "--n-pad",
-    }
-    _check_cutoffs(config.n_ions, n_max, n_pad, names)
-    seed = args.seed if args.seed is not None else config.seed
+    for key, value in overrides.items():
+        _check_minimum(_CUTOFF_FLAGS[key], key, value)
+        names[key] = _CUTOFF_FLAGS[key]
+    if args.seed is not None:
+        overrides["seed"] = args.seed
+    # the one effective configuration: the sweep, its JSON and its text read it
+    config = replace(config, **overrides)
+    _check_cutoffs(config.n_ions, config.n_max, config.n_pad, names)
     # the format of each output path; a path named twice takes the last one
     formats = {config.csv_path: "csv", config.json_path: "json", args.out: args.format}
     # opened before the sweep runs, so that a path that cannot be written
     # fails the command before any row is computed
     with _opened(formats) as handles:
-        result = lamb_dicke_error_sweep(
+        records = lamb_dicke_error_sweep(
             config.eta_grid,
             config.nbar_grid,
             n_ions=config.n_ions,
-            n_max=n_max,
-            n_pad=n_pad,
+            n_max=config.n_max,
+            n_pad=config.n_pad,
             model=config.hamiltonian,
-            seed=seed,
         )
         texts = {
-            "csv": _csv_text(SWEEP_CSV_COLUMNS, result.records),
-            "json": _json_bytes(_sweep_json(result)),
+            "csv": _csv_text(SWEEP_CSV_COLUMNS, records),
+            "json": _json_bytes(_sweep_json(config, records)),
         }
         for path, fh in handles.items():
             fh.write(texts[formats[path]])
     print(
-        f"sweep: {len(result.eta_values)} eta x {len(result.nbar_values)} nbar "
-        f"points, n_ions={result.n_ions}, n_max={n_max}, model={result.model}"
+        f"sweep: {len(config.eta_grid)} eta x {len(config.nbar_grid)} nbar points, "
+        f"n_ions={config.n_ions}, n_max={config.n_max}, model={config.hamiltonian}"
     )
-    for rec in result.records:
+    for rec in records:
         if rec.error:
             print(f"  eta={rec.eta:g} nbar={rec.nbar:g}: ERROR {rec.error}")
         else:
@@ -456,7 +451,7 @@ def cmd_sweep(args) -> int:
     for path in (config.csv_path, config.json_path):
         if path:
             print(f"wrote {path}")
-    return 1 if any(rec.error for rec in result.records) else 0
+    return 1 if any(rec.error for rec in records) else 0
 
 
 @_writes_out

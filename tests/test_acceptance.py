@@ -284,15 +284,15 @@ def test_criterion_8_lamb_dicke_degradation(capsys):
         warnings.simplefilter("ignore")
         full = lamb_dicke_error_sweep((0.05, 0.3), (2.0,), n_max=70, model="full")
         control = lamb_dicke_error_sweep((0.05, 0.3), (2.0,), n_max=70, model="ld")
-    by_eta = {rec.eta: rec for rec in full.records}
+    by_eta = {rec.eta: rec for rec in full}
     infid_small = by_eta[0.05].infidelity_gate
     infid_large = by_eta[0.3].infidelity_gate
     ordering_ok = infid_large > infid_small
     control_worst = max(
-        max(rec.infidelity_gate, rec.infidelity_ghz) for rec in control.records
+        max(rec.infidelity_gate, rec.infidelity_ghz) for rec in control
     )
     control_ok = control_worst < 1e-8 and all(
-        rec.error is None for rec in control.records
+        rec.error is None for rec in control
     )
     ok = ordering_ok and control_ok
     report(

@@ -892,8 +892,8 @@ class TestResonantRoute:
         for model in ("ld", "full"):
             assert truth_table_check(p, motion, model=model).gate_infidelity < 1e-3
             truncation_convergence(p, [8, 12], nbar=0.0, model=model)
-            sweep = lamb_dicke_error_sweep((0.1,), (0.0,), n_max=12, model=model)
-            assert sweep.records[0].error is None
+            (rec,) = lamb_dicke_error_sweep((0.1,), (0.0,), n_max=12, model=model)
+            assert rec.error is None
         # detuning breaks the J_x sectors: the default propagator refuses it,
         # and a propagator from the oracle still goes through
         with pytest.raises(ValueError):
@@ -961,36 +961,35 @@ class TestGhzCheck:
 
 class TestSweep:
     def test_grid_shape_and_validity(self):
-        result = lamb_dicke_error_sweep(
+        records = lamb_dicke_error_sweep(
             (0.1, 0.2), (0.0, 0.5), n_max=12, model="ld"
         )
-        assert result.eta_values == (0.1, 0.2)
-        assert result.nbar_values == (0.0, 0.5)
-        assert len(result.records) == 4
-        for rec in result.records:
+        # one row per point, eta-major
+        assert [(rec.eta, rec.nbar) for rec in records] == [
+            (0.1, 0.0),
+            (0.1, 0.5),
+            (0.2, 0.0),
+            (0.2, 0.5),
+        ]
+        for rec in records:
             assert rec.error is None
             assert 0.0 <= rec.infidelity_gate <= 1 + 1e-9
             assert 0.0 <= rec.infidelity_ghz <= 1 + 1e-9
 
     def test_ld_control_is_exact(self):
-        result = lamb_dicke_error_sweep((0.1,), (0.5,), n_max=40, model="ld")
-        rec = result.records[0]
+        (rec,) = lamb_dicke_error_sweep((0.1,), (0.5,), n_max=40, model="ld")
         assert rec.infidelity_gate < 1e-8
         assert rec.infidelity_ghz < 1e-8
 
     def test_deterministic_records(self):
-        kwargs = dict(n_max=12, model="ld", seed=123)
-        a = lamb_dicke_error_sweep((0.1,), (0.5,), **kwargs)
-        b = lamb_dicke_error_sweep((0.1,), (0.5,), **kwargs)
-        ra = dataclasses.replace(a.records[0], runtime_s=0.0)
-        rb = dataclasses.replace(b.records[0], runtime_s=0.0)
-        assert ra == rb
-        assert a.seed == 123
+        (a,) = lamb_dicke_error_sweep((0.1,), (0.5,), n_max=12, model="ld")
+        (b,) = lamb_dicke_error_sweep((0.1,), (0.5,), n_max=12, model="ld")
+        assert dataclasses.replace(a, runtime_s=0.0) == dataclasses.replace(b, runtime_s=0.0)
 
     def test_solver_failure_recorded_for_every_nbar(self):
         # the closed form misses its 1e-12 residual at eta = 1e9
-        result = lamb_dicke_error_sweep((1e9, 0.1), (0.0, 0.5), n_max=12, model="ld")
-        failed, good = result.records[:2], result.records[2:]
+        records = lamb_dicke_error_sweep((1e9, 0.1), (0.0, 0.5), n_max=12, model="ld")
+        failed, good = records[:2], records[2:]
         assert failed[0].error and failed[0].error == failed[1].error
         for rec in failed:
             assert rec.infidelity_gate is None
@@ -1018,12 +1017,12 @@ class TestSweep:
         monkeypatch.setattr(analysis, "ghz_check", counted_ghz)
         monkeypatch.setattr(analysis, "sector_sum", forbidden, raising=False)
         monkeypatch.setattr(dynamics, "sector_sum", forbidden)
-        result = lamb_dicke_error_sweep(
+        records = lamb_dicke_error_sweep(
             (0.1, 0.2), (0.0, 0.5), n_ions=n_ions, n_max=12, model=model
         )
-        assert len(tables) == len(ghzs) == len(result.records) == 4
+        assert len(tables) == len(ghzs) == len(records) == 4
         monkeypatch.undo()
-        for rec, table, ghz in zip(result.records, tables, ghzs):
+        for rec, table, ghz in zip(records, tables, ghzs):
             assert rec.error is None
             assert rec.infidelity_gate == table.gate_infidelity
             assert rec.infidelity_ghz == 1.0 - ghz.fidelity
@@ -1042,26 +1041,26 @@ class TestSweep:
             return float("nan"), maximum(*args)[1]
 
         monkeypatch.setattr(analysis, "_ghz_maximum", nan_fidelity)
-        result = lamb_dicke_error_sweep((0.1,), (0.0,), n_max=12, model="ld")
-        assert math.isnan(result.records[0].infidelity_ghz)
+        (rec,) = lamb_dicke_error_sweep((0.1,), (0.0,), n_max=12, model="ld")
+        assert math.isnan(rec.infidelity_ghz)
 
     def test_nan_ghz_leakage_is_reported_and_flagged(self, monkeypatch):
         # the GHZ leakage is the second of the two: max() would keep the
-        # truth table's finite one
-        report = analysis._ghz_report
+        # truth table's finite one; the NaN goes in through the binding that
+        # the sweep calls
+        check = analysis.ghz_check
 
-        def nan_leakage(*args):
-            return dataclasses.replace(report(*args), leakage=math.nan)
+        def nan_leakage(*args, **kwargs):
+            return dataclasses.replace(check(*args, **kwargs), leakage=math.nan)
 
-        monkeypatch.setattr(analysis, "_ghz_report", nan_leakage)
-        (rec,) = lamb_dicke_error_sweep((0.1,), (0.0,), n_max=12, model="ld").records
+        monkeypatch.setattr(analysis, "ghz_check", nan_leakage)
+        (rec,) = lamb_dicke_error_sweep((0.1,), (0.0,), n_max=12, model="ld")
         assert math.isnan(rec.leakage)
         assert rec.flags == (analysis.TRUNCATION_FLAG,)
 
     def test_records_carry_provenance(self):
-        result = lamb_dicke_error_sweep((0.1,), (0.0,), n_max=12, n_pad=7, model="ld")
-        rec = result.records[0]
-        assert (result.n_max, result.n_pad, rec.n_max) == (12, 7, 12)
+        (rec,) = lamb_dicke_error_sweep((0.1,), (0.0,), n_max=12, n_pad=7, model="ld")
+        assert rec.n_max == 12
         assert rec.runtime_s >= 0.0
 
 

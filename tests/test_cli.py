@@ -292,6 +292,7 @@ class TestSweepCommand:
         payload = json.loads(json_a.read_text())
         assert sorted(payload) == SCHEMA["sweep"]["top"]
         assert sorted(payload["records"][0]) == SCHEMA["sweep"]["record"]
+        assert payload["grids"] == {"eta": [0.08, 0.1, 0.12], "nbar": [0.0, 0.5]}
         assert set(payload["versions"]) == {"iongate", "numpy", "scipy"}
 
     def test_n_pad_recorded_when_the_first_point_fails(self, tmp_path):
@@ -489,6 +490,15 @@ class TestSweepCommand:
         assert payload["model"]["n_max"] == n_max
         assert payload["model"]["n_pad"] == n_pad
         assert {rec["n_max"] for rec in payload["records"]} == {n_max}
+
+    @pytest.mark.parametrize("flags, seed", [([], 7), (["--seed", "42"], 42)])
+    def test_seed_from_config_and_flag(self, tmp_path, flags, seed):
+        # model.seed is the sweep's provenance, and --seed overrides it
+        out = tmp_path / "sw.json"
+        model = {"n_ions": 2, "n_max": 12, "hamiltonian": "ld", "seed": 7}
+        cfg = write_config(tmp_path, model=model)
+        assert run_cli("sweep", "--config", str(cfg), "--out", str(out), *flags) == 0
+        assert json.loads(out.read_text())["seed"] == seed
 
     @pytest.mark.parametrize(
         "model",
@@ -835,6 +845,21 @@ import iongate.cli
 with contextlib.redirect_stdout(io.StringIO()):
     assert iongate.cli.main(["solve", "--eta", "0.1", "--literal-params"]) == 0
 assert "numpy" not in sys.modules
+""")
+
+    def test_every_public_name_resolves(self):
+        # PAULI is built on first use; every other name is bound by the import
+        run_python("""
+import sys
+import iongate
+assert len(set(iongate.__all__)) == len(iongate.__all__), iongate.__all__
+missing = [name for name in iongate.__all__ if name != "PAULI" and not hasattr(iongate, name)]
+assert not missing, missing
+assert "numpy" not in sys.modules
+namespace = {}
+exec("from iongate import *", namespace)
+assert set(iongate.__all__) <= set(namespace), set(iongate.__all__) - set(namespace)
+assert namespace["PAULI"] is iongate.hilbert.PAULI
 """)
 
     def test_pauli_matrices_on_first_use(self):
