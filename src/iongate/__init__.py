@@ -56,7 +56,6 @@ from .hilbert import (
 )
 from .synthesis import (
     GateSolution,
-    GhzRecipe,
     ghz_recipe,
     ideal_gate_unitary,
     ideal_ghz_state,
@@ -92,7 +91,6 @@ __all__ = [
     "sector_propagators",
     "sector_sum",
     "GateSolution",
-    "GhzRecipe",
     "ghz_recipe",
     "ideal_gate_unitary",
     "ideal_ghz_state",

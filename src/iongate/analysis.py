@@ -502,12 +502,7 @@ class GhzReport:
 
 
 def ghz_check(
-    n_ions: int,
-    eta: float,
-    motion: QuantumState,
-    n_max: int = 40,
-    n_pad: int = 10,
-    model: str = "ld",
+    n_ions: int, eta: float, motion: QuantumState, n_pad: int = 10, model: str = "ld"
 ) -> GhzReport:
     """Run the even/odd GHZ recipe from |g...g> with the given motional input
     and measure the phase-maximized GHZ fidelity and relative phase.
@@ -522,12 +517,17 @@ def ghz_check(
         rho_EE = sum (-1)^(a+b) c_a c_b M_ab,
 
     and the leakage is sum_k c_k times the weight of U_k rho U_k+ above
-    n_max/2, for rho = diag(p). Nothing of size 2^N is built. A `motion` that
-    is not a motional state diagonal in the Fock basis raises.
+    n_max/2, for rho = diag(p). Nothing of size 2^N is built. The Fock
+    cutoff n_max is the motion's; a `motion` that is not a motional state
+    diagonal in the Fock basis raises.
     """
-    recipe = ghz_recipe(n_ions, eta, n_max=n_max, n_pad=n_pad)
-    p = _populations(motion, recipe.params)
-    u = sector_propagators(recipe.params, recipe.params.tau, model)
+    solution, expected = ghz_recipe(n_ions, eta)
+    # refused before its dimension is read as the cutoff
+    if motion.layout != "motion":
+        raise ValueError("motion must be a motional state")
+    params = solution.model_params(n_ions=n_ions, n_max=motion.dim - 1, n_pad=n_pad)
+    p = _populations(motion, params)
+    u = sector_propagators(params, params.tau, model)
     moved, u_conj = u * p, u.conj()
     # tr(U_a rho U_b+) = sum_ij (U_a rho)_ij conj(U_b)_ij, all pairs in one product
     overlaps = moved.reshape(n_ions + 1, -1) @ u_conj.reshape(n_ions + 1, -1).T
@@ -542,16 +542,16 @@ def ghz_check(
         signed @ overlaps @ weights,
     )
     populations = np.einsum("kij,kij->ki", moved, u_conj).real
-    leak = float(weights @ _weight_above(populations, recipe.params.n_max // 2))
+    leak = float(weights @ _weight_above(populations, params.n_max // 2))
     deviation = None
-    if recipe.expected_rel_phase is not None:
+    if expected is not None:
         # wrapped into [0, pi]
-        deviation = abs(float(np.angle(np.exp(1j * (phase - recipe.expected_rel_phase)))))
+        deviation = abs(float(np.angle(np.exp(1j * (phase - expected)))))
     return GhzReport(
         model=model,
         fidelity=fid,
         rel_phase=phase,
-        expected_rel_phase=recipe.expected_rel_phase,
+        expected_rel_phase=expected,
         phase_deviation=deviation,
         leakage=leak,
         flags=_flags(leak),
@@ -611,7 +611,7 @@ def lamb_dicke_error_sweep(
                 )
                 motion = thermal_state(ThermalSpec(nbar=nbar, n_max=n_max))
                 table = truth_table_check(params, motion, model)
-                ghz = ghz_check(n_ions, eta, motion, n_max=n_max, n_pad=n_pad, model=model)
+                ghz = ghz_check(n_ions, eta, motion, n_pad=n_pad, model=model)
                 leak = _worst([table.leakage, ghz.leakage])
                 outcome = dict(
                     infidelity_gate=table.gate_infidelity,
@@ -658,7 +658,8 @@ def truncation_convergence(
     model: str = "ld",
 ) -> tuple[ConvergenceRow, ...]:
     """Gate infidelity and motional-independence metric per Fock cutoff,
-    with successive differences. The cutoff list must be increasing."""
+    with successive differences. The cutoff list must be strictly increasing;
+    each of its cutoffs replaces `params.n_max`, which is never read."""
     n_list = [int(n) for n in n_max_list]
     if not n_list:
         raise ValueError("n_max_list must be nonempty")

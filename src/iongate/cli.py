@@ -331,9 +331,7 @@ def cmd_ghz(args) -> str:
     # no composite check: ghz builds nothing of size 2^N
     _check_cutoffs(None, args.n_max, args.n_pad, _CUTOFF_FLAGS)
     motion = thermal_state(ThermalSpec(nbar=args.nbar, n_max=args.n_max))
-    report = ghz_check(
-        args.n_ions, args.eta, motion, n_max=args.n_max, n_pad=args.n_pad, model=args.model
-    )
+    report = ghz_check(args.n_ions, args.eta, motion, n_pad=args.n_pad, model=args.model)
     payload = {
         "command": "ghz",
         "seed": args.seed,
@@ -367,18 +365,6 @@ def cmd_ghz(args) -> str:
     return _json_bytes(payload)
 
 
-def _scipy_version() -> str | None:
-    """The installed scipy version, read from its package metadata so that
-    scipy itself is never imported; None if it is not installed."""
-    # imported here: only the sweep JSON needs it, and it costs start-up time
-    from importlib import metadata
-
-    try:
-        return metadata.version("scipy")
-    except metadata.PackageNotFoundError:
-        return None
-
-
 def _sweep_json(config: RunConfig, records) -> dict:
     import numpy
 
@@ -395,7 +381,6 @@ def _sweep_json(config: RunConfig, records) -> dict:
         "versions": {
             "iongate": __version__,
             "numpy": numpy.__version__,
-            "scipy": _scipy_version(),
         },
         "records": [{col: getattr(rec, col) for col in SWEEP_CSV_COLUMNS} for rec in records],
     }
@@ -460,7 +445,8 @@ def cmd_convergence(args) -> str:
         n_list = [int(x) for x in args.n_max_list.split(",")]
     except ValueError:
         raise ConfigError(f"bad n_max list {args.n_max_list!r}") from None
-    # the largest cutoff builds the largest matrices
+    # the largest cutoff builds the largest matrices; params takes it only so
+    # that ModelParams has a valid cutoff, which every row replaces
     n_max = max(n_list)
     _check_cutoffs(2, n_max, args.n_pad, {**_CUTOFF_FLAGS, "n_max": "--n-max-list"})
     params = solve_gate_params(args.eta).model_params(

@@ -60,21 +60,6 @@ class GateSolution:
         )
 
 
-@dataclass(frozen=True)
-class GhzRecipe:
-    """Pulse parameters that turn |g...g> into an N-ion GHZ state at t=tau.
-
-    expected_rel_phase carries the even-N relative phase phi_e - phi_g that
-    the even recipe's twist exp[+i pi/8 J_x^2] produces on |g...g>, namely
-    -(pi/2 + N pi/2) wrapped into (-pi, pi]: +pi/2 for N = 2 mod 4 and
-    -pi/2 for N = 0 mod 4. The CLI reports the comparison of the measured
-    phase against it. For odd N no phase is asserted and the field is None.
-    """
-
-    params: ModelParams
-    expected_rel_phase: float | None
-
-
 def _require_eta(eta: float) -> None:
     if not (math.isfinite(eta) and eta > 0):
         raise ValueError(f"eta must be finite and > 0, got {eta}")
@@ -205,26 +190,26 @@ def ideal_gate_unitary(n_ions: int = 2) -> OperatorMatrix:
     return OperatorMatrix(u, "internal")
 
 
-def ghz_recipe(n_ions: int, eta: float, n_max: int = 40, n_pad: int = 10) -> GhzRecipe:
-    """Pulse parameters generating an N-ion GHZ state from |g...g> at t=tau.
+def ghz_recipe(n_ions: int, eta: float) -> tuple[GateSolution, float | None]:
+    """The pulse generating an N-ion GHZ state from |g...g> at t=tau, and the
+    relative phase phi_e - phi_g it should produce.
 
     Even N: pure twisting, the solved pulse of (C, -D) = (pi/8, 0): theta = 0,
-    Omega/omega_a = 1/(4 eta) and U(tau) = exp[i pi/8 J_x^2]. Odd N: the gate
-    pulse, U(tau) = exp[i pi/8 (J_x^2 + 2 J_x)]. Both are residual-checked and
-    share the coupling lambda/omega_a = 1/4 exactly.
+    Omega/omega_a = 1/(4 eta) and U(tau) = exp[i pi/8 J_x^2], whose phase on
+    |g...g> is -(pi/2 + N pi/2) wrapped into (-pi, pi]: +pi/2 for N = 2 mod 4
+    and -pi/2 for N = 0 mod 4. Odd N: the gate pulse,
+    U(tau) = exp[i pi/8 (J_x^2 + 2 J_x)], and no phase is asserted (None).
+    Both are residual-checked and share the coupling lambda/omega_a = 1/4
+    exactly.
     """
     # checked before the even recipe divides by eta
     _require_eta(eta)
     if n_ions < 2:
         raise ValueError(f"n_ions must be >= 2, got {n_ions}")
     if n_ions % 2:
-        solution, expected = solve_gate_params(eta), None
-    else:
-        solution = _solved(eta, GATE_C, 0.0)
-        # -(pi/2 + N pi/2) mod 2 pi, the phase of exp[+i pi/8 J_x^2] |g...g>
-        expected = math.pi / 2.0 if n_ions % 4 == 2 else -math.pi / 2.0
-    params = solution.model_params(n_ions=n_ions, n_max=n_max, n_pad=n_pad)
-    return GhzRecipe(params=params, expected_rel_phase=expected)
+        return solve_gate_params(eta), None
+    phase = math.pi / 2.0 if n_ions % 4 == 2 else -math.pi / 2.0
+    return _solved(eta, GATE_C, 0.0), phase
 
 
 def ideal_ghz_state(n_ions: int, phi_g: float, phi_e: float) -> QuantumState:

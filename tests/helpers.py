@@ -84,12 +84,13 @@ def random_pure(rng: np.random.Generator, dim: int) -> QuantumState:
 
 
 def dense_ghz(
-    n_ions: int, eta: float, motion: QuantumState, n_max: int, model: str = "ld"
+    n_ions: int, eta: float, motion: QuantumState, model: str = "ld"
 ) -> tuple[float, float, float]:
     """(fidelity, relative phase, leakage) of the GHZ recipe by dense
-    evolution of |g...g> x motion on the whole 2^N (n_max+1) space: the
-    reference for the J_x-sector route of `ghz_check`."""
-    params = ghz_recipe(n_ions, eta, n_max=n_max).params
+    evolution of |g...g> x motion on the whole 2^N (n_max+1) space, n_max the
+    motion's cutoff: the reference for the J_x-sector route of `ghz_check`."""
+    solution, _ = ghz_recipe(n_ions, eta)
+    params = solution.model_params(n_ions=n_ions, n_max=motion.dim - 1, n_pad=10)
     h = hamiltonian_ld(params) if model == "ld" else hamiltonian_full(params)
     u = expm_propagator(h, params.tau)
     ground = internal_product_state("g" * n_ions)

@@ -224,7 +224,7 @@ def test_criterion_6_ghz_generation(capsys):
     expected_fail = []
     measured = []
     for n_ions in (2, 3, 4, 5):
-        rep = ghz_check(n_ions, 0.1, fock_state(0, 30), n_max=30)
+        rep = ghz_check(n_ions, 0.1, fock_state(0, 30))
         measured.append((n_ions, rep.fidelity, rep.rel_phase, rep.expected_rel_phase))
         if rep.fidelity < 1 - 1e-8:
             fidelity_fail.append(n_ions)

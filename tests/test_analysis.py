@@ -823,7 +823,7 @@ class TestMotionAsPopulations:
         for check in (
             lambda: truth_table_check(p, motion, "ld"),
             lambda: truth_table_check(p, motion, "ld", u=u),
-            lambda: ghz_check(3, 0.1, motion, n_max=n_max),
+            lambda: ghz_check(3, 0.1, motion),
         ):
             with pytest.raises(ValueError) as exc:
                 check()
@@ -869,7 +869,7 @@ class TestMotionAsPopulations:
         truth_table_check(p, motion, model)
         assert shapes == build(n_max)
         del shapes[:]
-        ghz_check(3, 0.1, motion, n_max=n_max, n_pad=p.n_pad, model=model)
+        ghz_check(3, 0.1, motion, n_pad=p.n_pad, model=model)
         assert shapes == build(n_max)
         del shapes[:]
         truncation_convergence(p, [8, n_max], nbar=0.0, model=model)
@@ -904,13 +904,13 @@ class TestResonantRoute:
 
 class TestGhzCheck:
     def test_odd_recipe_vacuum(self):
-        report = ghz_check(3, 0.1, fock_state(0, 16), n_max=16)
+        report = ghz_check(3, 0.1, fock_state(0, 16))
         assert report.fidelity > 1 - 1e-9
         assert np.isclose(report.rel_phase, -np.pi / 2, atol=1e-8)
         assert report.expected_rel_phase is None
 
     def test_even_recipe_vacuum_measured_phase(self):
-        report = ghz_check(2, 0.1, fock_state(0, 16), n_max=16)
+        report = ghz_check(2, 0.1, fock_state(0, 16))
         assert report.fidelity > 1 - 1e-9
         assert np.isclose(report.rel_phase, np.pi / 2, atol=1e-8)
         # the recipe's expectation -(pi/2 + 2 pi/2) mod 2pi is +pi/2
@@ -918,15 +918,14 @@ class TestGhzCheck:
         assert np.isclose(report.phase_deviation, 0.0, atol=1e-8)
 
     def test_thermal_input(self):
-        report = ghz_check(2, 0.1, quiet_thermal(0.5, 30), n_max=30)
+        report = ghz_check(2, 0.1, quiet_thermal(0.5, 30))
         assert report.fidelity > 1 - 1e-8
 
     def test_motional_input_guards(self):
+        # |gg> has the dimension of a Fock space at n_max = 3, but no motion:
+        # it is refused before its dimension is read as the cutoff
         with pytest.raises(ValueError, match="motional state"):
-            ghz_check(2, 0.1, fock_state(0, 30), n_max=20)
-        # |gg> has the dimension of a Fock space at n_max = 3, but no motion
-        with pytest.raises(ValueError, match="motional state"):
-            ghz_check(2, 0.1, internal_product_state("gg"), n_max=3)
+            ghz_check(2, 0.1, internal_product_state("gg"))
 
     @pytest.mark.parametrize(
         "n_ions, model, motion",
@@ -952,8 +951,8 @@ class TestGhzCheck:
         ],
     )
     def test_matches_dense_evolution(self, n_ions, model, motion):
-        report = ghz_check(n_ions, 0.1, motion, n_max=16, model=model)
-        fid, phase, leak = dense_ghz(n_ions, 0.1, motion, 16, model)
+        report = ghz_check(n_ions, 0.1, motion, model=model)
+        fid, phase, leak = dense_ghz(n_ions, 0.1, motion, model)
         assert abs(report.fidelity - fid) < 1e-12
         assert abs(np.angle(np.exp(1j * (report.rel_phase - phase)))) < 1e-12
         assert abs(report.leakage - leak) < 1e-12
@@ -1031,7 +1030,7 @@ class TestSweep:
             motion = thermal_state(ThermalSpec(nbar=rec.nbar, n_max=12))
             params = gate_params(rec.eta, 12, n_ions=n_ions)
             assert table == truth_table_check(params, motion, model=model)
-            assert ghz == ghz_check(n_ions, rec.eta, motion, n_max=12, model=model)
+            assert ghz == ghz_check(n_ions, rec.eta, motion, model=model)
 
     def test_nan_ghz_fidelity_is_not_a_perfect_gate(self, monkeypatch):
         # the NaN goes in where ghz_check takes the phase-maximized fidelity
@@ -1123,3 +1122,41 @@ class TestTruncationConvergence:
             truncation_convergence(p, [30, 20], nbar=2.0)
         with pytest.raises(ValueError):
             truncation_convergence(p, [20, 20], nbar=2.0)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        pytest.param(
+            lambda: partial_trace(
+                composite_pure(internal_product_state("g"), fock_state(0, 2)), "ions"
+            ),
+            "keep must be 'internal' or 'motion', got 'ions'",
+            id="partial-trace-keep",
+        ),
+        pytest.param(
+            lambda: motional_independence_metric(OperatorMatrix(np.eye(2), "internal"), 0),
+            "metric requires a composite operator with dims",
+            id="metric-not-composite",
+        ),
+        pytest.param(
+            lambda: leakage_population(internal_product_state("g")),
+            "leakage requires a composite or motional state",
+            id="leakage-internal",
+        ),
+        pytest.param(
+            lambda: lamb_dicke_error_sweep((), (0.0,), n_max=8),
+            "sweep grids must be nonempty",
+            id="sweep-empty-grid",
+        ),
+        pytest.param(
+            lambda: truncation_convergence(gate_params(0.1, 8), []),
+            "n_max_list must be nonempty",
+            id="convergence-empty-list",
+        ),
+    ],
+)
+def test_refuses_outside_input(call, message):
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert str(exc.value) == message

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from iongate import analysis, cli, dynamics, synthesis
+from iongate import ThermalSpec, analysis, cli, dynamics, synthesis, thermal_state
 from iongate.cli import ConfigError, load_run_config, main
 
 SCHEMA = json.loads(
@@ -165,6 +165,23 @@ class TestGhzCommand:
         assert payload["fidelity"] > 1 - 1e-9
         assert payload["expected_rel_phase"] is None
 
+    @pytest.mark.filterwarnings("ignore:thermal tail weight")
+    def test_n_max_is_the_cutoff_of_the_motion(self, tmp_path):
+        # ghz_check reads the cutoff from the thermal motion --n-max builds;
+        # at nbar = 2 the leakage above n_max/2 depends on it
+        leakages = []
+        for n_max in (8, 16):
+            out = tmp_path / f"ghz{n_max}.json"
+            argv = ("ghz", "--n-ions", "3", "--eta", "0.1", "--nbar", "2")
+            assert run_cli(*argv, "--n-max", str(n_max), "--out", str(out)) == 0
+            motion = thermal_state(ThermalSpec(nbar=2.0, n_max=n_max))
+            report = analysis.ghz_check(3, 0.1, motion)
+            payload = json.loads(out.read_text())
+            assert payload["leakage"] == report.leakage
+            assert payload["fidelity"] == report.fidelity
+            leakages.append(report.leakage)
+        assert leakages[0] != leakages[1]
+
     def test_ion_count_guard(self, capsys):
         assert run_cli("ghz", "--n-ions", "7") == 2
         assert "guard" in capsys.readouterr().err
@@ -293,7 +310,7 @@ class TestSweepCommand:
         assert sorted(payload) == SCHEMA["sweep"]["top"]
         assert sorted(payload["records"][0]) == SCHEMA["sweep"]["record"]
         assert payload["grids"] == {"eta": [0.08, 0.1, 0.12], "nbar": [0.0, 0.5]}
-        assert set(payload["versions"]) == {"iongate", "numpy", "scipy"}
+        assert set(payload["versions"]) == {"iongate", "numpy"}
 
     def test_n_pad_recorded_when_the_first_point_fails(self, tmp_path):
         out = tmp_path / "sw.json"
@@ -890,11 +907,11 @@ class TestEntryPoint:
 
     def test_runs_without_importing_scipy(self, tmp_path):
         # scipy is a test dependency only: neither the import nor any command
-        # may load it, and the sweep JSON reads its version from the metadata
+        # may load it, nor importlib.metadata, which would only read its version
         out = tmp_path / "sweep.json"
         cfg = write_config(tmp_path)
         script = f"""
-import importlib.metadata, json, sys
+import json, sys
 import iongate.cli
 assert "scipy" not in sys.modules, "import iongate.cli loaded scipy"
 for argv in (
@@ -906,8 +923,8 @@ for argv in (
 ):
     assert iongate.cli.main(argv) == 0, argv
     assert "scipy" not in sys.modules, argv
-versions = json.load(open({str(out)!r}))["versions"]
-assert versions["scipy"] == importlib.metadata.version("scipy"), versions
+    assert "importlib.metadata" not in sys.modules, argv
+assert set(json.load(open({str(out)!r}))["versions"]) == {{"iongate", "numpy"}}
 """
         proc = subprocess.run(
             [sys.executable, "-c", script], capture_output=True, text=True, timeout=120
@@ -922,3 +939,30 @@ assert versions["scipy"] == importlib.metadata.version("scipy"), versions
             timeout=120,
         )
         assert proc.returncode == 2
+
+
+GRIDS = {"eta": [0.1], "nbar": [0.0]}
+
+
+@pytest.mark.parametrize(
+    "raw, message",
+    [
+        pytest.param([GRIDS], "config root must be a JSON object", id="root"),
+        pytest.param(
+            {"model": {}, "grids": [0.1], "output": {}},
+            "grids section must be a JSON object",
+            id="section",
+        ),
+        pytest.param(
+            {"model": {"hamiltonian": "exact"}, "grids": GRIDS, "output": {}},
+            "hamiltonian must be 'full' or 'ld', got 'exact'",
+            id="hamiltonian",
+        ),
+    ],
+)
+def test_load_run_config_refuses_outside_input(tmp_path, raw, message):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(raw))
+    with pytest.raises(ConfigError) as exc:
+        load_run_config(str(path))
+    assert str(exc.value) == message

@@ -476,3 +476,100 @@ class TestStates:
         v = rng.normal(size=6) + 1j * rng.normal(size=6)
         state = QuantumState("pure", v / np.linalg.norm(v), "motion")
         assert abs(np.linalg.norm(state.data) - 1.0) < 1e-12
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        pytest.param(
+            lambda: OperatorMatrix(np.zeros((2, 3)), "internal"),
+            "operator must be square, got shape (2, 3)",
+            id="operator-not-square",
+        ),
+        pytest.param(
+            lambda: OperatorMatrix(np.eye(4), "composite"),
+            "composite operators must declare dims",
+            id="operator-composite-no-dims",
+        ),
+        pytest.param(
+            lambda: OperatorMatrix(np.eye(4), "composite", dims=(2, 3)),
+            "dims (2, 3) inconsistent with matrix dim 4",
+            id="operator-dims-inconsistent",
+        ),
+        pytest.param(
+            lambda: QuantumState("pure", np.eye(2), "internal"),
+            "pure state data must be a vector",
+            id="pure-not-vector",
+        ),
+        pytest.param(
+            lambda: QuantumState("mixed", np.array([1.0, 0.0]), "internal"),
+            "mixed state data must be a square matrix",
+            id="mixed-not-square",
+        ),
+        pytest.param(
+            lambda: QuantumState("mixed", np.eye(2), "internal"),
+            "density matrix trace 2.0 deviates from 1",
+            id="mixed-trace",
+        ),
+        pytest.param(
+            lambda: QuantumState("pure", np.eye(4)[0], "composite"),
+            "composite states must declare dims",
+            id="state-composite-no-dims",
+        ),
+        pytest.param(
+            lambda: QuantumState("pure", np.eye(4)[0], "composite", dims=(2, 3)),
+            "dims (2, 3) inconsistent with state dim 4",
+            id="state-dims-inconsistent",
+        ),
+        pytest.param(
+            lambda: ThermalSpec(nbar=0.5, n_max=0),
+            "n_max must be >= 1, got 0",
+            id="thermal-n-max",
+        ),
+        pytest.param(
+            lambda: collective_spin(0, "x"),
+            "n_ions must be >= 1, got 0",
+            id="spin-n-ions",
+        ),
+        pytest.param(
+            lambda: collective_spin(2, "w"),
+            "axis must be one of x, y, z, got 'w'",
+            id="spin-axis",
+        ),
+        pytest.param(
+            lambda: embed(
+                OperatorMatrix(np.eye(3), "motion"), OperatorMatrix(np.eye(3), "motion")
+            ),
+            "first factor must be internal, got motion",
+            id="embed-first",
+        ),
+        pytest.param(
+            lambda: embed(
+                OperatorMatrix(np.eye(2), "internal"), OperatorMatrix(np.eye(2), "internal")
+            ),
+            "second factor must be motion, got internal",
+            id="embed-second",
+        ),
+        pytest.param(
+            lambda: internal_product_state("gx"),
+            "unknown ion state symbol 'x'",
+            id="unknown-symbol",
+        ),
+        pytest.param(
+            lambda: internal_product_state(""),
+            "need at least one ion symbol",
+            id="no-symbol",
+        ),
+        pytest.param(
+            lambda: composite_pure(
+                internal_product_state("g"), QuantumState("mixed", np.eye(3) / 3, "motion")
+            ),
+            "composite_pure requires two pure states",
+            id="composite-pure-of-mixed",
+        ),
+    ],
+)
+def test_refuses_outside_input(call, message):
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert str(exc.value) == message

@@ -305,20 +305,20 @@ class TestGhzRecipe:
     def test_even_recipe_parameters(self):
         # the solved pulse of (pi/8, 0) has r = sqrt(1/16) / eta, which keeps
         # the bits of 1 / (4 eta) at every eta the benchmark draws
-        assert ghz_recipe(2, 0.1, n_max=12).params.omega_ratio == 2.5
+        assert ghz_recipe(2, 0.1)[0].omega_ratio == 2.5
         for eta in perfbench_workloads().GHZ_ETAS:
             for n_ions in (2, 4):
-                params = ghz_recipe(n_ions, eta, n_max=12).params
-                assert params.omega_ratio == 1.0 / (4.0 * eta)
-                assert params.theta == 0.0
+                solution, _ = ghz_recipe(n_ions, eta)
+                assert solution.omega_ratio == 1.0 / (4.0 * eta)
+                assert solution.theta == 0.0
 
     def test_even_documented_phase(self):
         # the twist exp[+i pi/8 Jx^2] gives -(pi/2 + N pi/2) mod 2pi,
         # stored wrapped into (-pi, pi]
-        rec = ghz_recipe(2, 0.1, n_max=12)
-        assert np.isclose(rec.expected_rel_phase, np.pi / 2, atol=1e-12)
-        rec4 = ghz_recipe(4, 0.1, n_max=12)
-        assert np.isclose(rec4.expected_rel_phase, -np.pi / 2, atol=1e-12)
+        _, phase = ghz_recipe(2, 0.1)
+        assert np.isclose(phase, np.pi / 2, atol=1e-12)
+        _, phase4 = ghz_recipe(4, 0.1)
+        assert np.isclose(phase4, -np.pi / 2, atol=1e-12)
 
     @pytest.mark.parametrize("n_ions", [2, 4, 6, 8])
     def test_even_phase_is_the_ideal_twist_phase(self, n_ions):
@@ -330,13 +330,14 @@ class TestGhzRecipe:
         out = twist @ internal_product_state("g" * n_ions).data
         assert abs(abs(out[0]) ** 2 + abs(out[-1]) ** 2 - 1.0) < 1e-12
         rel = np.angle(out[-1] / out[0])
-        expected = ghz_recipe(n_ions, 0.1, n_max=4).expected_rel_phase
+        _, expected = ghz_recipe(n_ions, 0.1)
         assert abs(np.angle(np.exp(1j * (rel - expected)))) < 1e-12
 
     def test_odd_recipe_delegates_to_solver(self):
-        rec = ghz_recipe(3, 0.1, n_max=12)
-        assert np.isclose(rec.params.theta, -0.049959, atol=1e-6)
-        assert rec.expected_rel_phase is None
+        solution, phase = ghz_recipe(3, 0.1)
+        assert solution == solve_gate_params(0.1)
+        assert np.isclose(solution.theta, -0.049959, atol=1e-6)
+        assert phase is None
 
     def test_rejects_single_ion(self):
         with pytest.raises(ValueError):
@@ -369,8 +370,9 @@ class TestGhzRecipe:
         # full pipeline check at N=2: evolve |gg> x |0> under H_LD for one
         # period with the even recipe and read the relative phase off the
         # reduced internal state
-        rec = ghz_recipe(2, 0.1, n_max=16)
-        u = expm_propagator(hamiltonian_ld(rec.params), rec.params.tau)
+        solution, _ = ghz_recipe(2, 0.1)
+        params = solution.model_params(n_ions=2, n_max=16, n_pad=10)
+        u = expm_propagator(hamiltonian_ld(params), params.tau)
         from iongate import composite_pure
 
         psi = composite_pure(internal_product_state("gg"), fock_state(0, 16))
@@ -397,3 +399,16 @@ class TestIdealGhzState:
         other[0], other[3] = 1 / np.sqrt(2), -1 / np.sqrt(2)
         overlap = abs(np.vdot(other, s.data))
         assert np.isclose(overlap, abs(np.sin((phi_e - phi_g) / 2)), atol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(lambda: ideal_ghz_state(1, 0.0, 0.0), id="ideal-ghz-state"),
+        pytest.param(lambda: ghz_recipe(1, 0.1), id="ghz-recipe"),
+    ],
+)
+def test_refuses_a_single_ion_ghz(call):
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert str(exc.value) == "n_ions must be >= 2, got 1"
