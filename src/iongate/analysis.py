@@ -64,7 +64,7 @@ import gc
 import math
 import os
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from ._numpy import np
 from .dynamics import _require_model, sector_propagators
@@ -79,7 +79,7 @@ from .hilbert import (
     _sector_projectors,
     thermal_state,
 )
-from .synthesis import ghz_recipe, solve_gate_params
+from .synthesis import GateSolution, ghz_recipe, solve_gate_params
 
 #: leakage above this level marks a result as truncation-unreliable
 LEAKAGE_THRESHOLD = 1e-6
@@ -652,14 +652,16 @@ class ConvergenceRow:
 
 
 def truncation_convergence(
-    params: ModelParams,
+    solution: GateSolution,
     n_max_list,
     nbar: float = 2.0,
+    n_ions: int = 2,
+    n_pad: int = 10,
     model: str = "ld",
 ) -> tuple[ConvergenceRow, ...]:
-    """Gate infidelity and motional-independence metric per Fock cutoff,
-    with successive differences. The cutoff list must be strictly increasing;
-    each of its cutoffs replaces `params.n_max`, which is never read."""
+    """Gate infidelity and motional-independence metric of the pulse
+    `solution` per Fock cutoff, with successive differences. The cutoff list
+    must be strictly increasing."""
     n_list = [int(n) for n in n_max_list]
     if not n_list:
         raise ValueError("n_max_list must be nonempty")
@@ -667,7 +669,7 @@ def truncation_convergence(
         raise ValueError(f"n_max_list must be strictly increasing, got {n_list}")
     rows: list[ConvergenceRow] = []
     for n in n_list:
-        point = replace(params, n_max=n)
+        point = solution.model_params(n_ions=n_ions, n_max=n, n_pad=n_pad)
         motion = thermal_state(ThermalSpec(nbar=nbar, n_max=n))
         # one build of the sector blocks serves the table and the metric
         blocks = sector_propagators(point, point.tau, model)

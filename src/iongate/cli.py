@@ -82,11 +82,6 @@ def _require_keys(section: dict, allowed: set[str], where: str) -> None:
 _MINIMA = {"n_ions": 2, "n_max": 1, "n_pad": 0}
 
 
-def _check_minimum(name: str, key: str, value: int) -> None:
-    if value < _MINIMA[key]:
-        raise ConfigError(f"{name} must be >= {_MINIMA[key]}, got {value}")
-
-
 #: the largest side of a square complex array (16 bytes per entry) whose size
 #: in bytes numpy can index (np.intp, as wide as sys.maxsize); past it, numpy
 #: raises ValueError before allocating
@@ -114,6 +109,17 @@ def _check_cutoffs(
             "operator of side n_max + n_pad + 1, past numpy's array size limit "
             f"{_MAX_SIDE}"
         )
+
+
+def _check_settings(config: RunConfig, flags: dict[str, str]) -> None:
+    """Reject integer model settings below `_MINIMA`, then cutoffs numpy cannot
+    index; each setting is named by the flag in `flags` that set it, else by key."""
+    names = {key: flags.get(key, f"model.{key}") for key in _MINIMA}
+    for key, floor in _MINIMA.items():
+        value = getattr(config, key)
+        if value < floor:
+            raise ConfigError(f"{names[key]} must be >= {floor}, got {value}")
+    _check_cutoffs(config.n_ions, config.n_max, config.n_pad, names)
 
 
 def _is_int(value) -> bool:
@@ -167,11 +173,8 @@ def load_run_config(path: str) -> RunConfig:
     if not all(math.isfinite(x) and x >= 0 for x in nbar_grid):
         raise ConfigError("nbar grid values must be finite and >= 0")
     for key in _MINIMA:
-        if key not in model:
-            continue
-        if not _is_int(model[key]):
+        if key in model and not _is_int(model[key]):
             raise ConfigError(f"model.{key} must be an integer, got {model[key]!r}")
-        _check_minimum(f"model.{key}", key, model[key])
     seed = model.get("seed")
     if seed is not None and not _is_int(seed):
         raise ConfigError(f"model.seed must be an integer or null, got {seed!r}")
@@ -189,9 +192,7 @@ def load_run_config(path: str) -> RunConfig:
         **model,
         **{f"{key}_path": path for key, path in output.items()},
     )
-    _check_cutoffs(
-        config.n_ions, config.n_max, config.n_pad, {key: f"model.{key}" for key in _MINIMA}
-    )
+    _check_settings(config, {})
     return config
 
 
@@ -278,7 +279,7 @@ def cmd_solve(args) -> str:
 
 
 #: the names in a cutoff error of the gate check and convergence, which run
-#: at two ions, of ghz, and of the sweep's flags
+#: at two ions, and of ghz; and the sweep's flags that override its config
 _CUTOFF_FLAGS = {"n_ions": "n_ions", "n_max": "--n-max", "n_pad": "--n-pad"}
 
 
@@ -387,19 +388,13 @@ def _sweep_json(config: RunConfig, records) -> dict:
 
 
 def cmd_sweep(args) -> int:
-    config = load_run_config(args.config)
-    cutoffs = {"n_max": args.n_max, "n_pad": args.n_pad}
-    overrides = {key: value for key, value in cutoffs.items() if value is not None}
-    names = {key: f"model.{key}" for key in _MINIMA}
-    # the flags override the config file, so they take its range checks too
-    for key, value in overrides.items():
-        _check_minimum(_CUTOFF_FLAGS[key], key, value)
-        names[key] = _CUTOFF_FLAGS[key]
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    # the one effective configuration: the sweep, its JSON and its text read it
-    config = replace(config, **overrides)
-    _check_cutoffs(config.n_ions, config.n_max, config.n_pad, names)
+    given = {"n_max": args.n_max, "n_pad": args.n_pad, "seed": args.seed}
+    overrides = {key: value for key, value in given.items() if value is not None}
+    flags = {key: flag for key, flag in _CUTOFF_FLAGS.items() if key in overrides}
+    # the one effective configuration, the config file with the flags given:
+    # the sweep, its JSON and its text read it, and it takes the file's checks
+    config = replace(load_run_config(args.config), **overrides)
+    _check_settings(config, flags)
     # the format of each output path; a path named twice takes the last one
     formats = {config.csv_path: "csv", config.json_path: "json", args.out: args.format}
     # opened before the sweep runs, so that a path that cannot be written
@@ -445,14 +440,11 @@ def cmd_convergence(args) -> str:
         n_list = [int(x) for x in args.n_max_list.split(",")]
     except ValueError:
         raise ConfigError(f"bad n_max list {args.n_max_list!r}") from None
-    # the largest cutoff builds the largest matrices; params takes it only so
-    # that ModelParams has a valid cutoff, which every row replaces
-    n_max = max(n_list)
-    _check_cutoffs(2, n_max, args.n_pad, {**_CUTOFF_FLAGS, "n_max": "--n-max-list"})
-    params = solve_gate_params(args.eta).model_params(
-        n_ions=2, n_max=n_max, n_pad=args.n_pad
+    # the largest cutoff builds the largest matrices
+    _check_cutoffs(2, max(n_list), args.n_pad, {**_CUTOFF_FLAGS, "n_max": "--n-max-list"})
+    rows = truncation_convergence(
+        solve_gate_params(args.eta), n_list, nbar=args.nbar, n_pad=args.n_pad, model=args.model
     )
-    rows = truncation_convergence(params, n_list, nbar=args.nbar, model=args.model)
     payload = {
         "command": "convergence",
         "seed": args.seed,

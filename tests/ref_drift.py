@@ -13,27 +13,37 @@ that path. It compares each output with `perfbench/refs.json` and prints, per
 command and field, the worst |value - reference| (angles modulo 2 pi) and that
 drift as a share of `REF_TOL`, then the number of jobs with any value above
 `REF_TOL/2` and outside `REF_TOL`, so that every change shows how close the
-pinned noise runs to the tolerance. Last it prints one SHA-256 over the names
-and bytes of every file the jobs wrote, so that two checkouts whose outputs
-are byte-identical print the same digest, and one SHA-256 per command over the
-files of its jobs, so that a change which moves one command's outputs can show
-that the others' are byte-identical. The reference plan has no `solve` job;
-the `solve` digest covers one run of `cli-short`'s solve job per eta of
-`CLI_ETAS`, with and without `--literal-params`, which are checked by their
-own closed-form checks and kept out of the overall digest. The reference
-plan's full-size GHZ jobs are odd N, so the even-N recipe gets a digest of its
-own, also kept out of the overall one: the `ghz` job (`workloads.ghz_job`,
-full model, n_max 40) for N = 2 and 4 at every eta of `GHZ_ETAS` and nbar of
-`GHZ_NBARS`. It has no reference; it shows that a change leaves the even
-recipe's outputs byte-identical. Then it prints the worst restricted distance
-of `closed_form_propagator(...).product` from the dense oracle over the
-full-size `crosscheck` cases of the seeds in `CROSSCHECK_SEEDS` (first
-repetition), the comparison the `crosscheck` workload makes: no CLI output
-reads the closed form, so the digests cannot show a change to it. It exits 1
-if a job is outside `REF_TOL`, a solve job fails its checks, an even-N GHZ job
-exits nonzero or the closed form is farther than `CROSSCHECK_TOL` from the
-oracle. `perfbench/` is read, never written. The file name does not match
-pytest's `test_*.py`, so the suite does not collect it.
+pinned noise runs to the tolerance. It records the sector blocks of every
+truth table of those jobs (`analysis._sector_table`) and prints, per command,
+the worst distance of the truth table's composite fidelities and of the gate
+infidelity derived from them (gate-check `composite_fidelities` and
+`gate_infidelity`, convergence `gate_infidelity`, sweep `infidelity_gate`)
+from their exact values, (sum of the singular values of Z_k)^2 from the same
+blocks (`analysis._evolution`, `analysis._trace_norm_squared`): the distance
+that a tolerance of the pinned fields must admit once the (n_max+1)-sized
+values replace the pinned d-sized spectra. These distances are printed only:
+they move neither the exit status nor a digest. Last it prints one SHA-256
+over the names and bytes of every file the jobs wrote, so that two checkouts
+whose outputs are byte-identical print the same digest, and one SHA-256 per
+command over the files of its jobs, so that a change which moves one command's
+outputs can show that the others' are byte-identical. The reference plan has
+no `solve` job; the `solve` digest covers one run of `cli-short`'s solve job
+per eta of `CLI_ETAS`, with and without `--literal-params`, which are checked
+by their own closed-form checks and kept out of the overall digest. The
+reference plan's full-size GHZ jobs are odd N, so the even-N recipe gets a
+digest of its own, also kept out of the overall one: the `ghz` job
+(`workloads.ghz_job`, full model, n_max 40) for N = 2 and 4 at every eta of
+`GHZ_ETAS` and nbar of `GHZ_NBARS`. It has no reference; it shows that a
+change leaves the even recipe's outputs byte-identical. Then it prints the
+worst restricted distance of `closed_form_propagator(...).product` from the
+dense oracle over the full-size `crosscheck` cases of the seeds in
+`CROSSCHECK_SEEDS` (first repetition), the comparison the `crosscheck`
+workload makes: no CLI output reads the closed form, so the digests cannot
+show a change to it. It exits 1 if a job is outside `REF_TOL`, a solve job
+fails its checks, an even-N GHZ job exits nonzero or the closed form is
+farther than `CROSSCHECK_TOL` from the oracle. `perfbench/` is read, never
+written. The file name does not match pytest's `test_*.py`, so the suite does
+not collect it.
 """
 
 import os
@@ -58,13 +68,21 @@ import warnings  # noqa: E402
 
 import crosscheck  # noqa: E402
 import iongate.cli  # noqa: E402
+import numpy as np  # noqa: E402
 import workloads  # noqa: E402
-from iongate import ModelParams, dynamics  # noqa: E402
+from iongate import ModelParams, analysis, dynamics  # noqa: E402
 
 #: the benchmark seeds whose full-size crosscheck cases are compared
 CROSSCHECK_SEEDS = (0, 1, 2, 3, 4, 5)
 #: the ion numbers of the even-N GHZ digest
 EVEN_GHZ_N_IONS = (2, 4)
+#: the output field of each command that holds the truth table's gate
+#: infidelity; only gate-check writes the composite fidelities themselves
+GATE_FIELDS = {
+    "gate-check": "gate_infidelity",
+    "convergence": "gate_infidelity",
+    "sweep": "infidelity_gate",
+}
 
 
 def drifts(actual, ref, field: str, worst: dict) -> None:
@@ -83,6 +101,23 @@ def drifts(actual, ref, field: str, worst: dict) -> None:
         if field in workloads.PHASE_KEYS:
             diff = math.remainder(diff, 2.0 * math.pi)
         worst[field] = max(worst.get(field, 0.0), abs(diff))
+
+
+def exact_drifts(tables: list, command: str, worst: dict) -> None:
+    """Record in ``worst`` the largest distance of each recorded truth
+    table's composite fidelities, and of the gate infidelity derived from
+    them, from the exact values of the same sector blocks."""
+    for report, n_ions, blocks, p in tables:
+        sqrt_p = np.sqrt(p)
+        per_sector = [
+            analysis._trace_norm_squared(analysis._evolution(block, np.ones(1), sqrt_p)[-1])
+            for block in blocks
+        ]
+        exact = [analysis._unit(per_sector[k]) for k in analysis._pm_products(n_ions)[2]]
+        composite = np.abs(np.subtract(report.composite_fidelities, exact)).max()
+        gate = abs(report.gate_infidelity - analysis._infidelity(float(np.mean(exact))))
+        for field, diff in (("composite_fidelities", composite), (GATE_FIELDS[command], gate)):
+            worst[command, field] = max(worst.get((command, field), 0.0), float(diff))
 
 
 def files(root: Path) -> set[Path]:
@@ -136,13 +171,25 @@ def main() -> int:
         return fork()
 
     fork, os.fork = os.fork, counted_fork
+    exact_worst: dict[tuple[str, str], float] = {}
+    tables = []
+
+    def recorded_table(params, blocks, p, model):
+        report = sector_table(params, blocks, p, model)
+        tables.append((report, params.n_ions, blocks, p))
+        return report
+
+    sector_table, analysis._sector_table = analysis._sector_table, recorded_table
     with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
         warnings.simplefilter("ignore")
         root = Path(tmp)
         for name, size in (("full", workloads.FULL), ("smoke", workloads.SMOKE)):
             for job in workloads.reference_plan(size, root / name):
                 command_digest = per_command.setdefault(job.name, hashlib.sha256())
+                del tables[:]
                 rc = run(job, root, [digest, command_digest])
+                if job.name in GATE_FIELDS:
+                    exact_drifts(tables, job.name, exact_worst)
                 jobs += 1
                 errors = workloads.check_job(job, rc, refs)
                 outside += bool(errors)
@@ -195,6 +242,9 @@ def main() -> int:
         f"over {cross_cases} crosscheck cases (seeds {', '.join(map(str, CROSSCHECK_SEEDS))}), "
         f"CROSSCHECK_TOL = {workloads.CROSSCHECK_TOL:g}"
     )
+    print(f"{'command':<12} {'field':<24} worst |value - exact (n_max+1)-sized value|")
+    for (command, field), diff in sorted(exact_worst.items()):
+        print(f"{command:<12} {field:<24} {diff:.3g}")
     print(f"sha256 of every job's output files: {digest.hexdigest()}")
     for command, command_digest in sorted(per_command.items()):
         print(f"sha256 of {command + ' outputs:':<24} {command_digest.hexdigest()}")

@@ -574,7 +574,7 @@ class TestTruthTable:
 FAN_OUT_SCRIPT = """
 import errno, json, math, os, signal, threading
 import numpy as np
-from helpers import gate_params, quiet_thermal
+from helpers import gate_params, quiet_thermal, solved
 from iongate import analysis, fock_state, truncation_convergence, truth_table_check
 
 forks, refused = [], []
@@ -610,7 +610,7 @@ for model in ("ld", "full"):
     for name, motion in (("thermal", quiet_thermal(0.5, n_max)), ("fock", fock_state(2, n_max))):
         out[f"table-{model}-{name}"] = forked(lambda: truth_table_check(p, motion, model))
     out[f"convergence-{model}"] = forked(
-        lambda: truncation_convergence(p, [10, 25, 30], nbar=2.0, model=model)
+        lambda: truncation_convergence(solved(0.1), [10, 25, 30], nbar=2.0, n_ions=3, model=model)
     )
 
 def unreaped():
@@ -872,7 +872,7 @@ class TestMotionAsPopulations:
         ghz_check(3, 0.1, motion, n_pad=p.n_pad, model=model)
         assert shapes == build(n_max)
         del shapes[:]
-        truncation_convergence(p, [8, n_max], nbar=0.0, model=model)
+        truncation_convergence(solved(0.1), [8, n_max], nbar=0.0, n_ions=3, model=model)
         assert shapes == build(8) + build(n_max)
 
 
@@ -891,7 +891,7 @@ class TestResonantRoute:
         motion = fock_state(0, 12)
         for model in ("ld", "full"):
             assert truth_table_check(p, motion, model=model).gate_infidelity < 1e-3
-            truncation_convergence(p, [8, 12], nbar=0.0, model=model)
+            truncation_convergence(solved(0.1), [8, 12], nbar=0.0, model=model)
             (rec,) = lamb_dicke_error_sweep((0.1,), (0.0,), n_max=12, model=model)
             assert rec.error is None
         # detuning breaks the J_x sectors: the default propagator refuses it,
@@ -1066,8 +1066,7 @@ class TestSweep:
 @pytest.mark.filterwarnings("ignore:thermal tail weight")
 class TestTruncationConvergence:
     def test_rows_and_differences(self):
-        p = gate_params(0.1, 40)
-        rows = truncation_convergence(p, [10, 20, 40], nbar=2.0)
+        rows = truncation_convergence(solved(0.1), [10, 20, 40], nbar=2.0)
         assert [r.n_max for r in rows] == [10, 20, 40]
         assert rows[0].diff_infidelity is None and rows[0].diff_metric is None
         assert rows[1].diff_metric is not None
@@ -1075,19 +1074,16 @@ class TestTruncationConvergence:
         assert rows[2].metric < rows[1].metric < rows[0].metric
 
     def test_converged_metric_stable_between_60_and_80(self):
-        p = gate_params(0.1, 80)
-        rows = truncation_convergence(p, [60, 80], nbar=2.0)
+        rows = truncation_convergence(solved(0.1), [60, 80], nbar=2.0)
         assert rows[1].diff_metric < 1e-9
         assert rows[1].diff_infidelity < 1e-9
 
     def test_vacuum_converged_by_ten(self):
-        p = gate_params(0.1, 20)
-        rows = truncation_convergence(p, [10, 20], nbar=0.0)
+        rows = truncation_convergence(solved(0.1), [10, 20], nbar=0.0)
         assert rows[1].diff_infidelity < 1e-9
 
     def test_single_row(self):
-        p = gate_params(0.1, 30)
-        rows = truncation_convergence(p, [30], nbar=2.0)
+        rows = truncation_convergence(solved(0.1), [30], nbar=2.0)
         assert len(rows) == 1
         assert rows[0].diff_infidelity is None
 
@@ -1103,7 +1099,7 @@ class TestTruncationConvergence:
 
         monkeypatch.setattr(analysis, "sector_propagators", counted)
         p = gate_params(0.1, 20)
-        rows = truncation_convergence(p, [8, 12, 20], nbar=0.5, model=model)
+        rows = truncation_convergence(solved(0.1), [8, 12, 20], nbar=0.5, model=model)
         assert built == [8, 12, 20]
         monkeypatch.undo()
         # the rows are those of the public truth table and the sector metric
@@ -1117,11 +1113,10 @@ class TestTruncationConvergence:
             assert row.metric == metric
 
     def test_rejects_nonincreasing_list(self):
-        p = gate_params(0.1, 30)
         with pytest.raises(ValueError):
-            truncation_convergence(p, [30, 20], nbar=2.0)
+            truncation_convergence(solved(0.1), [30, 20], nbar=2.0)
         with pytest.raises(ValueError):
-            truncation_convergence(p, [20, 20], nbar=2.0)
+            truncation_convergence(solved(0.1), [20, 20], nbar=2.0)
 
 
 @pytest.mark.parametrize(
@@ -1150,7 +1145,7 @@ class TestTruncationConvergence:
             id="sweep-empty-grid",
         ),
         pytest.param(
-            lambda: truncation_convergence(gate_params(0.1, 8), []),
+            lambda: truncation_convergence(solved(0.1), []),
             "n_max_list must be nonempty",
             id="convergence-empty-list",
         ),

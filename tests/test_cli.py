@@ -843,7 +843,7 @@ assert gc.get_freeze_count() == frozen, (gc.get_freeze_count(), frozen)
 class TestNumpyBinding:
     """The layers bind numpy on first use, so `iongate.cli` imports every
     layer and no numpy, and the closed-form solve never loads it. Each test
-    imports in a fresh interpreter."""
+    imports in a fresh interpreter, except where it refuses a name."""
 
     def test_cli_import_loads_every_layer_and_no_numpy(self):
         # the benchmark's tracer wraps the layers loaded by this import
@@ -877,6 +877,27 @@ namespace = {}
 exec("from iongate import *", namespace)
 assert set(iongate.__all__) <= set(namespace), set(iongate.__all__) - set(namespace)
 assert namespace["PAULI"] is iongate.hilbert.PAULI
+""")
+
+    def test_unknown_name_is_refused(self):
+        # in this process, so that tests/unrun_lines.py sees the refusal run
+        import iongate
+
+        with pytest.raises(AttributeError) as exc:
+            iongate.nope
+        assert str(exc.value) == "module 'iongate' has no attribute 'nope'"
+
+    def test_dunder_lookup_loads_no_numpy(self):
+        # here numpy is loaded already, so only a fresh interpreter shows that
+        # the refusal imports nothing; this process runs it for the line tracer
+        from iongate import _numpy
+
+        assert not hasattr(_numpy.np, "__wrapped__")
+        run_python("""
+import sys
+from iongate._numpy import np
+assert not hasattr(np, "__wrapped__")
+assert "numpy" not in sys.modules
 """)
 
     def test_pauli_matrices_on_first_use(self):
