@@ -588,8 +588,9 @@ def lamb_dicke_error_sweep(
     building its own one-period sector propagators. The composite gate
     infidelity is recorded together with the GHZ infidelity of the recipe,
     the larger leakage above n_max/2 of the two, and a truncation flag when
-    that leakage exceeds 1e-6. Solver failures are recorded per point, the
-    same for every nbar of that eta, and the sweep continues.
+    that leakage exceeds 1e-6. A solver failure (`RuntimeError`) is recorded
+    as the row's error, the same for every nbar of that eta, and the sweep
+    continues; an invalid argument raises `ValueError` at its first use.
 
     Returns one row per point, eta-major, as `truncation_convergence`
     returns its rows; the caller holds the grids and settings it passed.
@@ -620,7 +621,7 @@ def lamb_dicke_error_sweep(
                     flags=_flags(leak),
                     error=None,
                 )
-            except (RuntimeError, ValueError) as exc:
+            except RuntimeError as exc:
                 outcome = dict(
                     infidelity_gate=None,
                     infidelity_ghz=None,

@@ -88,12 +88,18 @@ _MINIMA = {"n_ions": 2, "n_max": 1, "n_pad": 0}
 _MAX_SIDE = math.isqrt(sys.maxsize // 16)
 
 
-def _check_cutoffs(
-    n_ions: int | None, n_max: int, n_pad: int, names: dict[str, str]
+def _check_settings(
+    n_ions: int | None, n_max: int, n_pad: int, flags: dict[str, str]
 ) -> None:
-    """Reject cutoffs whose matrices numpy cannot index: the composite ones of
-    side 2^N (n_max + 1), unless n_ions is None, and the padded sine operator
-    of side n_max + n_pad + 1. `names` gives the key or flag of each setting."""
+    """Reject integer model settings below `_MINIMA`, then cutoffs whose
+    matrices numpy cannot index: the composite ones of side 2^N (n_max + 1),
+    unless n_ions is None, and the padded sine operator of side
+    n_max + n_pad + 1. Each setting is named by the flag in `flags` that set
+    it, else by its config key."""
+    names = {key: flags.get(key, f"model.{key}") for key in _MINIMA}
+    for (key, floor), value in zip(_MINIMA.items(), (n_ions, n_max, n_pad)):
+        if value is not None and value < floor:
+            raise ConfigError(f"{names[key]} must be >= {floor}, got {value}")
     # the bit-length test first, so that a huge n_ions never forms 2^n_ions
     if n_ions is not None and (
         n_ions >= _MAX_SIDE.bit_length() or (n_max + 1) << n_ions > _MAX_SIDE
@@ -109,17 +115,6 @@ def _check_cutoffs(
             "operator of side n_max + n_pad + 1, past numpy's array size limit "
             f"{_MAX_SIDE}"
         )
-
-
-def _check_settings(config: RunConfig, flags: dict[str, str]) -> None:
-    """Reject integer model settings below `_MINIMA`, then cutoffs numpy cannot
-    index; each setting is named by the flag in `flags` that set it, else by key."""
-    names = {key: flags.get(key, f"model.{key}") for key in _MINIMA}
-    for key, floor in _MINIMA.items():
-        value = getattr(config, key)
-        if value < floor:
-            raise ConfigError(f"{names[key]} must be >= {floor}, got {value}")
-    _check_cutoffs(config.n_ions, config.n_max, config.n_pad, names)
 
 
 def _is_int(value) -> bool:
@@ -192,7 +187,7 @@ def load_run_config(path: str) -> RunConfig:
         **model,
         **{f"{key}_path": path for key, path in output.items()},
     )
-    _check_settings(config, {})
+    _check_settings(config.n_ions, config.n_max, config.n_pad, {})
     return config
 
 
@@ -278,14 +273,14 @@ def cmd_solve(args) -> str:
     return _json_bytes(payload)
 
 
-#: the names in a cutoff error of the gate check and convergence, which run
+#: the names in a settings error of the gate check and convergence, which run
 #: at two ions, and of ghz; and the sweep's flags that override its config
 _CUTOFF_FLAGS = {"n_ions": "n_ions", "n_max": "--n-max", "n_pad": "--n-pad"}
 
 
 @_writes_out
 def cmd_gate_check(args) -> str:
-    _check_cutoffs(2, args.n_max, args.n_pad, _CUTOFF_FLAGS)
+    _check_settings(2, args.n_max, args.n_pad, _CUTOFF_FLAGS)
     params = solve_gate_params(args.eta).model_params(
         n_ions=2, n_max=args.n_max, n_pad=args.n_pad
     )
@@ -329,8 +324,8 @@ def cmd_ghz(args) -> str:
             f"n_ions={args.n_ions} outside the desk-scale guard [2, 6]; "
             "pass --force to override"
         )
-    # no composite check: ghz builds nothing of size 2^N
-    _check_cutoffs(None, args.n_max, args.n_pad, _CUTOFF_FLAGS)
+    # no n_ions: ghz builds nothing of side 2^N
+    _check_settings(None, args.n_max, args.n_pad, _CUTOFF_FLAGS)
     motion = thermal_state(ThermalSpec(nbar=args.nbar, n_max=args.n_max))
     report = ghz_check(args.n_ions, args.eta, motion, n_pad=args.n_pad, model=args.model)
     payload = {
@@ -394,7 +389,7 @@ def cmd_sweep(args) -> int:
     # the one effective configuration, the config file with the flags given:
     # the sweep, its JSON and its text read it, and it takes the file's checks
     config = replace(load_run_config(args.config), **overrides)
-    _check_settings(config, flags)
+    _check_settings(config.n_ions, config.n_max, config.n_pad, flags)
     # the format of each output path; a path named twice takes the last one
     formats = {config.csv_path: "csv", config.json_path: "json", args.out: args.format}
     # opened before the sweep runs, so that a path that cannot be written
@@ -440,8 +435,8 @@ def cmd_convergence(args) -> str:
         n_list = [int(x) for x in args.n_max_list.split(",")]
     except ValueError:
         raise ConfigError(f"bad n_max list {args.n_max_list!r}") from None
-    # the largest cutoff builds the largest matrices
-    _check_cutoffs(2, max(n_list), args.n_pad, {**_CUTOFF_FLAGS, "n_max": "--n-max-list"})
+    for n_max in n_list:
+        _check_settings(2, n_max, args.n_pad, {**_CUTOFF_FLAGS, "n_max": "--n-max-list"})
     rows = truncation_convergence(
         solve_gate_params(args.eta), n_list, nbar=args.nbar, n_pad=args.n_pad, model=args.model
     )

@@ -994,6 +994,25 @@ class TestSweep:
             assert rec.infidelity_gate is None
         assert all(rec.error is None for rec in good)
 
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"model": "Full"}, "model must be 'ld' or 'full', got 'Full'"),
+            ({"n_ions": 1}, "n_ions must be >= 2, got 1"),
+            ({"n_max": 0}, "n_max must be >= 1, got 0"),
+            ({"n_pad": -1}, "n_pad must be >= 0, got -1"),
+            ({"nbar_grid": (-1.0,)}, "nbar must be finite and >= 0, got -1.0"),
+            ({"eta_grid": (math.nan,)}, "eta must be finite and > 0, got nan"),
+        ],
+        ids=["model", "n_ions", "n_max", "n_pad", "nbar", "eta"],
+    )
+    def test_invalid_argument_raises(self, kwargs, message):
+        # only a solver failure becomes a row; bad input is the caller's error
+        args = {"eta_grid": (0.1,), "nbar_grid": (0.0,), "n_max": 8, "model": "ld"}
+        with pytest.raises(ValueError) as exc:
+            lamb_dicke_error_sweep(**{**args, **kwargs})
+        assert str(exc.value) == message
+
     @pytest.mark.parametrize("n_ions, model", [(2, "ld"), (3, "full")])
     def test_every_point_calls_the_public_checks(self, monkeypatch, n_ions, model):
         # the calls are counted through the module attributes, the bindings

@@ -748,6 +748,39 @@ class TestOutputContract:
         assert not out.exists()
 
     @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["gate-check", "--n-max", "0"], "--n-max must be >= 1, got 0"),
+            (["gate-check", "--n-pad", "-1"], "--n-pad must be >= 0, got -1"),
+            (["ghz", "--n-max", "0"], "--n-max must be >= 1, got 0"),
+            (["ghz", "--n-pad", "-2"], "--n-pad must be >= 0, got -2"),
+            (["convergence", "--n-max-list", "0"], "--n-max-list must be >= 1, got 0"),
+            # every cutoff of the list, not only the largest
+            (["convergence", "--n-max-list", "10,-3"], "--n-max-list must be >= 1, got -3"),
+            (["convergence", "--n-pad", "-1"], "--n-pad must be >= 0, got -1"),
+        ],
+        ids=[
+            "gate-n-max",
+            "gate-n-pad",
+            "ghz-n-max",
+            "ghz-n-pad",
+            "conv-list",
+            "conv-list-last",
+            "conv-n-pad",
+        ],
+    )
+    def test_cutoff_below_its_floor_exits_2_naming_the_flag(
+        self, tmp_path, capsys, argv, message
+    ):
+        # named by the flag, as the sweep names its cutoff flags
+        out = tmp_path / "out.json"
+        assert run_cli(*argv, "--out", str(out)) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n"
+        assert captured.out == ""
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
         "argv",
         [
             ["solve", "--eta", "0.1", "--n-max", "5"],
