@@ -22,11 +22,12 @@ import math
 import os
 import stat
 import sys
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields
 
 from . import __version__
 from .analysis import (
     ConvergenceRow,
+    SweepPoint,
     ghz_check,
     lamb_dicke_error_sweep,
     truncation_convergence,
@@ -35,16 +36,9 @@ from .analysis import (
 from .hilbert import ThermalSpec, thermal_state
 from .synthesis import literal_params, solve_gate_params
 
-SWEEP_CSV_COLUMNS = (
-    "eta",
-    "nbar",
-    "n_max",
-    "infidelity_gate",
-    "infidelity_ghz",
-    "leakage",
-    "flags",
-    "error",
-)
+#: the sweep's CSV columns and JSON record keys: every field of a sweep row
+#: but its runtime, which machine output never carries
+SWEEP_CSV_COLUMNS = tuple(f.name for f in fields(SweepPoint) if f.name != "runtime_s")
 
 
 @dataclass(frozen=True)
@@ -86,6 +80,11 @@ _MINIMA = {"n_ions": 2, "n_max": 1, "n_pad": 0}
 #: in bytes numpy can index (np.intp, as wide as sys.maxsize); past it, numpy
 #: raises ValueError before allocating
 _MAX_SIDE = math.isqrt(sys.maxsize // 16)
+
+
+#: the names in a settings error of the gate check and convergence, which run
+#: at two ions, and of ghz; and the sweep's flags that override its config
+_CUTOFF_FLAGS = {"n_ions": "n_ions", "n_max": "--n-max", "n_pad": "--n-pad"}
 
 
 def _check_settings(
@@ -137,8 +136,14 @@ def _grid(grids: dict, key: str) -> tuple[float, ...]:
         raise ConfigError(f"grids.{key} holds an integer too large for a float") from None
 
 
-def load_run_config(path: str) -> RunConfig:
-    """Parse and validate a sweep config file."""
+def load_run_config(
+    path: str, n_max: int | None = None, n_pad: int | None = None, seed: int | None = None
+) -> RunConfig:
+    """Parse and validate a sweep config file, then replace its n_max, n_pad
+    and seed by each of these arguments, the sweep's flags, that is not None.
+    The file's values are type-checked as read; the effective settings are
+    range-checked once, after the replacement, and an error names a replaced
+    setting by its flag (`--n-max`, `--n-pad`)."""
     try:
         with open(path, encoding="utf-8") as fh:
             raw = json.load(fh)
@@ -170,9 +175,8 @@ def load_run_config(path: str) -> RunConfig:
     for key in _MINIMA:
         if key in model and not _is_int(model[key]):
             raise ConfigError(f"model.{key} must be an integer, got {model[key]!r}")
-    seed = model.get("seed")
-    if seed is not None and not _is_int(seed):
-        raise ConfigError(f"model.seed must be an integer or null, got {seed!r}")
+    if model.get("seed") is not None and not _is_int(model["seed"]):
+        raise ConfigError(f"model.seed must be an integer or null, got {model['seed']!r}")
     if "hamiltonian" in model and model["hamiltonian"] not in ("full", "ld"):
         raise ConfigError(
             f"hamiltonian must be 'full' or 'ld', got {model['hamiltonian']!r}"
@@ -180,14 +184,17 @@ def load_run_config(path: str) -> RunConfig:
     for key, path in output.items():
         if not isinstance(path, str):
             raise ConfigError(f"output.{key} must be a path string, got {path!r}")
+    given = {"n_max": n_max, "n_pad": n_pad, "seed": seed}
+    overrides = {key: value for key, value in given.items() if value is not None}
     # the model keys are RunConfig field names; absent ones take its defaults
     config = RunConfig(
         eta_grid=eta_grid,
         nbar_grid=nbar_grid,
-        **model,
+        **{**model, **overrides},
         **{f"{key}_path": path for key, path in output.items()},
     )
-    _check_settings(config.n_ions, config.n_max, config.n_pad, {})
+    flags = {key: flag for key, flag in _CUTOFF_FLAGS.items() if key in overrides}
+    _check_settings(config.n_ions, config.n_max, config.n_pad, flags)
     return config
 
 
@@ -214,6 +221,14 @@ def _csv_text(columns, records) -> str:
 
 def _json_bytes(payload: dict) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def _settings(args) -> dict:
+    """The start of a command's JSON: the command and every parsed argument
+    that can change an output, which is all but where the output goes, its
+    format and the lifted N guard."""
+    unrecorded = {"func", "out", "format", "force"}
+    return {key: value for key, value in vars(args).items() if key not in unrecorded}
 
 
 @contextlib.contextmanager
@@ -252,7 +267,7 @@ def _writes_out(command):
 @_writes_out
 def cmd_solve(args) -> str:
     sol = solve_gate_params(args.eta)
-    payload = {"command": "solve", "seed": args.seed, "solution": asdict(sol)}
+    payload = {**_settings(args), "solution": asdict(sol)}
     print(f"gate parameters for eta = {sol.eta:g}")
     print(f"  theta        = {sol.theta:.12g} rad")
     print(f"  Omega/omega_a= {sol.omega_ratio:.12g}")
@@ -273,11 +288,6 @@ def cmd_solve(args) -> str:
     return _json_bytes(payload)
 
 
-#: the names in a settings error of the gate check and convergence, which run
-#: at two ions, and of ghz; and the sweep's flags that override its config
-_CUTOFF_FLAGS = {"n_ions": "n_ions", "n_max": "--n-max", "n_pad": "--n-pad"}
-
-
 @_writes_out
 def cmd_gate_check(args) -> str:
     _check_settings(2, args.n_max, args.n_pad, _CUTOFF_FLAGS)
@@ -286,15 +296,7 @@ def cmd_gate_check(args) -> str:
     )
     motion = thermal_state(ThermalSpec(nbar=args.nbar, n_max=args.n_max))
     report = truth_table_check(params, motion, model=args.model)
-    payload = {
-        "command": "gate-check",
-        "seed": args.seed,
-        "eta": args.eta,
-        "nbar": args.nbar,
-        "n_max": args.n_max,
-        **asdict(report),
-        "gate_infidelity": report.gate_infidelity,
-    }
+    payload = {**_settings(args), **asdict(report), "gate_infidelity": report.gate_infidelity}
     payload["inputs"] = payload.pop("input_labels")
     print(
         f"truth-table check: eta={args.eta:g} nbar={args.nbar:g} "
@@ -319,26 +321,18 @@ def cmd_gate_check(args) -> str:
 
 @_writes_out
 def cmd_ghz(args) -> str:
-    if not 2 <= args.n_ions <= 6 and not args.force:
+    if args.n_ions < 2:
+        raise ConfigError(f"--n-ions must be >= 2, got {args.n_ions}")
+    if args.n_ions > 6 and not args.force:
         raise ConfigError(
-            f"n_ions={args.n_ions} outside the desk-scale guard [2, 6]; "
+            f"--n-ions={args.n_ions} outside the desk-scale guard [2, 6]; "
             "pass --force to override"
         )
     # no n_ions: ghz builds nothing of side 2^N
     _check_settings(None, args.n_max, args.n_pad, _CUTOFF_FLAGS)
     motion = thermal_state(ThermalSpec(nbar=args.nbar, n_max=args.n_max))
     report = ghz_check(args.n_ions, args.eta, motion, n_pad=args.n_pad, model=args.model)
-    payload = {
-        "command": "ghz",
-        "seed": args.seed,
-        "n_ions": args.n_ions,
-        "eta": args.eta,
-        "nbar": args.nbar,
-        "n_max": args.n_max,
-        **asdict(report),
-        "phi_g": 0.0,
-        "phi_e": report.rel_phase,
-    }
+    payload = {**_settings(args), **asdict(report), "phi_g": 0.0, "phi_e": report.rel_phase}
     recipe_kind = "even" if args.n_ions % 2 == 0 else "odd"
     print(
         f"GHZ run: N={args.n_ions} ({recipe_kind} recipe) eta={args.eta:g} "
@@ -383,13 +377,9 @@ def _sweep_json(config: RunConfig, records) -> dict:
 
 
 def cmd_sweep(args) -> int:
-    given = {"n_max": args.n_max, "n_pad": args.n_pad, "seed": args.seed}
-    overrides = {key: value for key, value in given.items() if value is not None}
-    flags = {key: flag for key, flag in _CUTOFF_FLAGS.items() if key in overrides}
     # the one effective configuration, the config file with the flags given:
-    # the sweep, its JSON and its text read it, and it takes the file's checks
-    config = replace(load_run_config(args.config), **overrides)
-    _check_settings(config.n_ions, config.n_max, config.n_pad, flags)
+    # the sweep, its JSON and its text read it
+    config = load_run_config(args.config, n_max=args.n_max, n_pad=args.n_pad, seed=args.seed)
     # the format of each output path; a path named twice takes the last one
     formats = {config.csv_path: "csv", config.json_path: "json", args.out: args.format}
     # opened before the sweep runs, so that a path that cannot be written
@@ -440,14 +430,7 @@ def cmd_convergence(args) -> str:
     rows = truncation_convergence(
         solve_gate_params(args.eta), n_list, nbar=args.nbar, n_pad=args.n_pad, model=args.model
     )
-    payload = {
-        "command": "convergence",
-        "seed": args.seed,
-        "eta": args.eta,
-        "nbar": args.nbar,
-        "model": args.model,
-        "rows": [asdict(row) for row in rows],
-    }
+    payload = {**_settings(args), "n_max_list": n_list, "rows": [asdict(row) for row in rows]}
     print(f"truncation convergence: eta={args.eta:g} nbar={args.nbar:g} model={args.model}")
     print("  n_max  gate_infidelity  independence_metric  diff_infid  diff_metric")
     for row in rows:

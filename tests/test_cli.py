@@ -43,6 +43,14 @@ class TestSolveCommand:
         assert abs(payload["solution"]["achieved_c"] - np.pi / 8) < 1e-12
         assert "theta" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("flags, literal", [([], False), (["--literal-params"], True)])
+    def test_settings_recorded(self, tmp_path, flags, literal):
+        out = tmp_path / "solve.json"
+        assert run_cli("solve", "--eta", "0.1", *flags, "--out", str(out)) == 0
+        payload = json.loads(out.read_text())
+        assert payload["eta"] == 0.1
+        assert payload["literal_params"] is literal
+
     def test_literal_params_section(self, tmp_path):
         out = tmp_path / "solve.json"
         code = run_cli(
@@ -182,9 +190,20 @@ class TestGhzCommand:
             leakages.append(report.leakage)
         assert leakages[0] != leakages[1]
 
-    def test_ion_count_guard(self, capsys):
-        assert run_cli("ghz", "--n-ions", "7") == 2
-        assert "guard" in capsys.readouterr().err
+    def test_ion_count_guard(self, tmp_path, capsys):
+        out = tmp_path / "ghz.json"
+        for flags, message in [
+            (["--n-ions", "7"], "--n-ions=7 outside the desk-scale guard [2, 6]; "
+             "pass --force to override"),
+            # one ion is refused by its floor, which --force cannot lift
+            (["--n-ions", "1"], "--n-ions must be >= 2, got 1"),
+            (["--n-ions", "1", "--force"], "--n-ions must be >= 2, got 1"),
+        ]:
+            assert run_cli("ghz", *flags, "--out", str(out)) == 2
+            captured = capsys.readouterr()
+            assert captured.err == f"error: {message}\n"
+            assert captured.out == ""
+            assert not out.exists()
 
     @pytest.mark.parametrize("n_ions", ["2", "4"])
     @pytest.mark.parametrize("eta", ["0", "-0.0"])
@@ -490,6 +509,14 @@ class TestSweepCommand:
         itemsize = np.dtype(complex).itemsize
         assert cli._MAX_SIDE == math.isqrt(np.iinfo(np.intp).max // itemsize)
 
+    def test_flag_replaces_a_config_value_below_its_floor(self, tmp_path, capsys):
+        # the settings are checked once, after --n-max has replaced the file's
+        out = tmp_path / "sw.json"
+        cfg = write_config(tmp_path, model={"n_ions": 2, "n_max": 0, "hamiltonian": "ld"})
+        assert run_cli("sweep", "--config", str(cfg), "--n-max", "8", "--out", str(out)) == 0
+        assert json.loads(out.read_text())["model"]["n_max"] == 8
+        assert capsys.readouterr().err == ""
+
     @pytest.mark.parametrize(
         "flags, n_max, n_pad",
         [
@@ -589,6 +616,13 @@ class TestConvergenceCommand:
         assert sorted(payload["rows"][0]) == SCHEMA["convergence"]["row"]
         assert payload["rows"][0]["diff_infidelity"] is None
 
+    def test_default_cutoffs_recorded(self, tmp_path):
+        out = tmp_path / "conv.json"
+        assert run_cli("convergence", "--nbar", "0", "--out", str(out)) == 0
+        payload = json.loads(out.read_text())
+        assert payload["n_max_list"] == [10, 20, 40]
+        assert [row["n_max"] for row in payload["rows"]] == [10, 20, 40]
+
     def test_decreasing_list_rejected(self, capsys):
         assert run_cli("convergence", "--n-max-list", "20,10") == 2
         assert "increasing" in capsys.readouterr().err
@@ -634,6 +668,23 @@ class TestOutputContract:
         out = tmp_path / "solve.json"
         assert run_cli("solve", "--eta", "0.1", "--seed", "42", "--out", str(out)) == 0
         assert json.loads(out.read_text())["seed"] == 42
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["gate-check", "--nbar", "0", "--n-max", "8"],
+            ["ghz", "--nbar", "0", "--n-max", "8"],
+            ["convergence", "--nbar", "0", "--n-max-list", "6,8"],
+        ],
+        ids=["gate-check", "ghz", "convergence"],
+    )
+    @pytest.mark.parametrize("flags, n_pad", [([], 10), (["--n-pad", "4"], 4)])
+    def test_n_pad_recorded(self, tmp_path, argv, flags, n_pad):
+        # the padding changes the full model's numbers, so its value is
+        # provenance like the cutoff's
+        out = tmp_path / "out.json"
+        assert run_cli(*argv, *flags, "--out", str(out)) == 0
+        assert json.loads(out.read_text())["n_pad"] == n_pad
 
     def test_unwritable_out_exits_2(self, tmp_path, capsys):
         assert run_cli("solve", "--eta", "0.1", "--out", str(tmp_path)) == 2
