@@ -61,7 +61,6 @@ way, and every public call stays in the calling process.
 from __future__ import annotations
 
 import gc
-import math
 import os
 import time
 from dataclasses import dataclass
@@ -76,7 +75,7 @@ from .hilbert import (
     _hermitian_function,
     _pm_products,
     _require_same_space,
-    _sector_projectors,
+    _sector_coefficients,
     thermal_state,
 )
 from .synthesis import GateSolution, ghz_recipe, solve_gate_params
@@ -201,11 +200,13 @@ def motional_independence_metric(u: OperatorMatrix, n_limit: int) -> float:
 def _sector_independence_metric(n_ions: int, blocks: np.ndarray, n_limit: int) -> float:
     """`motional_independence_metric(sector_sum(n_ions, blocks), n_limit)`
     without the composite operator: its kept block (i, j) is
-    sum_k P_k[i, j] (U_k[n, m] - delta_nm U_k[0, 0]) for n, m <= n_limit."""
+    sum_k P_k[i, j] (U_k[n, m] - delta_nm U_k[0, 0]) for n, m <= n_limit, one
+    block per Hamming distance of (i, j) (`hilbert._sector_coefficients`)."""
     kept = blocks[:, : n_limit + 1, : n_limit + 1].copy()
     diagonal = np.arange(n_limit + 1)
     kept[:, diagonal, diagonal] -= blocks[:, :1, 0]
-    return float(np.abs(np.tensordot(_sector_projectors(n_ions), kept, (0, 0))).max())
+    table = np.array([_sector_coefficients(n_ions, w) for w in range(n_ions + 1)])
+    return float(np.abs(np.tensordot(table, kept, (1, 0))).max())
 
 
 def leakage_population(state: QuantumState, n_threshold: int | None = None) -> float:
@@ -509,7 +510,8 @@ def ghz_check(
 
     The pulse is resonant, so it acts on the J_x sectors separately. In the
     |+/-> basis |g...g> and |e...e> put weight c_k = C(N, k) / 2^N on the
-    sector with k minus signs, with relative sign (-1)^k, so the three GHZ
+    sector with k minus signs, with relative sign (-1)^k (the w = 0 and
+    w = N columns of `hilbert._sector_coefficients`), so the three GHZ
     elements of the internal state follow from the sector overlaps
     M_ab = tr(U_a rho U_b+):
 
@@ -531,11 +533,8 @@ def ghz_check(
     moved, u_conj = u * p, u.conj()
     # tr(U_a rho U_b+) = sum_ij (U_a rho)_ij conj(U_b)_ij, all pairs in one product
     overlaps = moved.reshape(n_ions + 1, -1) @ u_conj.reshape(n_ions + 1, -1).T
-    # exact integer ratios, float64 at every N: C(N, k) leaves int64 from
-    # N = 67 on, and 2.0**N overflows from N = 1024 on
-    total = 2**n_ions
-    weights = np.array([math.comb(n_ions, k) / total for k in range(n_ions + 1)])
-    signed = weights * (-1.0) ** np.arange(n_ions + 1)
+    weights = np.array(_sector_coefficients(n_ions, 0))
+    signed = np.array(_sector_coefficients(n_ions, n_ions))
     fid, phase = _ghz_maximum(
         (weights @ overlaps @ weights).real,
         (signed @ overlaps @ signed).real,

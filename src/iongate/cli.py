@@ -116,6 +116,15 @@ def _check_settings(
         )
 
 
+def _check_floats(args) -> None:
+    """Reject an --eta or --nbar value that the library refuses, by its flag."""
+    checks = {"eta": ("> 0", lambda x: x > 0), "nbar": (">= 0", lambda x: x >= 0)}
+    for key, (bound, ok) in checks.items():
+        value = vars(args).get(key)
+        if value is not None and not (math.isfinite(value) and ok(value)):
+            raise ConfigError(f"--{key} must be finite and {bound}, got {value}")
+
+
 def _is_int(value) -> bool:
     # JSON true/false arrive as bool, a subclass of int
     return isinstance(value, int) and not isinstance(value, bool)
@@ -427,6 +436,8 @@ def cmd_convergence(args) -> str:
         raise ConfigError(f"bad n_max list {args.n_max_list!r}") from None
     for n_max in n_list:
         _check_settings(2, n_max, args.n_pad, {**_CUTOFF_FLAGS, "n_max": "--n-max-list"})
+    if any(b <= a for a, b in zip(n_list, n_list[1:])):
+        raise ConfigError(f"--n-max-list must be strictly increasing, got {n_list}")
     rows = truncation_convergence(
         solve_gate_params(args.eta), n_list, nbar=args.nbar, n_pad=args.n_pad, model=args.model
     )
@@ -554,6 +565,7 @@ def main(argv=None) -> int:
     # bad input (ConfigError is a ValueError) and an output path that cannot
     # be written exit 2, a failed computation, out of memory too, 1
     try:
+        _check_floats(args)
         return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

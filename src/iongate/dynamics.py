@@ -49,8 +49,8 @@ from .hilbert import (
     QuantumState,
     _hermitian_function,
     _require_same_space,
+    _sector_coefficients,
     _sector_m,
-    _sector_projectors,
     collective_spin,
     ladder_operators,
     position_sine_operator,
@@ -156,16 +156,15 @@ def expm_propagator(h: OperatorMatrix, t: float) -> OperatorMatrix:
 
 def sector_sum(n_ions: int, blocks: np.ndarray) -> OperatorMatrix:
     """sum_k P_k x blocks[k] on the composite space, for blocks of shape
-    (N+1, n_max+1, n_max+1) indexed like `sector_propagators`, with the
-    projectors P_k of `hilbert._sector_projectors`.
+    (N+1, n_max+1, n_max+1) indexed like `sector_propagators`, with P_k the
+    J_x sector projectors.
 
     Block (i, j) of the result is sum_k P_k[i, j] blocks[k], and P_k[i, j]
     depends on i and j only through their Hamming distance
-    w = popcount(i ^ j) (it is a Krawtchouk coefficient). So the result has
-    N+1 distinct blocks, one per w, each formed once from the pair
-    (0, 2^w - 1) and copied to every (i, j) at distance w.
+    w = popcount(i ^ j) (`hilbert._sector_coefficients`). So the result has
+    N+1 distinct blocks, one per w, each formed once and copied to every
+    (i, j) at distance w.
     """
-    projectors = _sector_projectors(n_ions)
     d_i, d_m = 2**n_ions, blocks.shape[-1]
     flat = blocks.reshape(n_ions + 1, d_m * d_m)
     bits = (np.arange(d_i)[:, None] >> np.arange(n_ions)) & 1
@@ -174,7 +173,7 @@ def sector_sum(n_ions: int, blocks: np.ndarray) -> OperatorMatrix:
     mat = np.empty((d_i, d_m, d_i, d_m), dtype=complex)
     for w in range(n_ions + 1):
         i, j = np.nonzero(distance == w)
-        mat[i, :, j, :] = (projectors[:, 0, 2**w - 1] @ flat).reshape(d_m, d_m)
+        mat[i, :, j, :] = (np.array(_sector_coefficients(n_ions, w)) @ flat).reshape(d_m, d_m)
     return OperatorMatrix(mat.reshape(d_i * d_m, d_i * d_m), "composite", (d_i, d_m))
 
 

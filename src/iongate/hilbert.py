@@ -14,8 +14,9 @@ Conventions (normative for every module in this package):
   omega_a.
 - The J_x sector basis is owned here: `_pm_products` gives the 2^N |+/->
   products as +/-1 columns with their sector k, `_sector_m` the J_x
-  eigenvalue m = N - 2k of each sector, and every sector-resolved quantity
-  reads them.
+  eigenvalue m = N - 2k of each sector, `_sector_coefficients` the entries
+  of the sector projectors P_k in closed form, and every sector-resolved
+  quantity reads them.
 - Every function of a Hermitian matrix (sine, exponential, square root) is
   formed by `_hermitian_function`, the package's one call of numpy's eigh.
 """
@@ -391,13 +392,19 @@ def _pm_products(n_ions: int) -> tuple[np.ndarray, tuple[str, ...], np.ndarray]:
     return signs, tuple(labels), np.array([label.count("-") for label in labels])
 
 
-def _sector_projectors(n_ions: int) -> np.ndarray:
-    """The N+1 projectors P_k = S_k S_k^T / 2^N onto the J_x sectors, shape
-    (N+1, 2^N, 2^N), with S_k the +/-1 columns of `_pm_products` in sector k;
-    exact in floating point."""
-    signs, _, sector = _pm_products(n_ions)
-    in_sector = sector == np.arange(n_ions + 1)[:, None]
-    return (signs * in_sector[:, None, :]) @ signs.T / 2.0**n_ions
+def _sector_coefficients(n_ions: int, distance: int) -> list[float]:
+    """P_k[i, j] for k = 0..N at Hamming distance w = popcount(i ^ j), for the
+    J_x sector projectors P_k = S_k S_k^T / 2^N (S_k the +/-1 columns of
+    `_pm_products` in sector k): the Krawtchouk value K_k(w) = sum_l (-1)^l
+    C(w, l) C(N - w, k - l), an exact integer, over 2^N, rounded once (also
+    past int64 and the float range); one term per k at w = 0 and w = N."""
+    return [
+        sum(
+            (-1) ** l * math.comb(distance, l) * math.comb(n_ions - distance, k - l)
+            for l in range(max(0, k - n_ions + distance), min(k, distance) + 1)
+        ) / 2**n_ions
+        for k in range(n_ions + 1)
+    ]
 
 
 def internal_product_state(symbols: str) -> QuantumState:

@@ -35,6 +35,7 @@ from iongate import (
     TruthTableReport,
 )
 from iongate.analysis import LEAKAGE_THRESHOLD, TRUNCATION_FLAG
+from iongate.hilbert import _pm_products
 
 #: the repository root
 ROOT = Path(__file__).resolve().parent.parent
@@ -54,6 +55,15 @@ def perfbench_workloads():
 @lru_cache(maxsize=None)
 def solved(eta: float):
     return solve_gate_params(eta)
+
+
+def sector_projectors(n_ions: int) -> np.ndarray:
+    """The N+1 J_x sector projectors P_k = S_k S_k^T / 2^N, shape
+    (N+1, 2^N, 2^N), with S_k the +/-1 columns of `_pm_products` in sector k:
+    the reference for the closed-form entries, exact in floating point."""
+    signs, _, sector = _pm_products(n_ions)
+    in_sector = sector == np.arange(n_ions + 1)[:, None]
+    return (signs * in_sector[:, None, :]) @ signs.T / 2.0**n_ions
 
 
 def gate_params(eta: float, n_max: int, n_ions: int = 2, n_pad: int = 10) -> ModelParams:

@@ -270,6 +270,23 @@ class TestMotionalIndependenceMetric:
             sectors = analysis._sector_independence_metric(n_ions, bumped, n_limit)
             assert abs(sectors - composite) <= 1e-14 * composite
 
+    def test_sector_metric_builds_nothing_of_size_4_to_the_n(self):
+        # one kept block per Hamming distance, N+1 = 10 of them, instead of
+        # one per pair of the 2^N = 512 internal states (a 100 MB tensor)
+        n_ions, n_limit = 9, 2
+        rng = np.random.default_rng(23)
+        shape = (n_ions + 1, 5, 5)
+        blocks = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        tracemalloc.start()
+        try:
+            sectors = analysis._sector_independence_metric(n_ions, blocks, n_limit)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6
+        composite = motional_independence_metric(sector_sum(n_ions, blocks), n_limit)
+        assert abs(sectors - composite) <= 1e-14 * composite
+
 
 class TestLeakage:
     def test_low_fock_state_has_none(self):

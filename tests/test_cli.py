@@ -256,6 +256,55 @@ class TestGhzCommand:
         assert np.isfinite(payload["leakage"])
 
 
+class TestFloatFlagNames:
+    """A float flag or cutoff list that the library refuses is refused by its
+    flag's name, as every cutoff flag is."""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("solve", "--eta", "0"), "--eta must be finite and > 0, got 0.0"),
+            *[
+                ((command, "--eta", "nan"), "--eta must be finite and > 0, got nan")
+                for command in ("gate-check", "ghz", "convergence")
+            ],
+            *[
+                ((command, "--nbar", "-1"), "--nbar must be finite and >= 0, got -1.0")
+                for command in ("gate-check", "ghz", "convergence")
+            ],
+            (
+                ("convergence", "--n-max-list", "10,10"),
+                "--n-max-list must be strictly increasing, got [10, 10]",
+            ),
+        ],
+    )
+    def test_exits_2_naming_the_flag(self, argv, message, tmp_path, capsys):
+        out = tmp_path / "out.json"
+        assert run_cli(*argv, "--out", str(out)) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n"
+        assert captured.out == ""
+        assert not out.exists()
+
+    def test_solve_refusal_loads_no_numpy(self):
+        run_python("""
+import contextlib, io, sys
+import iongate.cli
+with contextlib.redirect_stderr(io.StringIO()) as err:
+    assert iongate.cli.main(["solve", "--eta", "0"]) == 2
+assert err.getvalue() == "error: --eta must be finite and > 0, got 0.0\\n", err.getvalue()
+assert "numpy" not in sys.modules
+""")
+
+    def test_library_messages_keep_their_field_names(self):
+        with pytest.raises(ValueError, match="^eta must be finite and > 0, got 0.0$"):
+            synthesis.solve_gate_params(0.0)
+        with pytest.raises(ValueError, match=r"^nbar must be finite and >= 0, got -1.0$"):
+            ThermalSpec(nbar=-1.0, n_max=8)
+        with pytest.raises(ValueError, match=r"^n_max_list must be strictly increasing"):
+            analysis.truncation_convergence(synthesis.solve_gate_params(0.1), [10, 10])
+
+
 class TestNonfiniteNbar:
     @pytest.mark.parametrize(
         "argv",

@@ -8,7 +8,7 @@ import scipy.linalg
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from helpers import gate_params, quiet_thermal
+from helpers import gate_params, quiet_thermal, sector_projectors
 from iongate import dynamics
 from iongate import (
     ModelParams,
@@ -31,7 +31,6 @@ from iongate import (
     sector_propagators,
     sector_sum,
 )
-from iongate.hilbert import _sector_projectors
 
 
 def _restricted_max_diff(a: np.ndarray, b: np.ndarray, params: ModelParams, n_keep: int) -> float:
@@ -513,7 +512,7 @@ class TestSectorPropagators:
         rng = np.random.default_rng(seed)
         shape = (n_ions + 1, n_max + 1, n_max + 1)
         blocks = rng.normal(size=shape) + 1j * rng.normal(size=shape)
-        projectors = _sector_projectors(n_ions)
+        projectors = sector_projectors(n_ions)
         d_i, d_m = 2**n_ions, n_max + 1
         flat = blocks.reshape(n_ions + 1, d_m * d_m)
         expected = np.empty((d_i, d_m, d_i, d_m), dtype=complex)

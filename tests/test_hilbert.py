@@ -1,12 +1,14 @@
 """Space construction: operators, layout convention, states, thermal specs."""
 
+import math
+
 import numpy as np
 import pytest
 import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import gate_params
+from helpers import gate_params, sector_projectors
 from iongate import (
     PAULI,
     ModelParams,
@@ -28,7 +30,7 @@ from iongate import (
     standard_states,
     thermal_state,
 )
-from iongate.hilbert import _hermitian_function, _pm_products, _sector_m
+from iongate.hilbert import _hermitian_function, _pm_products, _sector_coefficients, _sector_m
 
 
 class TestModelParams:
@@ -386,6 +388,29 @@ class TestStates:
         # the first product of sector k has its k lowest bits set
         firsts = [list(sector).index(k) for k in range(n_ions + 1)]
         assert firsts == list(2 ** np.arange(n_ions + 1) - 1)
+
+    @pytest.mark.parametrize("n_ions", range(1, 7))
+    def test_sector_coefficients_are_the_projector_entries(self, n_ions):
+        # column w is P_k[i, j] for every pair (i, j) at Hamming distance w,
+        # bit for bit against the projectors built from the +/-1 columns
+        projectors = sector_projectors(n_ions)
+        columns = [np.array(_sector_coefficients(n_ions, w)) for w in range(n_ions + 1)]
+        for i, j in np.ndindex(2**n_ions, 2**n_ions):
+            column = columns[bin(i ^ j).count("1")]
+            assert column.tobytes() == projectors[:, i, j].tobytes()
+
+    @pytest.mark.parametrize("n_ions", [2, 5, 67, 1100])
+    def test_sector_coefficients_end_columns_are_binomial_ratios(self, n_ions):
+        # |g...g> and |e...e> weigh sector k by C(N, k) / 2^N, with sign
+        # (-1)^k between them; from N = 67 on C(N, k) leaves int64 and from
+        # N = 1024 on 2^N leaves the float range, and each ratio is still
+        # rounded once
+        ks = range(n_ions + 1)
+        weights = [math.comb(n_ions, k) / 2**n_ions for k in ks]
+        signed = [(-1) ** k * math.comb(n_ions, k) / 2**n_ions for k in ks]
+        for w, expected in ((0, weights), (n_ions, signed)):
+            column = _sector_coefficients(n_ions, w)
+            assert np.array(column).tobytes() == np.array(expected).tobytes()
 
     def test_fock_state(self):
         f = fock_state(3, 6)
