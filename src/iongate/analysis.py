@@ -46,16 +46,19 @@ and each d x d matrix (d = 2^N (n_max+1)) only for its
 eigenvalues; once the references are re-derived, eigvalsh of the
 (n_max+1)-sized S = B+B of `_evolution` replaces it.
 
-The sector route's N+1 composite spectra are independent, and from
-d = `_FORK_MIN_DIM` on (measured; the N=3, n_max=40 sweep has d = 328)
-every other one goes to one `os.fork()` child, which writes its float64
-values to a pipe; a share it does not deliver is computed in the calling
-process. It forks only while the process has one OS thread
+The sweep's (eta, nbar) points are independent, and so are the sector
+route's N+1 composite spectra. From d = `_FORK_MIN_DIM` on (measured; the
+N=3, n_max=40 sweep has d = 328) `_fanned_out` hands every other one to one
+`os.fork()` child, which sends its results back pickled through a pipe; a
+share it does not deliver is computed in the calling process. A sweep
+forks once, for its points: the truth tables inside a fan-out stay
+in-process on both sides, and a truth table called on its own splits its
+spectra. It forks only while the process has one OS thread
 (OPENBLAS_NUM_THREADS=1) and its affinity two CPUs: fork() copies the
 calling thread alone, so a lock that another thread holds, OpenBLAS's
 pool's among them, stays held in the child. The child runs the same code
 on the same one-threaded BLAS, so the outputs are byte-identical either
-way, and every public call stays in the calling process.
+way, and every public call returns in the calling process.
 """
 
 from __future__ import annotations
@@ -63,6 +66,7 @@ from __future__ import annotations
 import gc
 import os
 import time
+import warnings
 from dataclasses import dataclass
 
 from ._numpy import np
@@ -85,14 +89,19 @@ LEAKAGE_THRESHOLD = 1e-6
 
 TRUNCATION_FLAG = "truncation-unreliable"
 
-#: the truth table's N+1 composite spectra are split with one forked child
-#: from this d = 2^N (n_max+1) on (`_sector_composites`). On a 2-vCPU Linux
-#: VM with one BLAS thread (OpenBLAS 0.3.31, numpy 2.4.6), split over two
-#: processes they took 1.14-1.23 times their in-process time at d = 124,
-#: 0.93-1.06 at 164, 0.79-0.82 at 204 and 0.53-0.62 at 328 (medians of 15,
-#: two rounds); one fork and reap took 2.4 ms. So d = 164 (N=2, n_max=40)
-#: stays in-process and the N=3, n_max=40 sweep (d = 328) forks
+#: `_fanned_out` forks one child from this d = 2^N (n_max+1) on, for both of
+#: its callers: the sweep's points and, outside a sweep, the truth table's
+#: N+1 composite spectra. On a 2-vCPU Linux VM with one BLAS thread
+#: (OpenBLAS 0.3.31, numpy 2.4.6), the spectra split over two processes took
+#: 1.14-1.23 times their in-process time at d = 124, 0.93-1.06 at 164,
+#: 0.79-0.82 at 204 and 0.53-0.62 at 328 (medians of 15, two rounds); one
+#: fork and reap took 2.4 ms. So d = 164 (N=2, n_max=40) stays in-process
+#: and the N=3, n_max=40 sweep (d = 328) forks
 _FORK_MIN_DIM = 200
+
+#: true while `_fanned_out` runs, in this process and in its child, so that
+#: a fan-out nested in one of its items stays in-process
+_fanning_out = False
 
 
 def partial_trace(state: QuantumState, keep: str) -> QuantumState:
@@ -374,30 +383,39 @@ def _sector_table(
         # |v><v| = s s^T / 2^N is exact
         outer = np.outer(column, column) / 2.0**params.n_ions
         composite_args.append((outer, z @ z.conj().T))
-    composite = _sector_composites(composite_args, params.dim)
+    composite = _fanned_out(_composite_value, composite_args, params.dim)
     per_sector = [(*e, c) for e, c in zip(evolutions, composite)]
     return _report(params, model, labels, [per_sector[k] for k in sectors])
 
 
-def _sector_composites(args: list, dim: int) -> list[float]:
-    # the composite Uhlmann value of each sector's first input from its
+def _composite_value(pair: tuple) -> float:
+    # the composite Uhlmann value of a sector's first input from its
     # (|v><v|, Z Z+) pair, with the kron built per value, so that one d x d
-    # matrix is alive at a time. From d = `_FORK_MIN_DIM` on, while this
-    # process has one OS thread and its affinity two CPUs, every other
-    # sector goes to one forked child, which writes its float64 values to a
-    # pipe: the same code on the same single-threaded BLAS, so the values
-    # are bitwise the same. A share the child does not deliver (a refused
-    # fork, an exception, a kill) is computed here, so a deterministic
-    # error is raised by this process's own call. fork() copies only the
-    # calling thread, so a lock that another thread holds (an OpenBLAS
-    # pool's among them) stays held in the child: forking beside OpenBLAS's
-    # pool made a 0.74 s N=3 sweep take 14.9 s
-    def values(share: list) -> list[float]:
-        return [_trace_sqrt_squared(np.kron(outer, zz)) for outer, zz in share]
+    # matrix is alive at a time
+    outer, zz = pair
+    return _trace_sqrt_squared(np.kron(outer, zz))
 
+
+def _fanned_out(fn, items: list, dim: int) -> list:
+    # [fn(item) for item in items], with the odd items in one forked child
+    # from d = `_FORK_MIN_DIM` on, while this process has one OS thread and
+    # its affinity two CPUs. The child sends its results as one pickled list
+    # (floats keep their bits) and the warnings it would have shown, which
+    # are shown here; it runs the same code on the same single-threaded BLAS,
+    # so the results are bitwise the same. A share the child does not
+    # deliver (a refused fork, an exception, a kill) is computed here, so a
+    # deterministic error is raised by this process's own call. fork()
+    # copies only the calling thread, so a lock that another thread holds
+    # (an OpenBLAS pool's among them) stays held in the child: forking
+    # beside OpenBLAS's pool made a 0.74 s N=3 sweep take 14.9 s. While a
+    # fan-out runs, a nested one stays in-process on both sides, so a sweep
+    # forks once, not once per truth table
+    global _fanning_out
     try:
         forks = (
-            dim >= _FORK_MIN_DIM
+            not _fanning_out
+            and len(items) > 1
+            and dim >= _FORK_MIN_DIM
             and len(os.listdir("/proc/self/task")) == 1
             and len(os.sched_getaffinity(0)) > 1
         )
@@ -405,39 +423,70 @@ def _sector_composites(args: list, dim: int) -> list[float]:
         # no /proc or no sched_getaffinity: not Linux
         forks = False
     if not forks:
-        return values(args)
+        return [fn(item) for item in items]
     try:
         read, write = os.pipe()
     except OSError:
         # a refused pipe (EMFILE, ENFILE)
-        return values(args)
+        return [fn(item) for item in items]
+    # loaded with numpy already
+    import pickle
+
+    _fanning_out = True
     try:
-        pid = os.fork()
-    except OSError:
-        # a refused fork (EAGAIN, ENOMEM): no one writes to the pipe
-        pid = None
-    if pid == 0:
         try:
-            # the collector stays off, so it does not touch, and copy, the
-            # parent's pages; _exit runs none of the parent's exit handlers
-            gc.disable()
-            os.write(write, np.array(values(args[1::2])).tobytes())
+            pid = os.fork()
+        except OSError:
+            # a refused fork (EAGAIN, ENOMEM): no one writes to the pipe
+            pid = None
+        if pid == 0:
+            try:
+                # the collector stays off, so it does not touch, and copy,
+                # the parent's pages; _exit runs none of the parent's exit
+                # handlers and flushes none of its buffers
+                gc.disable()
+                with warnings.catch_warnings(record=True) as shown:
+                    rows = [fn(item) for item in items[1::2]]
+                shown = [(w.message, w.category, w.filename, w.lineno) for w in shown]
+                # the file object writes the whole payload, past the pipe's
+                # buffer too
+                with os.fdopen(write, "wb") as pipe:
+                    pipe.write(pickle.dumps((rows, shown)))
+            finally:
+                os._exit(0)
+        os.close(write)
+        try:
+            # closed before the child is reaped, so a child still writing
+            # fails instead of blocking
+            with os.fdopen(read, "rb") as pipe:
+                try:
+                    mine = [fn(item) for item in items[::2]]
+                except Exception:
+                    mine = None
+                payload = pipe.read()
         finally:
-            os._exit(0)
-    os.close(write)
-    try:
-        # closed before the child is reaped, so a child still writing fails
-        # instead of blocking
-        with os.fdopen(read, "rb") as pipe:
-            mine = values(args[::2])
-            payload = pipe.read()
+            if pid is not None:
+                os.waitpid(pid, 0)
+        if mine is None:
+            # all again, in order: the error raised is the first one an
+            # in-process run meets, in the child's share or in this one
+            return [fn(item) for item in items]
+        try:
+            theirs, shown = pickle.loads(payload)
+        except Exception:
+            # no payload or a cut one
+            theirs, shown = None, []
+        if theirs is None:
+            theirs = [fn(item) for item in items[1::2]]
+        # shown once, as in-process: this module's registry is the one a
+        # warning raised for a call from here is recorded in
+        registry = globals().setdefault("__warningregistry__", {})
+        for warning in shown:
+            warnings.warn_explicit(*warning, registry=registry)
     finally:
-        if pid is not None:
-            os.waitpid(pid, 0)
-    out = [0.0] * len(args)
-    out[::2] = mine
-    delivered = len(payload) == 8 * len(out[1::2])
-    out[1::2] = np.frombuffer(payload).tolist() if delivered else values(args[1::2])
+        _fanning_out = False
+    out = [None] * len(items)
+    out[::2], out[1::2] = mine, theirs
     return out
 
 
@@ -593,51 +642,52 @@ def lamb_dicke_error_sweep(
 
     Returns one row per point, eta-major, as `truncation_convergence`
     returns its rows; the caller holds the grids and settings it passed.
-    The sweep is deterministic: reruns differ only in `runtime_s`.
+    The sweep is deterministic: reruns differ only in `runtime_s`. When
+    d = 2^N (n_max+1) >= `_FORK_MIN_DIM`, the process has one OS thread and
+    its affinity two CPUs, every other point of a grid of two or more runs
+    in one forked child (`_fanned_out`, module docstring), with the same
+    rows, errors and warnings as in-process, the child's warnings shown
+    after the others; its truth tables then split no spectra.
     """
     eta_values = tuple(float(x) for x in eta_grid)
     nbar_values = tuple(float(x) for x in nbar_grid)
     if not eta_values or not nbar_values:
         raise ValueError("sweep grids must be nonempty")
-    records = []
-    for eta in eta_values:
-        for nbar in nbar_values:
-            t0 = time.perf_counter()
-            try:
-                # solved at every point, so a solver failure fails every nbar
-                # of its eta with the same message
-                params = solve_gate_params(eta).model_params(
-                    n_ions=n_ions, n_max=n_max, n_pad=n_pad
-                )
-                motion = thermal_state(ThermalSpec(nbar=nbar, n_max=n_max))
-                table = truth_table_check(params, motion, model)
-                ghz = ghz_check(n_ions, eta, motion, n_pad=n_pad, model=model)
-                leak = _worst([table.leakage, ghz.leakage])
-                outcome = dict(
-                    infidelity_gate=table.gate_infidelity,
-                    infidelity_ghz=_infidelity(ghz.fidelity),
-                    leakage=leak,
-                    flags=_flags(leak),
-                    error=None,
-                )
-            except RuntimeError as exc:
-                outcome = dict(
-                    infidelity_gate=None,
-                    infidelity_ghz=None,
-                    leakage=None,
-                    flags=(),
-                    error=str(exc),
-                )
-            records.append(
-                SweepPoint(
-                    eta=eta,
-                    nbar=nbar,
-                    n_max=n_max,
-                    **outcome,
-                    runtime_s=time.perf_counter() - t0,
-                )
+
+    def row(point: tuple[float, float]) -> SweepPoint:
+        eta, nbar = point
+        t0 = time.perf_counter()
+        try:
+            # solved at every point, so a solver failure fails every nbar of
+            # its eta with the same message
+            params = solve_gate_params(eta).model_params(
+                n_ions=n_ions, n_max=n_max, n_pad=n_pad
             )
-    return tuple(records)
+            motion = thermal_state(ThermalSpec(nbar=nbar, n_max=n_max))
+            table = truth_table_check(params, motion, model)
+            ghz = ghz_check(n_ions, eta, motion, n_pad=n_pad, model=model)
+            leak = _worst([table.leakage, ghz.leakage])
+            outcome = dict(
+                infidelity_gate=table.gate_infidelity,
+                infidelity_ghz=_infidelity(ghz.fidelity),
+                leakage=leak,
+                flags=_flags(leak),
+                error=None,
+            )
+        except RuntimeError as exc:
+            outcome = dict(
+                infidelity_gate=None,
+                infidelity_ghz=None,
+                leakage=None,
+                flags=(),
+                error=str(exc),
+            )
+        return SweepPoint(
+            eta=eta, nbar=nbar, n_max=n_max, **outcome, runtime_s=time.perf_counter() - t0
+        )
+
+    points = [(eta, nbar) for eta in eta_values for nbar in nbar_values]
+    return tuple(_fanned_out(row, points, 2**n_ions * (n_max + 1)))
 
 
 @dataclass(frozen=True)

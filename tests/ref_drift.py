@@ -5,45 +5,46 @@
 Runs every reference-checked job that any benchmark seed can draw
 (`perfbench/workloads.reference_plan`), at the full and the smoke size,
 through `iongate.cli.main` in this process with BLAS pinned to one thread.
-That leaves the process one OS thread, so, as in the benchmark, the truth
-table's sector spectra from d = 200 on (the full-size N=3 sweep) are split
-with one forked child (`analysis._sector_composites`). It counts the `os.fork`
-calls of its jobs and prints the count, which shows that the digests cover
-that path. It compares each output with `perfbench/refs.json` and prints, per
-command and field, the worst |value - reference| (angles modulo 2 pi) and that
-drift as a share of `REF_TOL`, then the number of jobs with any value above
-`REF_TOL/2` and outside `REF_TOL`, so that every change shows how close the
-pinned noise runs to the tolerance. It records the sector blocks of every
-truth table of those jobs (`analysis._sector_table`) and prints, per command,
-the worst distance of the truth table's composite fidelities and of the gate
-infidelity derived from them (gate-check `composite_fidelities` and
-`gate_infidelity`, convergence `gate_infidelity`, sweep `infidelity_gate`)
-from their exact values, (sum of the singular values of Z_k)^2 from the same
-blocks (`analysis._evolution`, `analysis._trace_norm_squared`): the distance
-that a tolerance of the pinned fields must admit once the (n_max+1)-sized
-values replace the pinned d-sized spectra. These distances are printed only:
-they move neither the exit status nor a digest. Last it prints one SHA-256
-over the names and bytes of every file the jobs wrote, so that two checkouts
-whose outputs are byte-identical print the same digest, and one SHA-256 per
-command over the files of its jobs, so that a change which moves one command's
-outputs can show that the others' are byte-identical. The reference plan has
-no `solve` job; the `solve` digest covers one run of `cli-short`'s solve job
-per eta of `CLI_ETAS`, with and without `--literal-params`, which are checked
-by their own closed-form checks and kept out of the overall digest. The
-reference plan's full-size GHZ jobs are odd N, so the even-N recipe gets a
-digest of its own, also kept out of the overall one: the `ghz` job
-(`workloads.ghz_job`, full model, n_max 40) for N = 2 and 4 at every eta of
-`GHZ_ETAS` and nbar of `GHZ_NBARS`. It has no reference; it shows that a
-change leaves the even recipe's outputs byte-identical. Then it prints the
-worst restricted distance of `closed_form_propagator(...).product` from the
-dense oracle over the full-size `crosscheck` cases of the seeds in
-`CROSSCHECK_SEEDS` (first repetition), the comparison the `crosscheck`
-workload makes: no CLI output reads the closed form, so the digests cannot
-show a change to it. It exits 1 if a job is outside `REF_TOL`, a solve job
-fails its checks, an even-N GHZ job exits nonzero or the closed form is
-farther than `CROSSCHECK_TOL` from the oracle. `perfbench/` is read, never
-written. The file name does not match pytest's `test_*.py`, so the suite does
-not collect it.
+That leaves the process one OS thread, so, as in the benchmark, the full-size
+N=3 sweep (d = 2^N (n_max+1) = 328, from `analysis._FORK_MIN_DIM` = 200 on)
+splits its points with one forked child (`analysis._fanned_out`). It counts
+the `os.fork` calls of its jobs and prints the count, one per sweep, which
+shows that the digests cover that path. It compares each output with
+`perfbench/refs.json` and prints, per command and field, the worst |value -
+reference| (angles modulo 2 pi) and that drift as a share of `REF_TOL`, then
+the number of jobs with any value above `REF_TOL/2` and outside `REF_TOL`, so
+that every change shows how close the pinned noise runs to the tolerance. It
+reruns each job that computes truth tables in this process with no fork,
+records the sector blocks of each of its tables (`analysis._sector_table`) and
+prints, per command, the worst distance of the truth table's composite
+fidelities and of the gate infidelity derived from them (gate-check
+`composite_fidelities` and `gate_infidelity`, convergence `gate_infidelity`,
+sweep `infidelity_gate`) from their exact values, (sum of the singular values
+of Z_k)^2 from the same blocks (`analysis._evolution`,
+`analysis._trace_norm_squared`): the distance that a tolerance of the pinned
+fields must admit once the (n_max+1)-sized values replace the pinned d-sized
+spectra. These distances are printed only: they move neither the exit status
+nor a digest. Last it prints one SHA-256 over the names and bytes of every
+file the jobs wrote, so that two checkouts whose outputs are byte-identical
+print the same digest, and one SHA-256 per command over the files of its jobs,
+so that a change which moves one command's outputs can show that the others'
+are byte-identical. The reference plan has no `solve` job; the `solve` digest
+covers one run of `cli-short`'s solve job per eta of `CLI_ETAS`, with and
+without `--literal-params`, which are checked by their own closed-form checks
+and kept out of the overall digest. The reference plan's full-size GHZ jobs
+are odd N, so the even-N recipe gets a digest of its own, also kept out of the
+overall one: the `ghz` job (`workloads.ghz_job`, full model, n_max 40) for N =
+2 and 4 at every eta of `GHZ_ETAS` and nbar of `GHZ_NBARS`. It has no
+reference; it shows that a change leaves the even recipe's outputs
+byte-identical. Then it prints the worst restricted distance of
+`closed_form_propagator(...).product` from the dense oracle over the full-size
+`crosscheck` cases of the seeds in `CROSSCHECK_SEEDS` (first repetition), the
+comparison the `crosscheck` workload makes: no CLI output reads the closed
+form, so the digests cannot show a change to it. It exits 1 if a job is
+outside `REF_TOL`, a solve job fails its checks, an even-N GHZ job exits
+nonzero or the closed form is farther than `CROSSCHECK_TOL` from the oracle.
+`perfbench/` is read, never written. The file name does not match pytest's
+`test_*.py`, so the suite does not collect it.
 """
 
 import os
@@ -138,6 +139,29 @@ def run(job, root: Path, digests: list) -> int:
     return rc
 
 
+def in_process_tables(job) -> list:
+    """Rerun `job` in this process with no fork and return the report, ion
+    number, sector blocks and populations of each of its truth tables
+    (`analysis._sector_table`): when a sweep forks, its child computes the
+    tables of every other point, out of reach of a recorder here. The rerun
+    writes the job's files again; they are hashed before it."""
+    tables = []
+    sector_table, floor = analysis._sector_table, analysis._FORK_MIN_DIM
+
+    def recorded_table(params, blocks, p, model):
+        report = sector_table(params, blocks, p, model)
+        tables.append((report, params.n_ions, blocks, p))
+        return report
+
+    analysis._sector_table, analysis._FORK_MIN_DIM = recorded_table, math.inf
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            iongate.cli.main(job.args)
+    finally:
+        analysis._sector_table, analysis._FORK_MIN_DIM = sector_table, floor
+    return tables
+
+
 def closed_form_distance() -> tuple[float, int]:
     """The worst restricted distance of the closed-form propagator from the
     dense oracle, as the `crosscheck` workload measures it, over the
@@ -172,24 +196,15 @@ def main() -> int:
 
     fork, os.fork = os.fork, counted_fork
     exact_worst: dict[tuple[str, str], float] = {}
-    tables = []
-
-    def recorded_table(params, blocks, p, model):
-        report = sector_table(params, blocks, p, model)
-        tables.append((report, params.n_ions, blocks, p))
-        return report
-
-    sector_table, analysis._sector_table = analysis._sector_table, recorded_table
     with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
         warnings.simplefilter("ignore")
         root = Path(tmp)
         for name, size in (("full", workloads.FULL), ("smoke", workloads.SMOKE)):
             for job in workloads.reference_plan(size, root / name):
                 command_digest = per_command.setdefault(job.name, hashlib.sha256())
-                del tables[:]
                 rc = run(job, root, [digest, command_digest])
                 if job.name in GATE_FIELDS:
-                    exact_drifts(tables, job.name, exact_worst)
+                    exact_drifts(in_process_tables(job), job.name, exact_worst)
                 jobs += 1
                 errors = workloads.check_job(job, rc, refs)
                 outside += bool(errors)

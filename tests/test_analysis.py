@@ -584,24 +584,35 @@ class TestTruthTable:
                 seen.add(k)
 
 
-#: runs the truth table's sector spectra (`analysis._sector_composites`) in a
-#: fresh process with BLAS pinned to one thread, the only setting in which
-#: they fork, and prints its findings as one JSON line. The affinity reads
-#: two CPUs, or one where a case says so, whatever the host has
+#: runs the fan-outs of `analysis._fanned_out`, the sweep's points and the
+#: truth table's sector spectra, in a fresh process with BLAS pinned to one
+#: thread, the only setting in which they fork, and prints its findings as
+#: one JSON line. Every fork, in this process or in a child, is logged to one
+#: file, so a nested fork shows. The affinity reads two CPUs, or one where a
+#: case says so, whatever the host has
 FAN_OUT_SCRIPT = """
-import errno, json, math, os, signal, threading
+import dataclasses, errno, json, math, os, signal, sys, tempfile, threading, warnings
 import numpy as np
 from helpers import gate_params, quiet_thermal, solved
-from iongate import analysis, fock_state, truncation_convergence, truth_table_check
+from iongate import (
+    analysis, fock_state, lamb_dicke_error_sweep, truncation_convergence, truth_table_check
+)
 
-forks, refused = [], []
+log = tempfile.NamedTemporaryFile("r", delete=False).name
+refused = []
 fork = os.fork
 def counted_fork():
     # a call whose number since the last reset is in `refused` fails
-    forks.append(os.getpid())
-    if len(forks) in refused:
+    with open(log, "a") as fh:
+        fh.write(f"{os.getpid()}\\n")
+    if len(forks()) in refused:
         raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
     return fork()
+def forks():
+    with open(log) as fh:
+        return fh.read().split()
+def reset():
+    open(log, "w").close()
 os.fork = counted_fork
 cpus = {0, 1}
 os.sched_getaffinity = lambda pid: cpus
@@ -609,16 +620,23 @@ parent, floor = os.getpid(), analysis._FORK_MIN_DIM
 out = {"floor": floor}
 
 def forked(run):
-    # run() forking and in-process, and the forks of each
+    # run() forking and in-process, the forks of each, and whether a fork
+    # was made by another process than this one
     analysis._FORK_MIN_DIM = floor
-    del forks[:]
+    reset()
     fanned = run()
-    fanned_forks = len(forks)
+    fanned_forks = forks()
     analysis._FORK_MIN_DIM = math.inf
-    del forks[:]
+    reset()
     local = run()
     analysis._FORK_MIN_DIM = floor
-    return fanned == local, fanned_forks, len(forks)
+    nested = any(int(pid) != parent for pid in fanned_forks)
+    return fanned == local, len(fanned_forks), len(forks()), nested
+
+def sweep(etas, nbars):
+    # the rows of an N = 3, n_max = 25 sweep, runtime aside
+    records = lamb_dicke_error_sweep(etas, nbars, n_ions=3, n_max=n_max, model="full")
+    return [dataclasses.replace(rec, runtime_s=0.0) for rec in records]
 
 n_max = 25  # d = 208 at N = 3
 p = gate_params(0.1, n_max, n_ions=3)
@@ -629,6 +647,43 @@ for model in ("ld", "full"):
     out[f"convergence-{model}"] = forked(
         lambda: truncation_convergence(solved(0.1), [10, 25, 30], nbar=2.0, n_ions=3, model=model)
     )
+out["sweep"] = forked(lambda: sweep((0.05, 0.1, 0.2), (0.0, 0.5)))
+# the process of each truth table of one forked sweep: a share the child
+# delivers is not computed again here
+tables = tempfile.NamedTemporaryFile("r", delete=False).name
+check = analysis.truth_table_check
+def logged_check(*args):
+    with open(tables, "a") as fh:
+        fh.write(f"{os.getpid()}\\n")
+    return check(*args)
+analysis.truth_table_check = logged_check
+sweep((0.05, 0.1, 0.2), (0.0, 0.5))
+analysis.truth_table_check = check
+with open(tables) as fh:
+    pids = [int(pid) for pid in fh.read().split()]
+out["sweep-tables"] = [pids.count(parent), len(pids) - pids.count(parent)]
+os.remove(tables)
+# the solver fails at eta = 1e9, the second point, which the child computes
+out["sweep-failure"] = forked(lambda: sweep((0.1, 1e9), (0.0,)))
+out["sweep-failure-row"] = sweep((0.1, 1e9), (0.0,))[1].error
+
+def shown(run):
+    # the warnings run() shows, forking and in-process
+    def caught():
+        with warnings.catch_warnings(record=True) as shown:
+            warnings.simplefilter("default")
+            run()
+        return sorted((str(w.message), w.category.__name__, w.lineno) for w in shown)
+    analysis._FORK_MIN_DIM = floor
+    fanned = caught()
+    analysis._FORK_MIN_DIM = math.inf
+    local = caught()
+    analysis._FORK_MIN_DIM = floor
+    return fanned == local, len(fanned)
+# nbar 2 leaves a tail weight above 1e-6 at n_max 25: in both processes, and
+# in the child's share only
+out["warnings-both"] = shown(lambda: sweep((0.1, 0.2), (2.0,)))
+out["warnings-child"] = shown(lambda: sweep((0.1,), (0.0, 2.0)))
 
 def unreaped():
     try:
@@ -637,13 +692,13 @@ def unreaped():
     except ChildProcessError:
         return False
 
-def table_with(spectrum):
-    # forked(...) of one table with `analysis._trace_sqrt_squared` replaced,
-    # then whether a child is unreaped and the fds it left open
+def with_spectrum(spectrum, run):
+    # forked(run) with `analysis._trace_sqrt_squared` replaced, then whether
+    # a child is unreaped and the fds it left open
     fds = len(os.listdir("/proc/self/fd"))
     analysis._trace_sqrt_squared = spectrum
     try:
-        result = forked(lambda: truth_table_check(p, quiet_thermal(0.5, n_max), "full"))
+        result = forked(run)
     finally:
         analysis._trace_sqrt_squared = trace_sqrt_squared
     return [*result, unreaped(), len(os.listdir("/proc/self/fd")) - fds]
@@ -657,32 +712,61 @@ def killed(m):
     if os.getpid() != parent:
         os.kill(os.getpid(), signal.SIGKILL)
     return trace_sqrt_squared(m)
-out["child-raises"] = table_with(raising)
-out["child-killed"] = table_with(killed)
-refused[:] = [1]
-out["refused"] = table_with(trace_sqrt_squared)
-refused[:] = []
+runs = {
+    "": lambda: truth_table_check(p, quiet_thermal(0.5, n_max), "full"),
+    "sweep-": lambda: sweep((0.05, 0.1), (0.0, 0.5)),
+}
+for name, run in runs.items():
+    out[f"{name}child-raises"] = with_spectrum(raising, run)
+    out[f"{name}child-killed"] = with_spectrum(killed, run)
+    refused[:] = [1]
+    out[f"{name}refused"] = with_spectrum(trace_sqrt_squared, run)
+    refused[:] = []
 
-del forks[:]
+# an invalid nbar at the second point, in the child's share, and then one
+# more at the third, in this process's share: the library's error of the
+# first, raised here, and the next table forks again
+for nbars in ((0.0, -1.0), (0.0, -1.0, -2.0)):
+    reset()
+    try:
+        sweep((0.1,), nbars)
+        out[f"invalid-nbar-{len(nbars)}"] = None
+    except ValueError as exc:
+        out[f"invalid-nbar-{len(nbars)}"] = [str(exc), len(forks())]
+reset()
+truth_table_check(p, quiet_thermal(0.5, n_max), "full")
+out["after-invalid"] = [len(forks()), unreaped()]
+
+reset()
 squares = [(np.ones((1, 1)), np.array([[float(i * i)]])) for i in range(5)]
-out["values"] = analysis._sector_composites(squares, floor)
-out["forks"] = len(forks)
+out["values"] = analysis._fanned_out(analysis._composite_value, squares, floor)
+out["forks"] = len(forks())
 out["unreaped"] = unreaped()
+# 20 000 floats a row, some 180 KiB pickled in the child's share, each row
+# with the process that computed it
+reset()
+big = analysis._fanned_out(lambda i: (os.getpid(), [float(i)] * 20000), list(range(5)), floor)
+out["large"] = [
+    [rows == [float(i)] * 20000 for i, (_, rows) in enumerate(big)],
+    [pid != parent for pid, _ in big],
+    len(forks()),
+]
 
-del forks[:]
+reset()
 small = gate_params(0.1, 40)  # d = 164
 truth_table_check(small, quiet_thermal(0.5, 40), "full")
-out["below_floor"] = [small.dim, len(forks)]
+out["below_floor"] = [small.dim, len(forks())]
 stop = threading.Event()
 worker = threading.Thread(target=stop.wait)
 worker.start()
 truth_table_check(p, quiet_thermal(0.5, n_max), "full")
 stop.set()
 worker.join(timeout=60)
-out["second_thread"] = [len(forks), worker.is_alive()]
+out["second_thread"] = [len(forks()), worker.is_alive()]
 cpus = {0}
 truth_table_check(p, quiet_thermal(0.5, n_max), "full")
-out["one_cpu"] = len(forks)
+out["one_cpu"] = len(forks())
+os.remove(log)
 print(json.dumps(out))
 """
 
@@ -703,8 +787,9 @@ def fan_out():
 
 
 class TestSectorFanOut:
-    """The truth table's composite spectra split with one forked child, with
-    BLAS pinned, against the same calls in-process (`fan_out` above)."""
+    """The sweep's points, and a lone truth table's composite spectra, split
+    with one forked child, with BLAS pinned, against the same calls
+    in-process (`fan_out` above)."""
 
     @pytest.mark.parametrize(
         "case, tables",
@@ -719,35 +804,84 @@ class TestSectorFanOut:
         ],
     )
     def test_fanned_out_results_equal_in_process(self, fan_out, case, tables):
-        equal, fanned_forks, local_forks = fan_out[case]
+        equal, fanned_forks, local_forks, nested = fan_out[case]
         assert fan_out["dim"] >= fan_out["floor"]
         assert equal
         # one child per table at or above the floor, which the convergence
         # cutoff 10 is not
         assert fanned_forks == tables
-        assert local_forks == 0
+        assert local_forks == 0 and not nested
+
+    @pytest.mark.parametrize("case", ["sweep", "sweep-failure"])
+    def test_a_sweep_forks_once_for_its_points(self, fan_out, case):
+        # six points, or a solver failure in the child's share; the child's
+        # truth tables and this process's fork no more
+        equal, fanned_forks, local_forks, nested = fan_out[case]
+        assert equal
+        assert fanned_forks == 1 and local_forks == 0 and not nested
+
+    def test_the_child_share_is_not_computed_again(self, fan_out):
+        # three of the six points' truth tables ran in the child
+        assert fan_out["sweep-tables"] == [3, 3]
+
+    def test_a_solver_failure_row_comes_back_from_the_child(self, fan_out):
+        row = fan_out["sweep-failure-row"]
+        assert row.startswith("gate parameter solve failed for eta=1000000000.0")
+
+    @pytest.mark.parametrize("case", ["warnings-both", "warnings-child"])
+    def test_the_child_warnings_are_shown_once(self, fan_out, case):
+        # the thermal-tail warning of nbar 2, met in both processes or only in
+        # the child, is shown as in-process: once
+        equal, count = fan_out[case]
+        assert equal and count == 1
 
     @pytest.mark.parametrize("how", ["raises", "killed"])
     def test_a_failed_child_leaves_its_share_to_the_parent(self, fan_out, how):
         # the child's spectra raise LinAlgError or SIGKILL it; the parent's
         # own calls succeed, so its recomputed share completes the table
-        equal, fanned_forks, local_forks, unreaped, new_fds = fan_out[f"child-{how}"]
+        equal, fanned_forks, local_forks, nested, unreaped, new_fds = fan_out[f"child-{how}"]
         assert equal
-        assert fanned_forks == 1 and local_forks == 0
+        assert fanned_forks == 1 and local_forks == 0 and not nested
         assert unreaped is False and new_fds == 0
+
+    @pytest.mark.parametrize("how", ["child-raises", "child-killed", "refused"])
+    def test_a_sweep_share_the_child_does_not_deliver_is_computed_here(self, fan_out, how):
+        # the child's spectra raise LinAlgError or SIGKILL it, or os.fork
+        # raises EAGAIN; this process's own points succeed, so its
+        # recomputed share completes the sweep
+        equal, fanned_forks, local_forks, nested, unreaped, new_fds = fan_out[f"sweep-{how}"]
+        assert equal
+        assert fanned_forks == 1 and local_forks == 0 and not nested
+        assert unreaped is False and new_fds == 0
+
+    @pytest.mark.parametrize("points", [2, 3])
+    def test_an_invalid_point_in_the_child_share_raises_here(self, fan_out, points):
+        # the first error of the grid, as in-process, also when a later
+        # point of this process's share fails too
+        message = "nbar must be finite and >= 0, got -1.0"
+        assert fan_out[f"invalid-nbar-{points}"] == [message, 1]
+        # the guard against nested fan-outs was reset: the next table forks
+        assert fan_out["after-invalid"] == [1, False]
 
     def test_values_come_back_in_order(self, fan_out):
         assert fan_out["values"] == [float(i * i) for i in range(5)]
         assert fan_out["forks"] == 1
+
+    def test_a_payload_past_the_pipe_buffer_comes_back_whole(self, fan_out):
+        # in order, and the odd rows from the child, not computed again here
+        rows, from_child, forks = fan_out["large"]
+        assert rows == [True] * 5
+        assert from_child == [False, True, False, True, False]
+        assert forks == 1
 
     def test_every_child_is_reaped(self, fan_out):
         assert fan_out["unreaped"] is False
 
     def test_a_refused_fork_runs_its_share_in_process(self, fan_out):
         # os.fork raises EAGAIN on the one call of a table
-        equal, fanned_forks, local_forks, unreaped, new_fds = fan_out["refused"]
+        equal, fanned_forks, local_forks, nested, unreaped, new_fds = fan_out["refused"]
         assert equal
-        assert fanned_forks == 1 and local_forks == 0
+        assert fanned_forks == 1 and local_forks == 0 and not nested
         assert unreaped is False and new_fds == 0
 
     def test_no_fork_below_the_floor_or_beside_a_second_thread(self, fan_out):

@@ -2,6 +2,7 @@
 
 import json
 import math
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -9,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from helpers import ROOT
 from iongate import ThermalSpec, analysis, cli, dynamics, synthesis, thermal_state
 from iongate.cli import ConfigError, load_run_config, main
 
@@ -355,7 +357,63 @@ class TestNonfiniteNbar:
         assert f"{key} grid values must be finite" in capsys.readouterr().err
 
 
+#: `iongate sweep` in a fresh process with `analysis._FORK_MIN_DIM` set to its
+#: first argument and an affinity of two CPUs; it prints a line before the
+#: command, which stdout to a pipe holds in its buffer when the sweep forks,
+#: and the number of forks after it
+FORKED_SWEEP_SCRIPT = """
+import os, sys
+from iongate import analysis, cli
+forks = []
+fork = os.fork
+def counted_fork():
+    forks.append(os.getpid())
+    return fork()
+os.fork = counted_fork
+os.sched_getaffinity = lambda pid: {0, 1}
+analysis._FORK_MIN_DIM = float(sys.argv[1])
+print("before the sweep")
+code = cli.main(sys.argv[2:])
+print(f"forks {len(forks)}")
+sys.exit(code)
+"""
+
+
 class TestSweepCommand:
+    def test_a_forked_sweep_writes_the_bytes_of_an_in_process_one(self, tmp_path):
+        # N=3, n_max=25: d = 208, so with BLAS pinned to one thread the
+        # sweep's points split with one forked child, which inherits the
+        # command's open output files and stdout buffer
+        blas = dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), "1")
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), **blas)
+        runs = {}
+        for floor in ("200", "inf"):
+            out = tmp_path / floor
+            out.mkdir()
+            cfg = write_config(
+                out,
+                model={"n_ions": 3, "n_max": 25, "n_pad": 10, "hamiltonian": "full"},
+                grids={"eta": [0.05, 0.1, 0.2], "nbar": [0.0, 0.5]},
+                output={"csv": str(out / "sweep.csv"), "json": str(out / "sweep.json")},
+            )
+            proc = subprocess.run(
+                [sys.executable, "-c", FORKED_SWEEP_SCRIPT, floor, "sweep", "--config", str(cfg)],
+                env=env,
+                capture_output=True,
+                text=True,
+                timeout=120,
+            )
+            assert proc.returncode == 0, proc.stderr
+            files = [(out / name).read_bytes() for name in ("sweep.csv", "sweep.json")]
+            runs[floor] = files, proc.stdout.splitlines()
+        (fanned, fanned_lines), (local, local_lines) = runs["200"], runs["inf"]
+        assert fanned == local
+        assert fanned_lines[-1] == "forks 1" and local_lines[-1] == "forks 0"
+        # the marker, the summary, six rows, two paths and the fork count,
+        # each once
+        assert len(set(fanned_lines)) == len(fanned_lines) == len(local_lines) == 11
+        assert fanned_lines[0] == "before the sweep"
+
     def test_grid_rows_and_rerun_identical(self, tmp_path):
         csv_a = tmp_path / "a.csv"
         csv_b = tmp_path / "b.csv"

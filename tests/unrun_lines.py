@@ -12,8 +12,9 @@ statement (def, class, if, for, while, try, with) counts as run when any
 line within it ran, so an unrun branch is listed statement by statement;
 docstrings are not statements. Code that runs only in another process
 shows as unrun too, because no tracer follows it there: the fork route of
-`analysis._sector_composites` (the suite's own process has BLAS threads, so
-only its subprocesses fork), the numpy import and `gc.freeze` of
+`analysis._fanned_out`, which the sweep's points and a lone truth table's
+spectra share (the suite's own process has BLAS threads, so only its
+subprocesses fork), the numpy import and `gc.freeze` of
 `cli._import_numpy` (only a fresh process imports numpy there) and the
 `__main__` guard of `cli`. It needs no coverage package. It exits with
 pytest's exit code. The file name does not match pytest's `test_*.py`, so
