@@ -46,14 +46,13 @@ and each d x d matrix (d = 2^N (n_max+1)) only for its
 eigenvalues; once the references are re-derived, eigvalsh of the
 (n_max+1)-sized S = B+B of `_evolution` replaces it.
 
-The sweep's (eta, nbar) points are independent, and so are the sector
-route's N+1 composite spectra. From d = `_FORK_MIN_DIM` on (measured; the
-N=3, n_max=40 sweep has d = 328) `_fanned_out` hands every other one to one
-`os.fork()` child, which sends its results back pickled through a pipe; a
-share it does not deliver is computed in the calling process. A sweep
-forks once, for its points: the truth tables inside a fan-out stay
-in-process on both sides, and a truth table called on its own splits its
-spectra. It forks only while the process has one OS thread
+The sweep's (eta, nbar) points are independent. From d = `_FORK_MIN_DIM`
+on (measured; the N=3, n_max=40 sweep has d = 328) `_fanned_out` hands
+every other point to one `os.fork()` child, which sends its rows back
+pickled through a pipe; a share it does not deliver is computed in the
+calling process. A sweep forks once, for its points, and nothing else
+forks: a truth table or a convergence study computes its spectra
+in-process. It forks only while the process has one OS thread
 (OPENBLAS_NUM_THREADS=1) and its affinity two CPUs: fork() copies the
 calling thread alone, so a lock that another thread holds, OpenBLAS's
 pool's among them, stays held in the child. The child runs the same code
@@ -89,19 +88,17 @@ LEAKAGE_THRESHOLD = 1e-6
 
 TRUNCATION_FLAG = "truncation-unreliable"
 
-#: `_fanned_out` forks one child from this d = 2^N (n_max+1) on, for both of
-#: its callers: the sweep's points and, outside a sweep, the truth table's
-#: N+1 composite spectra. On a 2-vCPU Linux VM with one BLAS thread
-#: (OpenBLAS 0.3.31, numpy 2.4.6), the spectra split over two processes took
-#: 1.14-1.23 times their in-process time at d = 124, 0.93-1.06 at 164,
-#: 0.79-0.82 at 204 and 0.53-0.62 at 328 (medians of 15, two rounds); one
-#: fork and reap took 2.4 ms. So d = 164 (N=2, n_max=40) stays in-process
-#: and the N=3, n_max=40 sweep (d = 328) forks
+#: `_fanned_out` forks one child for the sweep's points from this
+#: d = 2^N (n_max+1) on. On a 2-vCPU Linux VM with one BLAS thread
+#: (OpenBLAS 0.3.31, numpy 2.4.6), a truth table's N+1 composite spectra
+#: split over two processes took 1.14-1.23 times their in-process time at
+#: d = 124, 0.93-1.06 at 164, 0.79-0.82 at 204 and 0.53-0.62 at 328
+#: (medians of 15, two rounds); one fork and reap took 2.4 ms. A single
+#: spectrum costs less than a whole sweep point, which adds the solve, the
+#: sector blocks and `ghz_check`, so the floor is conservative for points:
+#: d = 164 (N=2, n_max=40) stays in-process and the N=3, n_max=40 sweep
+#: (d = 328) forks
 _FORK_MIN_DIM = 200
-
-#: true while `_fanned_out` runs, in this process and in its child, so that
-#: a fan-out nested in one of its items stays in-process
-_fanning_out = False
 
 
 def partial_trace(state: QuantumState, keep: str) -> QuantumState:
@@ -376,24 +373,14 @@ def _sector_table(
     sqrt_p = np.sqrt(p)
     signs, labels, sectors = _pm_products(params.n_ions)
     firsts = signs.T[2 ** np.arange(params.n_ions + 1) - 1]
-    evolutions, composite_args = [], []
+    per_sector = []
     for block, column in zip(blocks, firsts):
         *evolution, z = _evolution(block, np.ones(1), sqrt_p)
-        evolutions.append(evolution)
-        # |v><v| = s s^T / 2^N is exact
+        # |v><v| = s s^T / 2^N is exact; the kron is built per sector, so
+        # that one d x d matrix is alive at a time
         outer = np.outer(column, column) / 2.0**params.n_ions
-        composite_args.append((outer, z @ z.conj().T))
-    composite = _fanned_out(_composite_value, composite_args, params.dim)
-    per_sector = [(*e, c) for e, c in zip(evolutions, composite)]
+        per_sector.append((*evolution, _trace_sqrt_squared(np.kron(outer, z @ z.conj().T))))
     return _report(params, model, labels, [per_sector[k] for k in sectors])
-
-
-def _composite_value(pair: tuple) -> float:
-    # the composite Uhlmann value of a sector's first input from its
-    # (|v><v|, Z Z+) pair, with the kron built per value, so that one d x d
-    # matrix is alive at a time
-    outer, zz = pair
-    return _trace_sqrt_squared(np.kron(outer, zz))
 
 
 def _fanned_out(fn, items: list, dim: int) -> list:
@@ -407,14 +394,10 @@ def _fanned_out(fn, items: list, dim: int) -> list:
     # deterministic error is raised by this process's own call. fork()
     # copies only the calling thread, so a lock that another thread holds
     # (an OpenBLAS pool's among them) stays held in the child: forking
-    # beside OpenBLAS's pool made a 0.74 s N=3 sweep take 14.9 s. While a
-    # fan-out runs, a nested one stays in-process on both sides, so a sweep
-    # forks once, not once per truth table
-    global _fanning_out
+    # beside OpenBLAS's pool made a 0.74 s N=3 sweep take 14.9 s
     try:
         forks = (
-            not _fanning_out
-            and len(items) > 1
+            len(items) > 1
             and dim >= _FORK_MIN_DIM
             and len(os.listdir("/proc/self/task")) == 1
             and len(os.sched_getaffinity(0)) > 1
@@ -432,59 +415,55 @@ def _fanned_out(fn, items: list, dim: int) -> list:
     # loaded with numpy already
     import pickle
 
-    _fanning_out = True
     try:
+        pid = os.fork()
+    except OSError:
+        # a refused fork (EAGAIN, ENOMEM): no one writes to the pipe
+        pid = None
+    if pid == 0:
         try:
-            pid = os.fork()
-        except OSError:
-            # a refused fork (EAGAIN, ENOMEM): no one writes to the pipe
-            pid = None
-        if pid == 0:
-            try:
-                # the collector stays off, so it does not touch, and copy,
-                # the parent's pages; _exit runs none of the parent's exit
-                # handlers and flushes none of its buffers
-                gc.disable()
-                with warnings.catch_warnings(record=True) as shown:
-                    rows = [fn(item) for item in items[1::2]]
-                shown = [(w.message, w.category, w.filename, w.lineno) for w in shown]
-                # the file object writes the whole payload, past the pipe's
-                # buffer too
-                with os.fdopen(write, "wb") as pipe:
-                    pipe.write(pickle.dumps((rows, shown)))
-            finally:
-                os._exit(0)
-        os.close(write)
-        try:
-            # closed before the child is reaped, so a child still writing
-            # fails instead of blocking
-            with os.fdopen(read, "rb") as pipe:
-                try:
-                    mine = [fn(item) for item in items[::2]]
-                except Exception:
-                    mine = None
-                payload = pipe.read()
+            # the collector stays off, so it does not touch, and copy, the
+            # parent's pages; _exit runs none of the parent's exit handlers
+            # and flushes none of its buffers
+            gc.disable()
+            with warnings.catch_warnings(record=True) as shown:
+                rows = [fn(item) for item in items[1::2]]
+            shown = [(w.message, w.category, w.filename, w.lineno) for w in shown]
+            # the file object writes the whole payload, past the pipe's
+            # buffer too
+            with os.fdopen(write, "wb") as pipe:
+                pipe.write(pickle.dumps((rows, shown)))
         finally:
-            if pid is not None:
-                os.waitpid(pid, 0)
-        if mine is None:
-            # all again, in order: the error raised is the first one an
-            # in-process run meets, in the child's share or in this one
-            return [fn(item) for item in items]
-        try:
-            theirs, shown = pickle.loads(payload)
-        except Exception:
-            # no payload or a cut one
-            theirs, shown = None, []
-        if theirs is None:
-            theirs = [fn(item) for item in items[1::2]]
-        # shown once, as in-process: this module's registry is the one a
-        # warning raised for a call from here is recorded in
-        registry = globals().setdefault("__warningregistry__", {})
-        for warning in shown:
-            warnings.warn_explicit(*warning, registry=registry)
+            os._exit(0)
+    os.close(write)
+    try:
+        # closed before the child is reaped, so a child still writing fails
+        # instead of blocking
+        with os.fdopen(read, "rb") as pipe:
+            try:
+                mine = [fn(item) for item in items[::2]]
+            except Exception:
+                mine = None
+            payload = pipe.read()
     finally:
-        _fanning_out = False
+        if pid is not None:
+            os.waitpid(pid, 0)
+    if mine is None:
+        # all again, in order: the error raised is the first one an
+        # in-process run meets, in the child's share or in this one
+        return [fn(item) for item in items]
+    try:
+        theirs, shown = pickle.loads(payload)
+    except Exception:
+        # no payload or a cut one
+        theirs, shown = None, []
+    if theirs is None:
+        theirs = [fn(item) for item in items[1::2]]
+    # shown once, as in-process: this module's registry is the one a warning
+    # raised for a call from here is recorded in
+    registry = globals().setdefault("__warningregistry__", {})
+    for warning in shown:
+        warnings.warn_explicit(*warning, registry=registry)
     out = [None] * len(items)
     out[::2], out[1::2] = mine, theirs
     return out
@@ -647,7 +626,7 @@ def lamb_dicke_error_sweep(
     its affinity two CPUs, every other point of a grid of two or more runs
     in one forked child (`_fanned_out`, module docstring), with the same
     rows, errors and warnings as in-process, the child's warnings shown
-    after the others; its truth tables then split no spectra.
+    after the others. Nothing else forks.
     """
     eta_values = tuple(float(x) for x in eta_grid)
     nbar_values = tuple(float(x) for x in nbar_grid)

@@ -145,3 +145,17 @@ def dense_truth_table(
         leakage=leak,
         flags=flags,
     )
+
+
+def exact_composite_fidelity(
+    u: OperatorMatrix, vec: np.ndarray, image: np.ndarray, p: np.ndarray
+) -> float:
+    """The composite fidelity F(U (|v><v| x rho) U+, |Gv><Gv| x rho) of an
+    input v with image Gv and motion rho = diag(p), from (n_max+1)-sized
+    matrices: (sum of the singular values of sqrt(p) Y sqrt(p))^2, with
+    Y = (<Gv| x I) U (|v> x I). The reference for the composite fields, which
+    `dense_truth_table` computes from d-sized spectra with a roundoff bias."""
+    d_i, d_m = u.dims
+    y = np.einsum("i,imjn,j->mn", image.conj(), u.mat.reshape(d_i, d_m, d_i, d_m), vec)
+    sqrt_p = np.sqrt(p)
+    return float(np.linalg.svd(sqrt_p[:, None] * y * sqrt_p, compute_uv=False).sum() ** 2)

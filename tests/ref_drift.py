@@ -7,9 +7,11 @@ Runs every reference-checked job that any benchmark seed can draw
 through `iongate.cli.main` in this process with BLAS pinned to one thread.
 That leaves the process one OS thread, so, as in the benchmark, the full-size
 N=3 sweep (d = 2^N (n_max+1) = 328, from `analysis._FORK_MIN_DIM` = 200 on)
-splits its points with one forked child (`analysis._fanned_out`). It counts
-the `os.fork` calls of its jobs and prints the count, one per sweep, which
-shows that the digests cover that path. It compares each output with
+splits its points with one forked child (`analysis._fanned_out`), and no
+other job forks: a gate check or a convergence computes its spectra
+in-process at any d. It counts the `os.fork` calls of its jobs and prints
+the count, one per full-size sweep, which shows that the digests cover that
+path. It compares each output with
 `perfbench/refs.json` and prints, per command and field, the worst |value -
 reference| (angles modulo 2 pi) and that drift as a share of `REF_TOL`, then
 the number of jobs with any value above `REF_TOL/2` and outside `REF_TOL`, so

@@ -17,6 +17,7 @@ from helpers import (
     ROOT,
     dense_ghz,
     dense_truth_table,
+    exact_composite_fidelity,
     gate_params,
     quiet_thermal,
     random_density,
@@ -37,12 +38,14 @@ from iongate import (
     ghz_fidelity,
     hamiltonian_full,
     hamiltonian_ld,
+    ideal_gate_unitary,
     ideal_ghz_state,
     internal_product_state,
     lamb_dicke_error_sweep,
     leakage_population,
     motional_independence_metric,
     partial_trace,
+    pm_product_states,
     sector_propagators,
     sector_sum,
     thermal_state,
@@ -487,9 +490,6 @@ class TestTruthTable:
         monkeypatch.setattr(dynamics, "sector_sum", forbidden)
         monkeypatch.setattr(dynamics, "evolve", forbidden)
         monkeypatch.setattr(analysis, "evolve", forbidden, raising=False)
-        # the solver calls are recorded in this process, so none may run in a
-        # forked child (BLAS pinned to one thread would allow it at d = 328)
-        monkeypatch.setattr(analysis, "_FORK_MIN_DIM", math.inf)
         shapes, windows = record_solvers(monkeypatch, p.dim)
         tracemalloc.start()
         try:
@@ -584,19 +584,16 @@ class TestTruthTable:
                 seen.add(k)
 
 
-#: runs the fan-outs of `analysis._fanned_out`, the sweep's points and the
-#: truth table's sector spectra, in a fresh process with BLAS pinned to one
-#: thread, the only setting in which they fork, and prints its findings as
-#: one JSON line. Every fork, in this process or in a child, is logged to one
-#: file, so a nested fork shows. The affinity reads two CPUs, or one where a
-#: case says so, whatever the host has
+#: runs the sweep's fan-out (`analysis._fanned_out`) in a fresh process with
+#: BLAS pinned to one thread, the only setting in which it forks, and prints
+#: its findings as one JSON line. Every fork, in this process or in a child,
+#: is logged to one file, so a nested fork shows. The affinity reads two
+#: CPUs, or one where a case says so, whatever the host has
 FAN_OUT_SCRIPT = """
 import dataclasses, errno, json, math, os, signal, sys, tempfile, threading, warnings
 import numpy as np
 from helpers import gate_params, quiet_thermal, solved
-from iongate import (
-    analysis, fock_state, lamb_dicke_error_sweep, truncation_convergence, truth_table_check
-)
+from iongate import analysis, lamb_dicke_error_sweep, truncation_convergence, truth_table_check
 
 log = tempfile.NamedTemporaryFile("r", delete=False).name
 refused = []
@@ -633,20 +630,25 @@ def forked(run):
     nested = any(int(pid) != parent for pid in fanned_forks)
     return fanned == local, len(fanned_forks), len(forks()), nested
 
-def sweep(etas, nbars):
-    # the rows of an N = 3, n_max = 25 sweep, runtime aside
-    records = lamb_dicke_error_sweep(etas, nbars, n_ions=3, n_max=n_max, model="full")
+def sweep(etas, nbars, n_ions=3, n_max=25):
+    # the rows of a sweep, N = 3 and n_max = 25 unless given, runtime aside
+    records = lamb_dicke_error_sweep(etas, nbars, n_ions=n_ions, n_max=n_max, model="full")
     return [dataclasses.replace(rec, runtime_s=0.0) for rec in records]
 
 n_max = 25  # d = 208 at N = 3
 p = gate_params(0.1, n_max, n_ions=3)
 out["dim"] = p.dim
+# a lone truth table and a convergence study at d >= the floor compute their
+# spectra in this process
+lone = {}
 for model in ("ld", "full"):
-    for name, motion in (("thermal", quiet_thermal(0.5, n_max)), ("fock", fock_state(2, n_max))):
-        out[f"table-{model}-{name}"] = forked(lambda: truth_table_check(p, motion, model))
-    out[f"convergence-{model}"] = forked(
-        lambda: truncation_convergence(solved(0.1), [10, 25, 30], nbar=2.0, n_ions=3, model=model)
-    )
+    reset()
+    truth_table_check(p, quiet_thermal(0.5, n_max), model)
+    lone[f"table-{model}"] = len(forks())
+    reset()
+    truncation_convergence(solved(0.1), [25, 30], nbar=2.0, n_ions=3, model=model)
+    lone[f"convergence-{model}"] = len(forks())
+out["lone"] = lone
 out["sweep"] = forked(lambda: sweep((0.05, 0.1, 0.2), (0.0, 0.5)))
 # the process of each truth table of one forked sweep: a share the child
 # delivers is not computed again here
@@ -712,20 +714,16 @@ def killed(m):
     if os.getpid() != parent:
         os.kill(os.getpid(), signal.SIGKILL)
     return trace_sqrt_squared(m)
-runs = {
-    "": lambda: truth_table_check(p, quiet_thermal(0.5, n_max), "full"),
-    "sweep-": lambda: sweep((0.05, 0.1), (0.0, 0.5)),
-}
-for name, run in runs.items():
-    out[f"{name}child-raises"] = with_spectrum(raising, run)
-    out[f"{name}child-killed"] = with_spectrum(killed, run)
-    refused[:] = [1]
-    out[f"{name}refused"] = with_spectrum(trace_sqrt_squared, run)
-    refused[:] = []
+two_points = lambda: sweep((0.05, 0.1), (0.0, 0.5))
+out["sweep-child-raises"] = with_spectrum(raising, two_points)
+out["sweep-child-killed"] = with_spectrum(killed, two_points)
+refused[:] = [1]
+out["sweep-refused"] = with_spectrum(trace_sqrt_squared, two_points)
+refused[:] = []
 
 # an invalid nbar at the second point, in the child's share, and then one
 # more at the third, in this process's share: the library's error of the
-# first, raised here, and the next table forks again
+# first, raised here, and the next sweep forks again
 for nbars in ((0.0, -1.0), (0.0, -1.0, -2.0)):
     reset()
     try:
@@ -734,12 +732,11 @@ for nbars in ((0.0, -1.0), (0.0, -1.0, -2.0)):
     except ValueError as exc:
         out[f"invalid-nbar-{len(nbars)}"] = [str(exc), len(forks())]
 reset()
-truth_table_check(p, quiet_thermal(0.5, n_max), "full")
+sweep((0.1,), (0.0, 0.5))
 out["after-invalid"] = [len(forks()), unreaped()]
 
 reset()
-squares = [(np.ones((1, 1)), np.array([[float(i * i)]])) for i in range(5)]
-out["values"] = analysis._fanned_out(analysis._composite_value, squares, floor)
+out["values"] = analysis._fanned_out(lambda i: float(i * i), list(range(5)), floor)
 out["forks"] = len(forks())
 out["unreaped"] = unreaped()
 # 20 000 floats a row, some 180 KiB pickled in the child's share, each row
@@ -753,18 +750,17 @@ out["large"] = [
 ]
 
 reset()
-small = gate_params(0.1, 40)  # d = 164
-truth_table_check(small, quiet_thermal(0.5, 40), "full")
-out["below_floor"] = [small.dim, len(forks())]
+sweep((0.1,), (0.0, 0.5), n_ions=2, n_max=40)
+out["below_floor"] = [gate_params(0.1, 40).dim, len(forks())]  # d = 164
 stop = threading.Event()
 worker = threading.Thread(target=stop.wait)
 worker.start()
-truth_table_check(p, quiet_thermal(0.5, n_max), "full")
+sweep((0.1,), (0.0, 0.5))
 stop.set()
 worker.join(timeout=60)
 out["second_thread"] = [len(forks()), worker.is_alive()]
 cpus = {0}
-truth_table_check(p, quiet_thermal(0.5, n_max), "full")
+sweep((0.1,), (0.0, 0.5))
 out["one_cpu"] = len(forks())
 os.remove(log)
 print(json.dumps(out))
@@ -786,36 +782,23 @@ def fan_out():
     return json.loads(proc.stdout.splitlines()[-1])
 
 
-class TestSectorFanOut:
-    """The sweep's points, and a lone truth table's composite spectra, split
-    with one forked child, with BLAS pinned, against the same calls
-    in-process (`fan_out` above)."""
+class TestSweepFanOut:
+    """The sweep's points split with one forked child, with BLAS pinned,
+    against the same calls in-process (`fan_out` above)."""
 
     @pytest.mark.parametrize(
-        "case, tables",
-        [
-            (f"{kind}-{model}{motion}", tables)
-            for model in ("ld", "full")
-            for kind, motion, tables in (
-                ("table", "-thermal", 1),
-                ("table", "-fock", 1),
-                ("convergence", "", 2),
-            )
-        ],
+        "case", [f"{kind}-{model}" for kind in ("table", "convergence") for model in ("ld", "full")]
     )
-    def test_fanned_out_results_equal_in_process(self, fan_out, case, tables):
-        equal, fanned_forks, local_forks, nested = fan_out[case]
+    def test_a_lone_table_or_convergence_does_not_fork(self, fan_out, case):
+        # d = 208 is above the floor and BLAS is pinned, so only the fork's
+        # caller, the sweep, could fork here
         assert fan_out["dim"] >= fan_out["floor"]
-        assert equal
-        # one child per table at or above the floor, which the convergence
-        # cutoff 10 is not
-        assert fanned_forks == tables
-        assert local_forks == 0 and not nested
+        assert fan_out["lone"][case] == 0
 
     @pytest.mark.parametrize("case", ["sweep", "sweep-failure"])
     def test_a_sweep_forks_once_for_its_points(self, fan_out, case):
         # six points, or a solver failure in the child's share; the child's
-        # truth tables and this process's fork no more
+        # truth tables fork no more
         equal, fanned_forks, local_forks, nested = fan_out[case]
         assert equal
         assert fanned_forks == 1 and local_forks == 0 and not nested
@@ -835,15 +818,6 @@ class TestSectorFanOut:
         equal, count = fan_out[case]
         assert equal and count == 1
 
-    @pytest.mark.parametrize("how", ["raises", "killed"])
-    def test_a_failed_child_leaves_its_share_to_the_parent(self, fan_out, how):
-        # the child's spectra raise LinAlgError or SIGKILL it; the parent's
-        # own calls succeed, so its recomputed share completes the table
-        equal, fanned_forks, local_forks, nested, unreaped, new_fds = fan_out[f"child-{how}"]
-        assert equal
-        assert fanned_forks == 1 and local_forks == 0 and not nested
-        assert unreaped is False and new_fds == 0
-
     @pytest.mark.parametrize("how", ["child-raises", "child-killed", "refused"])
     def test_a_sweep_share_the_child_does_not_deliver_is_computed_here(self, fan_out, how):
         # the child's spectra raise LinAlgError or SIGKILL it, or os.fork
@@ -860,7 +834,7 @@ class TestSectorFanOut:
         # point of this process's share fails too
         message = "nbar must be finite and >= 0, got -1.0"
         assert fan_out[f"invalid-nbar-{points}"] == [message, 1]
-        # the guard against nested fan-outs was reset: the next table forks
+        # the failed sweep left no child behind, and the next one forks
         assert fan_out["after-invalid"] == [1, False]
 
     def test_values_come_back_in_order(self, fan_out):
@@ -877,16 +851,11 @@ class TestSectorFanOut:
     def test_every_child_is_reaped(self, fan_out):
         assert fan_out["unreaped"] is False
 
-    def test_a_refused_fork_runs_its_share_in_process(self, fan_out):
-        # os.fork raises EAGAIN on the one call of a table
-        equal, fanned_forks, local_forks, nested, unreaped, new_fds = fan_out["refused"]
-        assert equal
-        assert fanned_forks == 1 and local_forks == 0 and not nested
-        assert unreaped is False and new_fds == 0
-
-    def test_no_fork_below_the_floor_or_beside_a_second_thread(self, fan_out):
+    def test_no_fork_below_the_floor(self, fan_out):
         dim, forks = fan_out["below_floor"]
         assert dim < fan_out["floor"] and forks == 0
+
+    def test_no_fork_beside_a_second_thread(self, fan_out):
         assert fan_out["second_thread"] == [0, False]
 
     def test_no_fork_with_one_cpu(self, fan_out):
@@ -931,6 +900,39 @@ class TestTruthTableAgainstDense:
             (report.composite_fidelities, dense.composite_fidelities, COMPOSITE_TOL),
         ):
             assert np.abs(np.subtract(got, want)).max() < tol
+
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        n_ions=st.integers(1, 3),
+        model=st.sampled_from(["ld", "full"]),
+        eta=st.floats(0.03, 0.3),
+        n_max=st.integers(6, 24),
+        motion=st.one_of(
+            st.tuples(st.just("thermal"), st.sampled_from([0.0, 0.5, 2.0])),
+            st.tuples(st.just("fock"), st.integers(0, 3)),
+        ),
+    )
+    def test_restoration_is_the_exact_composite_fidelity(self, n_ions, model, eta, n_max, motion):
+        # on the sector route an input leaves as |v><v| x U_k rho U_k+, so its
+        # composite fidelity is its restoration fidelity: the exact composite
+        # value of the dense oracle's u is the reported restoration value to
+        # roundoff. The reported composite value carries
+        # the pinned d-sized spectra's roundoff, up to 6.7e-7 over 300 seeded
+        # draws of this strategy, and is not read
+        p = gate_params(eta, n_max, n_ions=n_ions)
+        state = drawn_motion(*motion, n_max)
+        report = truth_table_check(p, state, model=model)
+        h = hamiltonian_ld(p) if model == "ld" else hamiltonian_full(p)
+        u = expm_propagator(h, p.tau)
+        pops = analysis._populations(state, p)
+        ideal = ideal_gate_unitary(n_ions).mat
+        inputs = pm_product_states(n_ions)
+        assert list(inputs) == list(report.input_labels)
+        for label, restoration in zip(report.input_labels, report.restoration_fidelities):
+            vec = inputs[label].data
+            exact = exact_composite_fidelity(u, vec, ideal @ vec, pops)
+            assert abs(exact - restoration) < 1e-12
 
 
 def coherent_motion(kind: str, n_max: int) -> QuantumState:

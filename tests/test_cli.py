@@ -793,6 +793,40 @@ class TestOutputContract:
         assert run_cli(*argv, *flags, "--out", str(out)) == 0
         assert json.loads(out.read_text())["n_pad"] == n_pad
 
+    @pytest.mark.parametrize(
+        "argv, moving",
+        [
+            (["gate-check", "--full-hamiltonian"], {"composite_fidelities", "gate_infidelity"}),
+            (["ghz", "--n-ions", "5", "--full-hamiltonian"], set()),
+            (["convergence", "--full-hamiltonian"], {"gate_infidelity", "diff_infidelity"}),
+        ],
+        ids=["gate-check", "ghz", "convergence"],
+    )
+    def test_only_composite_fields_depend_on_the_blas_threads(self, tmp_path, argv, moving):
+        # each full-model default command in fresh processes at one and at two
+        # OpenBLAS threads. The composite-derived fields (`moving`, in the
+        # convergence rows for that command) come from d-sized eigvalsh
+        # spectra whose roundoff moves with the thread count; ROADMAP item 2
+        # replaces them with (n_max+1)-sized values and removes that noise.
+        # Every other field keeps its bits
+        def fields(threads):
+            out = tmp_path / f"{threads}.json"
+            proc = subprocess.run(
+                [sys.executable, "-m", "iongate.cli", *argv, "--out", str(out)],
+                env=dict(os.environ, PYTHONPATH=str(ROOT / "src"), OPENBLAS_NUM_THREADS=threads),
+                capture_output=True,
+                text=True,
+                timeout=120,
+            )
+            assert proc.returncode == 0, proc.stderr
+            payload = json.loads(out.read_text())
+            for record in payload.get("rows", [payload]):
+                for name in moving:
+                    record.pop(name)
+            return payload
+
+        assert fields("1") == fields("2")
+
     def test_unwritable_out_exits_2(self, tmp_path, capsys):
         assert run_cli("solve", "--eta", "0.1", "--out", str(tmp_path)) == 2
         assert capsys.readouterr().err.startswith("error: ")

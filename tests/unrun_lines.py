@@ -10,11 +10,14 @@ suite starts) that records only the frames of this checkout's
 `path:line: first source line`, and the count per module. A compound
 statement (def, class, if, for, while, try, with) counts as run when any
 line within it ran, so an unrun branch is listed statement by statement;
-docstrings are not statements. Code that runs only in another process
-shows as unrun too, because no tracer follows it there: the fork route of
-`analysis._fanned_out`, which the sweep's points and a lone truth table's
-spectra share (the suite's own process has BLAS threads, so only its
-subprocesses fork), the numpy import and `gc.freeze` of
+docstrings are not statements. It pins BLAS to one thread
+(OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and MKL_NUM_THREADS set to 1 before
+the suite loads numpy), so the count does not depend on the caller's
+setting: with one thread the suite's own process forks where the sweep
+does (`analysis._fanned_out`, the sweep's points, its one fork site), and
+the parent side of that fan-out is traced. Code that runs only in another
+process shows as unrun, because no tracer follows it there: the child's
+side of that fan-out, the numpy import and `gc.freeze` of
 `cli._import_numpy` (only a fresh process imports numpy there) and the
 `__main__` guard of `cli`. It needs no coverage package. It exits with
 pytest's exit code. The file name does not match pytest's `test_*.py`, so
@@ -26,6 +29,9 @@ import os
 import sys
 import threading
 from pathlib import Path
+
+for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[var] = "1"
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "iongate"
